@@ -4,7 +4,7 @@
 # backed by the concurrent-resolve and coalescing hammer tests in
 # internal/resolver and the overload-primitive races in internal/overload.
 
-.PHONY: verify verify-race bench bench-full bench-diff bench-smoke fuzz-short loadgen-smoke
+.PHONY: verify verify-race bench bench-full bench-diff bench-smoke bench-check fuzz-short loadgen-smoke
 
 verify:
 	go build ./... && go vet ./... && go test ./...
@@ -33,6 +33,8 @@ bench:
 	  go test -run='^$$' -bench=. -benchtime=1000000x -count=1 -benchmem ./internal/obs/traffic; \
 	  go test -run='^$$' -bench=. -benchtime=100000x -count=1 -benchmem \
 	    ./internal/overload ./internal/dnswire ./internal/authserver; \
+	  go test -run='^$$' -bench='^(BenchmarkZoneQuery|BenchmarkNSECCovering)$$' -benchtime=100000x -count=1 -benchmem ./internal/zone; \
+	  go test -run='^$$' -bench='^(BenchmarkZoneNames|BenchmarkIndexBuild)$$' -benchtime=500x -count=1 -benchmem ./internal/zone; \
 	  go test -run='^$$' -bench='^BenchmarkCache$$/^(Get|Put)$$' -benchtime=1000000x -count=1 -benchmem ./internal/cache; \
 	  go test -run='^$$' -bench='^BenchmarkCache$$/^GetParallel' -benchtime=100000x -count=1 -benchmem -cpu=8 ./internal/cache; \
 	  go test -run='^$$' -bench='^BenchmarkValidate$$' -benchtime=20000x -count=1 -benchmem ./internal/dnssec/validator; \
@@ -63,6 +65,14 @@ bench-smoke:
 	go run ./cmd/benchreport -validate /tmp/bench-smoke.json -min 4; \
 	rm -f /tmp/bench-smoke.json
 
+# rootbench (bench/) is a Go module of its own that imports internal/
+# packages through a replace directive, so the root module's build and
+# tests never compile it: this target does, so that an internal/ API
+# change that breaks the benchmark fails CI rather than the next
+# benchmark run.
+bench-check:
+	go vet -C bench ./... && go test -C bench ./...
+
 # Real-socket serving smoke: 2k loadgen queries against an in-process
 # authd on loopback must come back at >= 99% and emit schema-valid
 # rootless-bench JSON. Also runs as part of `make verify` (it is an
@@ -74,9 +84,11 @@ loadgen-smoke:
 bench-full:
 	go test -bench=. -benchmem ./...
 
-# Short coverage-guided fuzz pass over the wire codec and the delta
-# bundle decoder (~10s per target).
+# Short coverage-guided fuzz pass over the wire codec, canonical name
+# ordering against its label-parsing reference, and the delta bundle
+# decoder (~10s per target).
 fuzz-short:
 	go test ./internal/dnswire -run='^$$' -fuzz=FuzzMessageUnpack -fuzztime=10s
 	go test ./internal/dnswire -run='^$$' -fuzz=FuzzNameParse -fuzztime=10s
+	go test ./internal/dnswire -run='^$$' -fuzz=FuzzNameCompare -fuzztime=10s
 	go test ./internal/dist -run='^$$' -fuzz=FuzzDecodeDeltaBundle -fuzztime=10s

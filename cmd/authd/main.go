@@ -90,7 +90,7 @@ func main() {
 	perClientQPS := flag.Float64("per-client-qps", 0, "token-bucket each client address at this rate (0 = unlimited)")
 	rrlRate := flag.Int("rrl-rate", 0, "response rate limit: identical responses per second per client /24 (0 = disabled)")
 	rrlSlip := flag.Int("rrl-slip", 2, "let every Nth RRL-suppressed response out truncated (0 = drop all)")
-	ansCache := flag.Int("answer-cache", authserver.DefaultAnswerCacheSize, "precompiled-answer cache capacity in entries (0 to disable)")
+	ansCache := flag.Int("answer-cache", authserver.DefaultAnswerCacheSize, "precompiled-answer cache capacity in entries: answers, referrals and NODATA, never NXDOMAIN or truncated replies (0 to disable, along with the per-NSEC denial memo)")
 	adminAddr := flag.String("admin", "", "HTTP admin address for /metrics, /healthz, /statusz (e.g. 127.0.0.1:9154; empty to disable)")
 	traceOn := flag.Bool("trace", false, "join EDNS0-propagated traces from resolvers and serve them at /tracez")
 	traceRing := flag.Int("trace-ring", 128, "recent joined traces to retain for /tracez")

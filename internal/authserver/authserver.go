@@ -40,7 +40,8 @@ type Stats struct {
 	RRLSlipped  int64
 	// Packed-answer cache outcomes (PR 5): queries served from the
 	// precompiled-answer cache vs built from the zone, and how many
-	// wire-format Pack calls the server has made (hits make none).
+	// wire-format Pack calls the server has made (a hit makes none, a
+	// miss one, and one more per record dropped to fit the client).
 	PackedHits   int64
 	PackedMisses int64
 	WirePacks    int64
@@ -148,7 +149,8 @@ func (s *Server) SetAnswerCache(capacity int) {
 }
 
 // pack is Pack with accounting: Stats.WirePacks is how benchmarks prove
-// the packed-answer hit path never serializes a message.
+// the packed-answer hit path never serializes a message and a miss
+// serializes it once.
 func (s *Server) pack(m *dnswire.Message) ([]byte, error) {
 	s.packs.Add(1)
 	return m.Pack()
@@ -300,8 +302,10 @@ func (s *Server) handle(tr *obs.Trace, q *dnswire.Message, from netip.Addr) (*dn
 }
 
 // answer builds the response for one already-admitted query, consulting
-// the packed-answer cache first. The second return is the cached wire
-// image (see handle); it is nil when the answer was built fresh.
+// the packed-answer cache first. The second return is the response's
+// wire image with ID zero and RD clear (see handle): the cached one on a
+// hit, the one pack a miss makes otherwise. It is nil only for the
+// malformed and refused questions answered before the cache is consulted.
 func (s *Server) answer(q *dnswire.Message) (*dnswire.Message, []byte) {
 	resp := &dnswire.Message{
 		ID:               q.ID,
@@ -361,7 +365,12 @@ func (s *Server) answer(q *dnswire.Message) (*dnswire.Message, []byte) {
 		s.count(func(st *Stats) { st.PackedMisses++ })
 	}
 
-	ans := s.Zone().Query(question.Name, question.Type)
+	// From here to the pack resp is the neutral template, ID zero and RD
+	// clear: its one wire image is the size check, the cache entry and
+	// what the UDP transport patch-copies into the reply.
+	resp.ID, resp.RecursionDesired = 0, false
+	z := s.Zone()
+	ans := z.Query(question.Name, question.Type)
 	resp.Rcode = ans.Rcode
 	resp.Authoritative = ans.Authoritative
 	resp.Answers = ans.Answer
@@ -381,41 +390,47 @@ func (s *Server) answer(q *dnswire.Message) (*dnswire.Message, []byte) {
 	default:
 		class = ansNoData
 	}
-	s.count(func(st *Stats) { class.bump(st) })
 
 	// Echo EDNS: advertise our own buffer size and respect the client's
 	// for truncation purposes. With the DO bit set, attach DNSSEC proof
 	// material (RRSIGs and NSEC denial records) from the signed zone.
 	if size > 0 {
 		if do {
-			s.addDNSSEC(resp, question)
+			addDNSSEC(z, ac, resp, question)
 		}
 		resp.SetEDNS(dnswire.DefaultEDNSSize, do)
 	}
-	s.truncateTo(resp, limit)
-	if resp.Truncated {
-		s.count(func(st *Stats) { st.Truncated++ })
-	}
-
-	if ac != nil && !resp.Truncated {
-		tmpl := *resp
-		tmpl.ID = 0
-		tmpl.RecursionDesired = false
-		if wire, err := s.pack(&tmpl); err == nil {
-			ac.put(key, &ansEntry{template: tmpl, wire: wire, class: class})
+	wire := s.packWithin(resp, limit)
+	s.count(func(st *Stats) {
+		class.bump(st)
+		if resp.Truncated {
+			st.Truncated++
 		}
+	})
+
+	// NXDOMAIN is never cached: the names that do not exist are without
+	// number, and one entry per junk qname would push the finite set of
+	// real answers out of the cache. Its expensive part is memoized per
+	// NSEC span instead (addDNSSEC).
+	if ac != nil && wire != nil && !resp.Truncated && class != ansNXDomain {
+		ac.put(key, &ansEntry{template: *resp, wire: wire, class: class})
 	}
-	return resp, nil
+	resp.ID, resp.RecursionDesired = q.ID, q.RecursionDesired
+	return resp, wire
 }
 
-// truncateTo marks the message truncated and drops records until the
-// packed size fits limit. Additional goes first, then authority, then
-// answers, per common server practice.
-func (s *Server) truncateTo(m *dnswire.Message, limit int) {
+// packWithin packs m, and while the image exceeds limit marks m truncated,
+// drops a record and packs again: additional first, then authority, then
+// answers, per common server practice. It returns the image that fits,
+// or nil if m cannot be packed.
+func (s *Server) packWithin(m *dnswire.Message, limit int) []byte {
 	for {
 		wire, err := s.pack(m)
-		if err != nil || len(wire) <= limit {
-			return
+		if err != nil {
+			return nil
+		}
+		if len(wire) <= limit {
+			return wire
 		}
 		m.Truncated = true
 		switch {
@@ -426,7 +441,7 @@ func (s *Server) truncateTo(m *dnswire.Message, limit int) {
 		case len(m.Answers) > 0:
 			m.Answers = m.Answers[:len(m.Answers)-1]
 		default:
-			return
+			return wire
 		}
 	}
 }
@@ -434,8 +449,25 @@ func (s *Server) truncateTo(m *dnswire.Message, limit int) {
 // addDNSSEC augments a response with signatures and denial proofs when
 // the client signalled DNSSEC awareness (DO). Unsigned zones yield no
 // extra records.
-func (s *Server) addDNSSEC(resp *dnswire.Message, question dnswire.Question) {
-	z := s.Zone()
+func addDNSSEC(z *zone.Zone, ac *answerCache, resp *dnswire.Message, question dnswire.Question) {
+	// Denial proofs: NXDOMAIN needs the covering NSEC; NODATA and
+	// unsigned-delegation referrals need the NSEC at the closest signed
+	// name (proving the type, or the DS, does not exist).
+	var nsec dnswire.RR
+	needDenial := resp.Rcode == dnswire.RcodeNXDomain ||
+		(resp.Rcode == dnswire.RcodeSuccess && len(resp.Answers) == 0)
+	if needDenial {
+		nsec, needDenial = z.NSECCovering(question.Name)
+	}
+	// An NXDOMAIN's authority section — SOA, covering NSEC and their
+	// signatures — is the same for every name that NSEC covers.
+	memoize := needDenial && resp.Rcode == dnswire.RcodeNXDomain
+	if memoize {
+		if authority := ac.denial(nsec.Name); authority != nil {
+			resp.Authority = authority
+			return
+		}
+	}
 
 	// Signatures covering each RRset already in the message.
 	signFor := func(section []dnswire.RR) []dnswire.RR {
@@ -451,19 +483,12 @@ func (s *Server) addDNSSEC(resp *dnswire.Message, question dnswire.Question) {
 	}
 	resp.Answers = append(resp.Answers, signFor(resp.Answers)...)
 	resp.Authority = append(resp.Authority, signFor(resp.Authority)...)
-
-	// Denial proofs: NXDOMAIN needs the covering NSEC; NODATA and
-	// unsigned-delegation referrals need the NSEC at the closest signed
-	// name (proving the type, or the DS, does not exist).
-	needDenial := resp.Rcode == dnswire.RcodeNXDomain ||
-		(resp.Rcode == dnswire.RcodeSuccess && len(resp.Answers) == 0)
 	if !needDenial {
-		return
-	}
-	nsec, ok := z.NSECCovering(question.Name)
-	if !ok {
 		return
 	}
 	resp.Authority = append(resp.Authority, nsec)
 	resp.Authority = append(resp.Authority, z.SignaturesFor(nsec.Name, dnswire.TypeNSEC)...)
+	if memoize {
+		ac.putDenial(nsec.Name, resp.Authority)
+	}
 }

@@ -183,3 +183,34 @@ func TestEngineHandlerRetentionRace(t *testing.T) {
 		t.Errorf("engine saw %d packets, want >= %d", st.Total.Packets, 6*60)
 	}
 }
+
+// TestServeWireJunkDOAllocs pins the denial path on the signed root: an
+// NXDOMAIN with DO costs the query-side boxes of UnpackShared (as on a
+// hit), the qname string, the response struct, the SOA slice
+// Zone.Query returns, the OPT the reply carries and the one packed
+// image — and nothing that grows with the zone: the index searches do
+// not allocate and the authority section comes from the denial memo.
+func TestServeWireJunkDOAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts not meaningful under -race")
+	}
+	s := New(signedRootZone(t))
+	wires := junkDOWires(t, 512)
+	out := make([]byte, 0, 4096)
+	for _, w := range wires[:64] { // touch a few NSEC spans, fill the pools
+		if s.ServeWire(w, netip.Addr{}, out) == nil {
+			t.Fatal("warmup dropped")
+		}
+	}
+	i := 0
+	got := testing.AllocsPerRun(2000, func() {
+		if s.ServeWire(wires[i%len(wires)], netip.Addr{}, out) == nil {
+			t.Fatal("dropped")
+		}
+		i++
+	})
+	if got > 14 {
+		t.Errorf("ServeWire junk DO: %v allocs/op, want <= 14", got)
+	}
+	t.Logf("ServeWire junk DO: %v allocs/op", got)
+}

@@ -37,8 +37,9 @@ func (s *Server) ServeWire(req []byte, from netip.Addr, out []byte) []byte {
 	}
 	start := len(out)
 	if wire != nil {
-		// Precompiled answer: copy the cached wire (ID 0, RD clear) and
-		// patch the two query-specific header bits in place.
+		// Precompiled answer, from the cache or from the one pack a miss
+		// makes: copy the wire (ID 0, RD clear) and patch the two
+		// query-specific header bits in place.
 		out = append(out, wire...)
 		binary.BigEndian.PutUint16(out[start:start+2], q.ID)
 		if q.RecursionDesired {
@@ -46,6 +47,9 @@ func (s *Server) ServeWire(req []byte, from netip.Addr, out []byte) []byte {
 		}
 		return out
 	}
+	// No precompiled image: a question refused before the cache, an RRL
+	// slip, or a reply carrying a trace payload.
+	s.packs.Add(1)
 	out, err := resp.AppendPack(out)
 	if err != nil {
 		return nil

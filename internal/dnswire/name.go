@@ -1,7 +1,11 @@
 package dnswire
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -161,12 +165,57 @@ func (n Name) Labels() [][]byte {
 	return labels
 }
 
+// plain reports whether s is an absolute name in canonical form with no
+// escapes: lowercase printable ASCII, every label 1..63 octets, at most
+// 255 wire octets. The labels of a plain name are exactly its
+// dot-separated substrings, so the accessors below work on the string
+// itself; anything else takes the label-parsing route. The root is plain.
+func plain(s string) bool {
+	if s == "." {
+		return true
+	}
+	if len(s) == 0 || len(s) > 254 || s[len(s)-1] != '.' {
+		return false
+	}
+	label := 0
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '.':
+			if label == 0 {
+				return false
+			}
+			label = 0
+		case c == '\\' || ('A' <= c && c <= 'Z') || c < '!' || c > '~':
+			return false
+		default:
+			if label++; label > 63 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // LabelCount returns the number of labels in n (0 for the root).
-func (n Name) LabelCount() int { return len(n.Labels()) }
+func (n Name) LabelCount() int {
+	if s := string(n); plain(s) {
+		if s == "." {
+			return 0
+		}
+		return strings.Count(s, ".")
+	}
+	return len(n.Labels())
+}
 
 // Parent returns the name with the leftmost label removed; the root's
 // parent is the root.
 func (n Name) Parent() Name {
+	if s := string(n); plain(s) {
+		if i := strings.IndexByte(s, '.'); i+1 < len(s) {
+			return Name(s[i+1:])
+		}
+		return Root
+	}
 	labels := n.Labels()
 	if len(labels) == 0 {
 		return Root
@@ -177,6 +226,9 @@ func (n Name) Parent() Name {
 // TLD returns the top-level domain of n as an absolute Name ("com." for
 // "www.example.com."), or the root if n is the root.
 func (n Name) TLD() Name {
+	if s := string(n); plain(s) {
+		return Name(s[strings.LastIndexByte(s[:len(s)-1], '.')+1:])
+	}
 	labels := n.Labels()
 	if len(labels) == 0 {
 		return Root
@@ -186,15 +238,20 @@ func (n Name) TLD() Name {
 
 // IsSubdomainOf reports whether n is equal to or below parent.
 func (n Name) IsSubdomainOf(parent Name) bool {
-	if parent.IsRoot() {
+	if parent.IsRoot() || n == parent {
 		return true
 	}
-	if n == parent {
-		return true
+	cut := len(n) - len(parent) - 1
+	if cut < 0 || n[cut] != '.' || n[cut+1:] != parent {
+		return false
 	}
-	return strings.HasSuffix(string(n), "."+string(parent)) ||
-		(len(n) > len(parent) && strings.HasSuffix(string(n), string(parent)) &&
-			n[len(n)-len(parent)-1] == '.')
+	// The dot at cut separates labels only if it is not escaped: an odd
+	// run of backslashes before it makes it part of the label.
+	esc := 0
+	for cut-esc > 0 && n[cut-esc-1] == '\\' {
+		esc++
+	}
+	return esc%2 == 0
 }
 
 // Child returns the label-prefixed child of n: Child("www", "example.com.")
@@ -208,6 +265,12 @@ func (n Name) Child(label string) (Name, error) {
 
 // WireLen returns the uncompressed wire length of the name in octets.
 func (n Name) WireLen() int {
+	if s := string(n); plain(s) {
+		if s == "." {
+			return 1
+		}
+		return len(s) + 1
+	}
 	total := 1
 	for _, l := range n.Labels() {
 		total += len(l) + 1
@@ -215,42 +278,92 @@ func (n Name) WireLen() int {
 	return total
 }
 
-// Compare orders names in DNSSEC canonical order (RFC 4034 §6.1):
-// by reversed label sequence, labels compared as case-folded octet strings.
+// Compare orders names in DNSSEC canonical order (RFC 4034 §6.1): by
+// reversed label sequence, labels compared as case-folded octet strings.
+// Escape-free names are compared in place, label by label from the
+// right, without allocating; a name carrying an escape is parsed into
+// raw labels first, because "\." and "\DDD" stand for one octet.
 func (n Name) Compare(m Name) int {
+	a, b := string(n), string(m)
+	if strings.IndexByte(a, '\\') >= 0 || strings.IndexByte(b, '\\') >= 0 {
+		return compareParsed(n, m)
+	}
+	a, b = strings.TrimSuffix(a, "."), strings.TrimSuffix(b, ".")
+	for len(a) > 0 && len(b) > 0 {
+		i, j := strings.LastIndexByte(a, '.'), strings.LastIndexByte(b, '.')
+		if c := compareLabels(a[i+1:], b[j+1:]); c != 0 {
+			return c
+		}
+		a, b = a[:max(i, 0)], b[:max(j, 0)]
+	}
+	// One name ran out of labels: the shorter sorts first.
+	return cmp.Compare(len(a), len(b))
+}
+
+// SortNames sorts names into canonical order, as slices.SortFunc with
+// Name.Compare does, several times faster on a zone's worth of names.
+// For plain names canonical order is the byte order of a key made of the
+// labels right to left, each followed by a zero octet (which sorts below
+// every octet of a plain label, so an ancestor precedes its descendants
+// and "com" precedes "coma"). The keys live for this call only.
+func SortNames(names []Name) {
+	size := 0
+	for _, n := range names {
+		if !plain(string(n)) {
+			slices.SortFunc(names, Name.Compare)
+			return
+		}
+		size += len(n)
+	}
+	// A key is exactly as long as its name less the root's dot. The
+	// sort moves pointer-free spans of buf, not names: no write barriers.
+	type span struct {
+		head             uint64 // the key's first eight octets, big-endian
+		start, end, name uint32
+	}
+	buf := make([]byte, 0, size)
+	spans := make([]span, len(names))
+	for i, n := range names {
+		start := len(buf)
+		for s := string(n[:len(n)-1]); s != ""; {
+			dot := strings.LastIndexByte(s, '.')
+			buf = append(append(buf, s[dot+1:]...), 0)
+			s = s[:max(dot, 0)]
+		}
+		var head [8]byte
+		copy(head[:], buf[start:])
+		spans[i] = span{binary.BigEndian.Uint64(head[:]), uint32(start), uint32(len(buf)), uint32(i)}
+	}
+	slices.SortFunc(spans, func(a, b span) int {
+		if a.head != b.head {
+			return cmp.Compare(a.head, b.head)
+		}
+		return bytes.Compare(buf[a.start:a.end], buf[b.start:b.end])
+	})
+	unsorted := slices.Clone(names)
+	for i, sp := range spans {
+		names[i] = unsorted[sp.name]
+	}
+}
+
+// compareParsed is Compare over parsed raw labels.
+func compareParsed(n, m Name) int {
 	a, b := n.Labels(), m.Labels()
 	for i := 1; i <= len(a) && i <= len(b); i++ {
-		la, lb := a[len(a)-i], b[len(b)-i]
-		if c := compareLabels(la, lb); c != 0 {
+		if c := compareLabels(string(a[len(a)-i]), string(b[len(b)-i])); c != 0 {
 			return c
 		}
 	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
+	return cmp.Compare(len(a), len(b))
 }
 
-func compareLabels(a, b []byte) int {
+func compareLabels(a, b string) int {
 	for i := 0; i < len(a) && i < len(b); i++ {
-		ca, cb := lowerByte(a[i]), lowerByte(b[i])
-		if ca != cb {
-			if ca < cb {
-				return -1
-			}
-			return 1
+		if ca, cb := lowerByte(a[i]), lowerByte(b[i]); ca != cb {
+			return cmp.Compare(ca, cb)
 		}
 	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
+	return cmp.Compare(len(a), len(b))
 }
 
 // compressor tracks label-suffix offsets while packing a message, so

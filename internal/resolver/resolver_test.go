@@ -574,3 +574,20 @@ func TestServeStaleRobustness(t *testing.T) {
 		t.Error("expected failure without serve-stale")
 	}
 }
+
+// A cold stream meets new nameservers without end; the timing table
+// must stay bounded, evicting rather than growing, and keep learning.
+func TestSRTTTableBounded(t *testing.T) {
+	r := newTopo(t).resolver(t, RootModeHints)
+	var last netip.Addr
+	for i := 0; i < maxSRTTEntries+1000; i++ {
+		last = netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
+		r.updateSRTT(last, 5*time.Millisecond, false)
+	}
+	if got := r.SRTTStateSize(); got != maxSRTTEntries {
+		t.Errorf("SRTT table holds %d entries, want the bound %d", got, maxSRTTEntries)
+	}
+	if got := r.srttFor(last); got != 5*time.Millisecond {
+		t.Errorf("newest server's SRTT = %v, want 5ms: a full table must still admit", got)
+	}
+}

@@ -1,0 +1,26 @@
+package zone
+
+import "rootless/internal/dnswire"
+
+// HasDescendants exposes the empty-non-terminal test to the external
+// differential tests, which compare it with a scan of the whole zone.
+func (z *Zone) HasDescendants(name dnswire.Name) bool {
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	return z.hasDescendants(name)
+}
+
+// Indexed reports whether the zone currently holds a built index.
+func (z *Zone) Indexed() bool { return z.idx.Load() != nil }
+
+// OwnerNames returns the owner names in map order, for the references
+// to sort on their own.
+func (z *Zone) OwnerNames() []dnswire.Name {
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	names := make([]dnswire.Name, 0, len(z.records))
+	for n := range z.records {
+		names = append(names, n)
+	}
+	return names
+}

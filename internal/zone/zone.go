@@ -9,16 +9,22 @@ package zone
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"rootless/internal/dnswire"
 )
 
 // Zone is a set of resource records rooted at Origin.
 //
-// A Zone is safe for concurrent readers once built; mutation (Add/Remove)
-// is guarded internally, so a Zone may also be updated while being served.
+// A Zone may be read and mutated (Add/Remove) from any number of
+// goroutines at once, so it may be updated while being served: every
+// method takes the zone's lock for the whole of its reads or writes, and
+// a lookup sees the zone either before or after a concurrent mutation,
+// never in between. What a method returns is the caller's: result slices
+// are copies, and rdata is immutable by convention.
 type Zone struct {
 	Origin dnswire.Name
 
@@ -27,9 +33,53 @@ type Zone struct {
 	// delegations caches the set of names that own NS rrsets other than
 	// the origin — the zone cuts.
 	delegations map[dnswire.Name]bool
-	// nsecNames counts owners carrying NSEC records, so unsigned zones
-	// skip denial-proof scans entirely.
-	nsecNames int
+	// idx is the canonical-order index of the current records, nil until
+	// a reader needs it and again after every mutation (see index).
+	idx atomic.Pointer[index]
+}
+
+// index is the zone's owner names in DNSSEC canonical order (RFC 4034
+// §6.1), the order denial of existence is defined in: a name's
+// descendants sort directly after it, and the NSEC covering a name is
+// the one at the last NSEC owner not after it. Both questions are one
+// binary search here instead of a scan, or a sort, of the whole zone.
+//
+// An index is immutable and describes one generation of the zone. It is
+// built and published by the first reader that needs it, under the read
+// lock, so no mutation can fall between the records it was built from
+// and its publication; Add and Remove drop it under the write lock. A
+// reader therefore never observes an index that misses a mutation. The
+// name strings share their bytes with the record map's keys.
+type index struct {
+	names []dnswire.Name // every owner name
+	nsec  []dnswire.Name // the owners of an NSEC rrset, a subsequence of names
+}
+
+// indexLocked returns the current index, building it if a mutation (or
+// nothing yet) left none. The caller holds z.mu.
+func (z *Zone) indexLocked() *index {
+	if ix := z.idx.Load(); ix != nil {
+		return ix
+	}
+	ix := &index{names: make([]dnswire.Name, 0, len(z.records))}
+	for n := range z.records {
+		ix.names = append(ix.names, n)
+	}
+	dnswire.SortNames(ix.names)
+	for _, n := range ix.names {
+		if len(z.records[n][dnswire.TypeNSEC]) > 0 {
+			ix.nsec = append(ix.nsec, n)
+		}
+	}
+	// Readers that raced here built equal indexes; any one will do.
+	z.idx.Store(ix)
+	return ix
+}
+
+// firstAfter returns the position in the sorted names of the first one
+// that sorts after name, len(names) if none does.
+func firstAfter(names []dnswire.Name, name dnswire.Name) int {
+	return sort.Search(len(names), func(i int) bool { return names[i].Compare(name) > 0 })
 }
 
 // New returns an empty zone for the given origin.
@@ -59,9 +109,7 @@ func (z *Zone) Add(rr dnswire.RR) error {
 			return nil
 		}
 	}
-	if rr.Type == dnswire.TypeNSEC && len(byType[dnswire.TypeNSEC]) == 0 {
-		z.nsecNames++
-	}
+	z.idx.Store(nil)
 	byType[rr.Type] = append(byType[rr.Type], rr)
 	if rr.Type == dnswire.TypeNS && rr.Name != z.Origin {
 		z.delegations[rr.Name] = true
@@ -78,16 +126,11 @@ func (z *Zone) Remove(name dnswire.Name, typ dnswire.Type) {
 	if !ok {
 		return
 	}
+	z.idx.Store(nil)
 	if typ == dnswire.TypeANY {
-		if len(byType[dnswire.TypeNSEC]) > 0 {
-			z.nsecNames--
-		}
 		delete(z.records, name)
 		delete(z.delegations, name)
 		return
-	}
-	if typ == dnswire.TypeNSEC && len(byType[dnswire.TypeNSEC]) > 0 {
-		z.nsecNames--
 	}
 	delete(byType, typ)
 	if typ == dnswire.TypeNS {
@@ -149,30 +192,19 @@ func (z *Zone) Serial() uint32 {
 // Names returns every owner name in the zone in DNSSEC canonical order.
 func (z *Zone) Names() []dnswire.Name {
 	z.mu.RLock()
-	names := make([]dnswire.Name, 0, len(z.records))
-	for n := range z.records {
-		names = append(names, n)
-	}
-	z.mu.RUnlock()
-	sort.Slice(names, func(i, j int) bool { return names[i].Compare(names[j]) < 0 })
-	return names
+	defer z.mu.RUnlock()
+	return slices.Clone(z.indexLocked().names)
 }
 
 // Records returns every record in the zone in canonical name order with
 // deterministic within-name ordering (by type, then rdata).
 func (z *Zone) Records() []dnswire.RR {
-	names := z.Names()
 	z.mu.RLock()
 	defer z.mu.RUnlock()
 	var out []dnswire.RR
-	for _, n := range names {
+	for _, n := range z.indexLocked().names {
 		byType := z.records[n]
-		types := make([]dnswire.Type, 0, len(byType))
-		for t := range byType {
-			types = append(types, t)
-		}
-		sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-		for _, t := range types {
+		for _, t := range sortedTypes(byType) {
 			rrs := append([]dnswire.RR(nil), byType[t]...)
 			sort.Slice(rrs, func(i, j int) bool {
 				return rrs[i].Data.String() < rrs[j].Data.String()
@@ -181,6 +213,18 @@ func (z *Zone) Records() []dnswire.RR {
 		}
 	}
 	return out
+}
+
+// sortedTypes returns the types present at one owner in ascending order,
+// so that what is built from the per-owner map does not inherit its
+// iteration order.
+func sortedTypes(byType map[dnswire.Type][]dnswire.RR) []dnswire.Type {
+	types := make([]dnswire.Type, 0, len(byType))
+	for t := range byType {
+		types = append(types, t)
+	}
+	slices.Sort(types)
+	return types
 }
 
 // Len returns the number of records in the zone.
@@ -210,13 +254,14 @@ func (z *Zone) RRsetCount() int {
 // Delegations returns the names of all zone cuts in canonical order.
 func (z *Zone) Delegations() []dnswire.Name {
 	z.mu.RLock()
-	names := make([]dnswire.Name, 0, len(z.delegations))
-	for n := range z.delegations {
-		names = append(names, n)
+	defer z.mu.RUnlock()
+	cuts := make([]dnswire.Name, 0, len(z.delegations))
+	for _, n := range z.indexLocked().names {
+		if z.delegations[n] {
+			cuts = append(cuts, n)
+		}
 	}
-	z.mu.RUnlock()
-	sort.Slice(names, func(i, j int) bool { return names[i].Compare(names[j]) < 0 })
-	return names
+	return cuts
 }
 
 // Answer is the result of an authoritative lookup in a zone.
@@ -236,10 +281,13 @@ type Answer struct {
 
 // Query performs the authoritative lookup algorithm (RFC 1034 §4.3.2,
 // restricted to the in-zone cases: answer, referral, NODATA, NXDOMAIN).
+// The whole lookup runs in one locked section.
 func (z *Zone) Query(name dnswire.Name, typ dnswire.Type) Answer {
 	if !name.IsSubdomainOf(z.Origin) {
 		return Answer{Rcode: dnswire.RcodeRefused}
 	}
+	z.mu.RLock()
+	defer z.mu.RUnlock()
 
 	// Walk from the query name up toward the origin looking for a zone cut
 	// strictly between the origin and the name. A cut at the query name
@@ -249,11 +297,7 @@ func (z *Zone) Query(name dnswire.Name, typ dnswire.Type) Answer {
 		return z.referral(cut)
 	}
 
-	z.mu.RLock()
-	byType, exists := z.records[name]
-	z.mu.RUnlock()
-
-	if exists {
+	if byType, exists := z.records[name]; exists {
 		if rrs := byType[typ]; len(rrs) > 0 {
 			return Answer{
 				Rcode:         dnswire.RcodeSuccess,
@@ -263,8 +307,8 @@ func (z *Zone) Query(name dnswire.Name, typ dnswire.Type) Answer {
 		}
 		if typ == dnswire.TypeANY {
 			var all []dnswire.RR
-			for _, rrs := range byType {
-				all = append(all, rrs...)
+			for _, t := range sortedTypes(byType) {
+				all = append(all, byType[t]...)
 			}
 			return Answer{Rcode: dnswire.RcodeSuccess, Authoritative: true, Answer: all}
 		}
@@ -286,25 +330,17 @@ func (z *Zone) Query(name dnswire.Name, typ dnswire.Type) Answer {
 
 	// Name does not exist, but it may be an empty non-terminal (a name
 	// with descendants), which is NODATA rather than NXDOMAIN.
+	rcode := dnswire.RcodeNXDomain
 	if z.hasDescendants(name) {
-		return Answer{
-			Rcode:         dnswire.RcodeSuccess,
-			Authoritative: true,
-			Authority:     z.soaAuthority(),
-		}
+		rcode = dnswire.RcodeSuccess
 	}
-	return Answer{
-		Rcode:         dnswire.RcodeNXDomain,
-		Authoritative: true,
-		Authority:     z.soaAuthority(),
-	}
+	return Answer{Rcode: rcode, Authoritative: true, Authority: z.soaAuthority()}
 }
 
 // findCut locates the closest delegation at-or-above name, excluding the
-// origin. A cut exactly at name does not count for DS queries.
+// origin. A cut exactly at name does not count for DS queries. The
+// caller holds z.mu, as for the three helpers below.
 func (z *Zone) findCut(name dnswire.Name, typ dnswire.Type) (dnswire.Name, bool) {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
 	for n := name; n != z.Origin && !n.IsRoot(); n = n.Parent() {
 		if z.delegations[n] {
 			if n == name && typ == dnswire.TypeDS {
@@ -317,8 +353,6 @@ func (z *Zone) findCut(name dnswire.Name, typ dnswire.Type) (dnswire.Name, bool)
 }
 
 func (z *Zone) referral(cut dnswire.Name) Answer {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
 	ans := Answer{Rcode: dnswire.RcodeSuccess}
 	nsSet := z.records[cut][dnswire.TypeNS]
 	ans.Authority = append(ans.Authority, nsSet...)
@@ -336,21 +370,16 @@ func (z *Zone) referral(cut dnswire.Name) Answer {
 }
 
 func (z *Zone) soaAuthority() []dnswire.RR {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
 	return append([]dnswire.RR(nil), z.records[z.Origin][dnswire.TypeSOA]...)
 }
 
 // hasDescendants reports whether any stored name is strictly below name.
+// Canonical order puts a name's descendants directly after it, so it is
+// enough to look at the first stored name that sorts after name.
 func (z *Zone) hasDescendants(name dnswire.Name) bool {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	for n := range z.records {
-		if n != name && n.IsSubdomainOf(name) {
-			return true
-		}
-	}
-	return false
+	names := z.indexLocked().names
+	i := firstAfter(names, name)
+	return i < len(names) && names[i].IsSubdomainOf(name)
 }
 
 // SignaturesFor returns the RRSIG records at name covering the given
@@ -370,35 +399,19 @@ func (z *Zone) SignaturesFor(name dnswire.Name, covered dnswire.Type) []dnswire.
 // false if the zone carries no NSEC chain. A name that owns an NSEC is
 // covered by its own record.
 func (z *Zone) NSECCovering(name dnswire.Name) (dnswire.RR, bool) {
-	type link struct {
-		owner dnswire.Name
-		rr    dnswire.RR
-	}
-	var chain []link
 	z.mu.RLock()
-	if z.nsecNames == 0 {
-		z.mu.RUnlock()
+	defer z.mu.RUnlock()
+	owners := z.indexLocked().nsec
+	if len(owners) == 0 {
 		return dnswire.RR{}, false
 	}
-	for n, byType := range z.records {
-		if rrs := byType[dnswire.TypeNSEC]; len(rrs) > 0 {
-			chain = append(chain, link{owner: n, rr: rrs[0]})
-		}
+	// The last owner <= name covers the span up to the next owner. Names
+	// before the first owner wrap around to the last link.
+	i := firstAfter(owners, name) - 1
+	if i < 0 {
+		i = len(owners) - 1
 	}
-	z.mu.RUnlock()
-	if len(chain) == 0 {
-		return dnswire.RR{}, false
-	}
-	sort.Slice(chain, func(i, j int) bool { return chain[i].owner.Compare(chain[j].owner) < 0 })
-	// Find the last owner <= name; it covers the span up to the next
-	// owner. Names before the first owner wrap around to the last link.
-	idx := sort.Search(len(chain), func(i int) bool {
-		return chain[i].owner.Compare(name) > 0
-	}) - 1
-	if idx < 0 {
-		idx = len(chain) - 1
-	}
-	return chain[idx].rr, true
+	return z.records[owners[i]][dnswire.TypeNSEC][0], true
 }
 
 // Clone returns a deep-enough copy of the zone (records are value types
