@@ -29,6 +29,7 @@ bench:
 	@set -e; \
 	( go test -run='^$$' -bench='^BenchmarkResolve$$' -benchtime=100000x -count=1 -benchmem ./internal/resolver; \
 	  go test -run='^$$' -bench='^BenchmarkResolveConcurrent$$' -benchtime=2000x -count=1 -benchmem ./internal/resolver; \
+	  go test -run='^$$' -bench='^(BenchmarkResolverServe|BenchmarkResolveParallel)$$' -benchtime=100000x -count=1 -benchmem ./internal/resolver; \
 	  go test -run='^$$' -bench=. -benchtime=1000000x -count=1 -benchmem ./internal/obs; \
 	  go test -run='^$$' -bench=. -benchtime=1000000x -count=1 -benchmem ./internal/obs/traffic; \
 	  go test -run='^$$' -bench=. -benchtime=100000x -count=1 -benchmem \
@@ -85,10 +86,12 @@ bench-full:
 	go test -bench=. -benchmem ./...
 
 # Short coverage-guided fuzz pass over the wire codec, canonical name
-# ordering against its label-parsing reference, and the delta bundle
-# decoder (~10s per target).
+# ordering against its label-parsing reference, the delta bundle decoder
+# and the two UDP front doors (~10s per target).
 fuzz-short:
 	go test ./internal/dnswire -run='^$$' -fuzz=FuzzMessageUnpack -fuzztime=10s
 	go test ./internal/dnswire -run='^$$' -fuzz=FuzzNameParse -fuzztime=10s
 	go test ./internal/dnswire -run='^$$' -fuzz=FuzzNameCompare -fuzztime=10s
 	go test ./internal/dist -run='^$$' -fuzz=FuzzDecodeDeltaBundle -fuzztime=10s
+	go test ./internal/resolver -run='^$$' -fuzz=FuzzResolverDatagram -fuzztime=10s
+	go test ./internal/authserver -run='^$$' -fuzz=FuzzServeWire -fuzztime=10s

@@ -60,7 +60,10 @@
 //	                        identical (qname, qtype) resolutions (default true)
 //	-nxdomain-cut           answer queries under a TLD already proven
 //	                        nonexistent from cache, RFC 8020 (default true)
-//	-max-inflight 256       concurrent resolutions admitted; 0 = unlimited
+//	-max-inflight 256       concurrent resolutions admitted to upstream work;
+//	                        0 = unlimited. The front door's pool for
+//	                        questions needing it holds 4x this many
+//	                        (1024 when 0); past that, datagrams are shed
 //	-queue-deadline 50ms    how long an over-capacity resolution may wait
 //	                        for a slot before being shed (0 = fail fast)
 //	-per-client-qps 0       token-bucket each stub client (0 = unlimited)
@@ -153,7 +156,7 @@ func main() {
 	dnssecSkew := flag.Duration("dnssec-skew", 0, "clock-skew tolerance for RRSIG validity windows")
 	coalesce := flag.Bool("coalesce", true, "coalesce concurrent identical resolutions into one upstream flight")
 	nxCut := flag.Bool("nxdomain-cut", true, "serve NXDOMAIN from cache for anything under a TLD proven nonexistent (RFC 8020)")
-	maxInflight := flag.Int("max-inflight", 256, "concurrent resolutions admitted before shedding (0 = unlimited)")
+	maxInflight := flag.Int("max-inflight", 256, "concurrent resolutions admitted to upstream work before shedding (0 = unlimited); the front door's miss pool holds 4x this (1024 when 0)")
 	queueDeadline := flag.Duration("queue-deadline", 50*time.Millisecond, "max wait for an admission slot before a resolution is shed (0 = fail fast)")
 	perClientQPS := flag.Float64("per-client-qps", 0, "token-bucket each stub client at this rate (0 = unlimited)")
 	adminAddr := flag.String("admin", "", "HTTP admin address for /metrics, /healthz, /tracez, /statusz (e.g. 127.0.0.1:9153; empty to disable)")
@@ -440,6 +443,7 @@ func main() {
 		start := time.Now()
 		reg := obs.NewRegistry()
 		r.Instrument(reg)
+		reg.AddCollector(srv)
 		reg.AddCollector(tracer)
 		reg.AddCollector(eng)
 		if refresher != nil {
@@ -479,6 +483,14 @@ func main() {
 			for k, v := range eng.StatusDoc() {
 				doc[k] = v
 			}
+			// What became of each datagram, drops by reason. (A pool
+			// hand-off is also an engine udp_async_replies.)
+			door := srv.FrontDoorStats()
+			doc["frontdoor_sync"] = door.Sync
+			doc["frontdoor_pool"] = door.Pool
+			doc["frontdoor_shed"] = door.Shed
+			doc["frontdoor_malformed"] = door.Malformed
+			doc["frontdoor_limited"] = door.Limited
 			return doc
 		}
 		go func() {

@@ -234,6 +234,7 @@ func renderTarget(sb *strings.Builder, t *targetState, s *sample) {
 	renderTail(sb, s.metrics)
 	renderSLO(sb, s.metrics)
 	renderPhases(sb, prev, s.metrics)
+	renderFrontDoor(sb, prev, s.metrics)
 	renderComposition(sb, prev, s.metrics, s.topk)
 	if s.topk != nil {
 		renderTopK(sb, s.topk)
@@ -364,38 +365,60 @@ func renderPhases(sb *strings.Builder, prev, cur metricsDoc) {
 	sb.WriteString(line + "\n")
 }
 
+// intervalByLabel returns the per-label-value deltas of a counter family
+// over the last interval and their sum, or the cumulative values when
+// there is no previous sample or the interval was quiet — a mix is more
+// use than nothing.
+func intervalByLabel(prev, cur metricsDoc, name, label string) (map[string]float64, float64) {
+	curBy := cur.byLabel(name, label)
+	counts := map[string]float64{}
+	total := 0.0
+	var prevBy map[string]metricSeries
+	if prev != nil {
+		prevBy = prev.byLabel(name, label)
+	}
+	for v, se := range curBy {
+		d := se.Value
+		if prevBy != nil {
+			d -= prevBy[v].Value
+		}
+		if d < 0 {
+			d = 0
+		}
+		counts[v] = d
+		total += d
+	}
+	if total <= 0 {
+		total = 0
+		for v, se := range curBy {
+			counts[v] = se.Value
+			total += se.Value
+		}
+	}
+	return counts, total
+}
+
+// renderFrontDoor shows where resolverd's datagrams went: answered on
+// the socket worker, handed to the miss pool, or dropped and why.
+func renderFrontDoor(sb *strings.Builder, prev, cur metricsDoc) {
+	counts, total := intervalByLabel(prev, cur, "rootless_resolver_frontdoor_total", "path")
+	if total <= 0 {
+		return
+	}
+	line := "  front door:"
+	for _, path := range []string{"sync", "pool", "shed", "malformed", "limited"} {
+		if counts[path] > 0 {
+			line += fmt.Sprintf(" %s %.1f%%", path, 100*counts[path]/total)
+		}
+	}
+	sb.WriteString(line + "\n")
+}
+
 // renderComposition prefers live interval deltas of the class counters;
 // /topk's cumulative classes are the fallback for the first frame.
 func renderComposition(sb *strings.Builder, prev, cur metricsDoc, tk *topkDoc) {
-	const name = "rootless_traffic_class_total"
-	curBy := cur.byLabel(name, "class")
-	counts := map[string]float64{}
-	total := 0.0
-	if len(curBy) > 0 {
-		var prevBy map[string]metricSeries
-		if prev != nil {
-			prevBy = prev.byLabel(name, "class")
-		}
-		for class, se := range curBy {
-			d := se.Value
-			if prevBy != nil {
-				d -= prevBy[class].Value
-			}
-			if d < 0 {
-				d = 0
-			}
-			counts[class] = d
-			total += d
-		}
-		if total <= 0 {
-			// Quiet interval: show the cumulative mix rather than nothing.
-			total = 0
-			for class, se := range curBy {
-				counts[class] = se.Value
-				total += se.Value
-			}
-		}
-	} else if tk != nil {
+	counts, total := intervalByLabel(prev, cur, "rootless_traffic_class_total", "class")
+	if len(counts) == 0 && tk != nil {
 		for class, n := range tk.Classes {
 			counts[class] = float64(n)
 			total += float64(n)

@@ -40,9 +40,15 @@ func TestFrameRendersLiveDashboard(t *testing.T) {
 	netPhase := reg.Histogram("rootless_trace_phase_seconds", "t", obs.Labels{"phase": "net"}, nil)
 	cachePhase := reg.Histogram("rootless_trace_phase_seconds", "t", obs.Labels{"phase": "cache"}, nil)
 
+	sync := reg.Counter("rootless_resolver_frontdoor_total", "t", obs.Labels{"path": "sync"})
+	pool := reg.Counter("rootless_resolver_frontdoor_total", "t", obs.Labels{"path": "pool"})
+	shed := reg.Counter("rootless_resolver_frontdoor_total", "t", obs.Labels{"path": "shed"})
+
 	resolutions.Set(100)
 	hits.Set(80)
 	misses.Set(20)
+	sync.Set(90)
+	pool.Set(10)
 	netPhase.Observe(0.9)
 	cachePhase.Observe(0.1)
 	for i := 0; i < 6; i++ {
@@ -66,6 +72,7 @@ func TestFrameRendersLiveDashboard(t *testing.T) {
 		// paper's taxonomy: (5 repeats + 4 bogus) / 10 observed.
 		"junk 90.0%",
 		"phases: net 90% cache 10%",
+		"front door: sync 90.0% pool 10.0%",
 		"composition: valid_repeat 50.0% bogus_tld 40.0% valid 10.0%",
 		"top qnames:",
 		"www.example.com.",
@@ -79,10 +86,14 @@ func TestFrameRendersLiveDashboard(t *testing.T) {
 	resolutions.Set(150)
 	hits.Set(120)
 	misses.Set(30)
+	sync.Set(120) // +30 answered on the worker, +10 to the pool, +10 shed
+	pool.Set(20)
+	shed.Set(10)
 	second := app.frame(t0.Add(2 * time.Second))
 	for _, want := range []string{
 		"load 25.0 q/s",  // 50 resolutions / 2s
 		"hit rate 80.0%", // 40/(40+10) interval hits
+		"front door: sync 60.0% pool 20.0% shed 20.0%",
 		// No class counter moved this interval, so composition falls back
 		// to the cumulative mix.
 		"composition: valid_repeat 50.0% bogus_tld 40.0% valid 10.0%",

@@ -31,6 +31,9 @@ type Stats struct {
 	Truncated int64
 	AXFRs     int64
 	IXFRs     int64
+	// ResponsesDropped counts datagrams that arrived with QR set:
+	// responses, which ServeWire drops unparsed and unanswered.
+	ResponsesDropped int64
 	// Overload-protection outcomes (PR 3): queries dropped by the
 	// per-client limiter, shed at the admission gate, and responses
 	// suppressed or slipped (sent truncated) by response-rate-limiting.

@@ -214,3 +214,58 @@ func TestServeWireJunkDOAllocs(t *testing.T) {
 	}
 	t.Logf("ServeWire junk DO: %v allocs/op", got)
 }
+
+// TestResponseDatagramNotAnswered: a datagram with QR set is a response,
+// and answering it would let one spoofed packet make two servers reply
+// to each other for good. Over a real socket it must get silence, be
+// counted, and leave the server answering the query that follows it.
+func TestResponseDatagramNotAnswered(t *testing.T) {
+	s := testServer(t)
+	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() { _ = s.ServeUDP(ctx, conn) }()
+	client, err := net.Dial("udp", conn.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	reflected := query("www.example.com.", dnswire.TypeA)
+	reflected.ID, reflected.Response = 1, true
+	real := query("www.example.com.", dnswire.TypeA)
+	real.ID = 2
+	for _, m := range []*dnswire.Message{reflected, real} {
+		wire, err := m.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The socket is served in order, so the first reply to arrive says
+	// whether the response datagram was answered.
+	client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, 4096)
+	n, err := client.Read(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp dnswire.Message
+	if err := resp.Unpack(buf[:n]); err != nil {
+		t.Fatal(err)
+	}
+	if resp.ID != 2 {
+		t.Fatalf("first reply has ID %d: the response datagram was answered", resp.ID)
+	}
+	if got := s.Stats().ResponsesDropped; got != 1 {
+		t.Errorf("ResponsesDropped = %d, want 1", got)
+	}
+	if got := s.Stats().Queries; got != 1 {
+		t.Errorf("Queries = %d, want 1: the response datagram was counted as a query", got)
+	}
+}

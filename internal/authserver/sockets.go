@@ -17,12 +17,18 @@ import (
 
 // ServeWire answers one raw query datagram: parse, run the overload
 // pipeline and lookup, and append the response wire format to out.
-// Returns nil when the query is malformed or dropped by rate limiting
-// or admission control. req is only read during the call (UnpackShared
+// Returns nil when the datagram is malformed, is itself a response, or
+// is dropped by rate limiting or admission control. req is only read during the call (UnpackShared
 // aliases it, which is safe: the server retains only Name strings and
 // Question values from the query, never rdata byte slices), matching
 // the udpengine buffer-ownership contract.
 func (s *Server) ServeWire(req []byte, from netip.Addr, out []byte) []byte {
+	// A response is never a query. Answering one would let a single
+	// spoofed packet set two servers replying to each other for good.
+	if len(req) > 2 && req[2]&(dnswire.FlagQR>>8) != 0 {
+		s.count(func(st *Stats) { st.ResponsesDropped++ })
+		return nil
+	}
 	var q dnswire.Message
 	if err := q.UnpackShared(req); err != nil {
 		return nil

@@ -324,6 +324,21 @@ func Derive(entries []Entry) map[string]float64 {
 			d["served_qps_peak_wall_clock_unreliable"] = 1
 		}
 	}
+	// PR 15 resolver front-door figures: what a cache hit costs from
+	// datagram to reply bytes on a socket worker (with one engine worker
+	// the handler is the worker's critical path, so this bounds served
+	// qps), and hot-path resolution throughput from GOMAXPROCS goroutines
+	// at once — the counterpart resolve_ops_per_sec never had while every
+	// counter write met at one mutex. The parallel figure needs cores the
+	// runner may not have, hence the companion flag.
+	if e, ok := byName["BenchmarkResolverServe/Hit"]; ok {
+		d["resolver_serve_hit_ns"] = e.NsPerOp
+		d["resolver_serve_hit_allocs_per_op"] = e.AllocsPerOp
+	}
+	if e, ok := byName["BenchmarkResolveParallel"]; ok && e.NsPerOp > 0 {
+		d["resolve_parallel_ops_per_sec"] = 1e9 / e.NsPerOp
+		d["resolve_parallel_ops_per_sec_wall_clock_unreliable"] = 1
+	}
 	if len(d) == 0 {
 		return nil
 	}
@@ -391,6 +406,7 @@ var wallClockUnreliable = map[string]bool{
 	"BenchmarkResolveConcurrent/NoCoalesce": true,
 	"BenchmarkCache/GetParallel":            true,
 	"BenchmarkCache/GetParallelSingleShard": true,
+	"BenchmarkResolveParallel":              true,
 	// The loadgen saturation benches time-slice the generator against
 	// the server on whatever cores the runner has; their ns/op includes
 	// the drain window too. Read the served-qps / msgs-per-read Extra

@@ -101,6 +101,19 @@ func TestDerive(t *testing.T) {
 	}
 }
 
+func TestDeriveResolverFrontDoor(t *testing.T) {
+	d := Derive([]Entry{
+		{Name: "BenchmarkResolverServe/Hit", Iterations: 1, NsPerOp: 680, AllocsPerOp: 1},
+		{Name: "BenchmarkResolveParallel", Iterations: 1, NsPerOp: 200},
+	})
+	if d["resolver_serve_hit_ns"] != 680 || d["resolver_serve_hit_allocs_per_op"] != 1 {
+		t.Errorf("front-door hit figures: %v", d)
+	}
+	if d["resolve_parallel_ops_per_sec"] != 5e6 || d["resolve_parallel_ops_per_sec_wall_clock_unreliable"] != 1 {
+		t.Errorf("parallel figure: %v", d)
+	}
+}
+
 func TestDeriveTrafficAndShardFlag(t *testing.T) {
 	entries := []Entry{
 		{Name: "BenchmarkTrafficClassify", Iterations: 1, NsPerOp: 28},

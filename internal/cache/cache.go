@@ -180,21 +180,32 @@ func (c *Cache) Put(rrs []dnswire.RR, pinned bool) {
 // was — NXDOMAIN (name does not exist) vs NODATA (name exists, type does
 // not) — so cache hits replay the faithful rcode.
 func (c *Cache) PutNegative(name dnswire.Name, typ dnswire.Type, soa dnswire.RR, nxdomain bool) {
+	s := c.shardFor(name, typ)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.insert(newNegative(name, typ, soa, nxdomain, c.now()))
+}
+
+// newNegative builds a negative entry for (name, typ), living for the
+// SOA's negative TTL (RFC 2308: the lesser of its TTL and its MINIMUM).
+// The entry and its copy of the SOA are one allocation: junk is the bulk
+// of what a resolver caches, an entry each.
+func newNegative(name dnswire.Name, typ dnswire.Type, soa dnswire.RR, nxdomain bool, now time.Time) *entry {
 	ttl := soa.TTL
 	if data, ok := soa.Data.(dnswire.SOA); ok && data.Minimum < ttl {
 		ttl = data.Minimum
 	}
-	soaCopy := soa
-	s := c.shardFor(name, typ)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.insert(&entry{
+	ne := &struct {
+		entry
+		soa dnswire.RR
+	}{soa: soa, entry: entry{
 		key:      dnswire.RRsetKey{Name: name, Type: typ, Class: dnswire.ClassINET},
 		negative: true,
 		nxdomain: nxdomain,
-		soa:      &soaCopy,
-		expires:  c.now().Add(time.Duration(ttl) * time.Second),
-	})
+		expires:  now.Add(time.Duration(ttl) * time.Second),
+	}}
+	ne.entry.soa = &ne.soa
+	return &ne.entry
 }
 
 // nxCutType is the private sentinel type keying NXDOMAIN-cut entries; it
@@ -207,21 +218,10 @@ const nxCutType = dnswire.Type(0xFF9F)
 // not exist, so nothing under it exists either. The entry lives for the
 // SOA negative TTL, like any RFC 2308 negative answer.
 func (c *Cache) PutNXDomainCut(name dnswire.Name, soa dnswire.RR) {
-	ttl := soa.TTL
-	if data, ok := soa.Data.(dnswire.SOA); ok && data.Minimum < ttl {
-		ttl = data.Minimum
-	}
-	soaCopy := soa
 	s := c.shardFor(name, nxCutType)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.insert(&entry{
-		key:      dnswire.RRsetKey{Name: name, Type: nxCutType, Class: dnswire.ClassINET},
-		negative: true,
-		nxdomain: true,
-		soa:      &soaCopy,
-		expires:  c.now().Add(time.Duration(ttl) * time.Second),
-	})
+	s.insert(newNegative(name, nxCutType, soa, true, c.now()))
 }
 
 // NXDomainCovered reports whether a live NXDOMAIN cut exists at name or

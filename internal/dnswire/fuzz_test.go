@@ -49,7 +49,7 @@ func FuzzMessageUnpack(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0,
 		0x03, 'a', 'b', 'c', 0xC0, 0x0C, 0x00, 0x01, 0x00, 0x01}) // pointer loop via own label
 	f.Add([]byte{0, 2, 0x80, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}) // counts claim records absent from the body
-	f.Add([]byte{0, 3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xC0, 0xFF})      // pointer past the end
+	f.Add([]byte{0, 3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xC0, 0xFF})       // pointer past the end
 	// Pointer pathologies targeting the memoizing decoder: two names
 	// pointing at each other, a forward pointer (illegal: targets must
 	// precede the pointer), and a chain of pointers to pointers.
@@ -128,6 +128,12 @@ func FuzzMessageUnpack(f *testing.F) {
 		if err := m.Unpack(data); err != nil {
 			return // rejects are fine; panics are not
 		}
+		// Whatever Unpack takes, the front-door parser takes and reads
+		// the same way (the converse does not hold: Query.Parse steps
+		// over rdata it has no use for).
+		if len(m.Questions) == 1 {
+			agreesWithUnpack(t, data)
+		}
 		// Accepted messages must re-encode and re-decode to the same
 		// structure (the encoder may compress differently, so compare
 		// after a second decode).
@@ -159,9 +165,9 @@ func FuzzNameParse(f *testing.F) {
 		`bad\`, "..", "xn--idn00.", "_sip._tcp.example.com.",
 		// Edge cases around the length limits and escape decoder.
 		"a.root-servers.net.", "nstld.verisign-grs.com.",
-		strings.Repeat("a", 63) + ".com.",          // maximum label
-		strings.Repeat("a", 64) + ".com.",          // over-long label
-		strings.Repeat("abcdefg.", 31) + "owner.",  // near the 255-octet name cap
+		strings.Repeat("a", 63) + ".com.",         // maximum label
+		strings.Repeat("a", 64) + ".com.",         // over-long label
+		strings.Repeat("abcdefg.", 31) + "owner.", // near the 255-octet name cap
 		`\000.com.`, `\255.`, `\999.`, `a\`, `\04`, // escape-decoder edges
 		"*.example.com.", "-lead.trail-.dash.",
 	} {

@@ -51,15 +51,18 @@ var (
 	ErrTrailingBytes    = errors.New("dnswire: trailing bytes after message")
 )
 
-// flags layout within the second header word.
+// Header flag bits, as laid out in the second 16-bit word of the header
+// (RFC 1035 §4.1.1, RFC 4035 §3.1.6) beside the opcode (bits 11-14) and
+// the rcode (bits 0-3). Message carries them as fields; Query and Builder
+// work on the raw word.
 const (
-	flagQR = 1 << 15
-	flagAA = 1 << 10
-	flagTC = 1 << 9
-	flagRD = 1 << 8
-	flagRA = 1 << 7
-	flagAD = 1 << 5
-	flagCD = 1 << 4
+	FlagQR = 1 << 15
+	FlagAA = 1 << 10
+	FlagTC = 1 << 9
+	FlagRD = 1 << 8
+	FlagRA = 1 << 7
+	FlagAD = 1 << 5
+	FlagCD = 1 << 4
 )
 
 // Pack serializes the message with name compression.
@@ -78,26 +81,26 @@ func (m *Message) AppendPack(b []byte) ([]byte, error) {
 	b = binary.BigEndian.AppendUint16(b, m.ID)
 	var flags uint16
 	if m.Response {
-		flags |= flagQR
+		flags |= FlagQR
 	}
 	flags |= uint16(m.Opcode&0xF) << 11
 	if m.Authoritative {
-		flags |= flagAA
+		flags |= FlagAA
 	}
 	if m.Truncated {
-		flags |= flagTC
+		flags |= FlagTC
 	}
 	if m.RecursionDesired {
-		flags |= flagRD
+		flags |= FlagRD
 	}
 	if m.RecursionAvailable {
-		flags |= flagRA
+		flags |= FlagRA
 	}
 	if m.AuthenticData {
-		flags |= flagAD
+		flags |= FlagAD
 	}
 	if m.CheckingDisabled {
-		flags |= flagCD
+		flags |= FlagCD
 	}
 	flags |= uint16(m.Rcode & 0xF)
 	b = binary.BigEndian.AppendUint16(b, flags)
@@ -150,14 +153,14 @@ func (m *Message) unpack(data []byte, shared bool) error {
 	*m = Message{}
 	m.ID = binary.BigEndian.Uint16(data)
 	flags := binary.BigEndian.Uint16(data[2:])
-	m.Response = flags&flagQR != 0
+	m.Response = flags&FlagQR != 0
 	m.Opcode = Opcode(flags >> 11 & 0xF)
-	m.Authoritative = flags&flagAA != 0
-	m.Truncated = flags&flagTC != 0
-	m.RecursionDesired = flags&flagRD != 0
-	m.RecursionAvailable = flags&flagRA != 0
-	m.AuthenticData = flags&flagAD != 0
-	m.CheckingDisabled = flags&flagCD != 0
+	m.Authoritative = flags&FlagAA != 0
+	m.Truncated = flags&FlagTC != 0
+	m.RecursionDesired = flags&FlagRD != 0
+	m.RecursionAvailable = flags&FlagRA != 0
+	m.AuthenticData = flags&FlagAD != 0
+	m.CheckingDisabled = flags&FlagCD != 0
 	m.Rcode = Rcode(flags & 0xF)
 
 	qd := int(binary.BigEndian.Uint16(data[4:]))

@@ -492,6 +492,20 @@ func (u *unpacker) release() {
 	unpackerPool.Put(u)
 }
 
+func (u *unpacker) memo(off int) (decodedName, bool) {
+	if u == nil {
+		return decodedName{}, false
+	}
+	d, ok := u.names[off]
+	return d, ok
+}
+
+func (u *unpacker) remember(off int, d decodedName) {
+	if u != nil {
+		u.names[off] = d
+	}
+}
+
 // appendPresentationLabel renders one raw wire label into presentation
 // form (lowercased, escaped), appending to buf.
 func appendPresentationLabel(buf []byte, label []byte) []byte {
@@ -522,7 +536,7 @@ func (u *unpacker) name(msg []byte, off int) (Name, int, error) {
 	end := -1        // offset after the name at the original nesting level
 	wlen := 1
 	for {
-		if d, ok := u.names[off]; ok {
+		if d, ok := u.memo(off); ok {
 			// Splice the memoized tail onto the labels walked so far.
 			if wlen-1+d.wlen > 255 {
 				return "", 0, ErrNameTooLong
@@ -537,7 +551,7 @@ func (u *unpacker) name(msg []byte, off int) (Name, int, error) {
 				buf = append(buf, d.name...)
 				n = Name(buf)
 			}
-			u.names[start] = decodedName{name: n, end: end, wlen: wlen - 1 + d.wlen}
+			u.remember(start, decodedName{name: n, end: end, wlen: wlen - 1 + d.wlen})
 			return n, end, nil
 		}
 		if off >= len(msg) {
@@ -553,7 +567,7 @@ func (u *unpacker) name(msg []byte, off int) (Name, int, error) {
 			if len(buf) > 0 {
 				n = Name(buf)
 			}
-			u.names[start] = decodedName{name: n, end: end, wlen: wlen}
+			u.remember(start, decodedName{name: n, end: end, wlen: wlen})
 			return n, end, nil
 		case c&0xC0 == 0xC0:
 			if off+1 >= len(msg) {
@@ -588,10 +602,9 @@ func (u *unpacker) name(msg []byte, off int) (Name, int, error) {
 	}
 }
 
-// unpackName decodes one name with fresh state; message decoding threads
-// a shared unpacker through instead so repeated names are interned.
+// unpackName decodes one name on its own. A nil unpacker keeps no memo:
+// the table only pays off across the names of one message, which message
+// decoding gets by threading a pooled unpacker through instead.
 func unpackName(msg []byte, off int) (Name, int, error) {
-	u := newUnpacker()
-	defer u.release()
-	return u.name(msg, off)
+	return (*unpacker)(nil).name(msg, off)
 }

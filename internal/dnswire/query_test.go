@@ -1,0 +1,219 @@
+package dnswire
+
+import (
+	"bytes"
+	"errors"
+	"net/netip"
+	"testing"
+)
+
+// agreesWithUnpack checks that Query.Parse reads wire as Unpack does.
+func agreesWithUnpack(t *testing.T, wire []byte) {
+	t.Helper()
+	var m Message
+	if err := m.Unpack(wire); err != nil {
+		t.Fatalf("Unpack: %v", err)
+	}
+	var q Query
+	if err := q.Parse(wire); err != nil {
+		t.Fatalf("Unpack accepts what Query.Parse refuses: %v\n%x", err, wire)
+	}
+	if q.ID != m.ID || q.Opcode() != m.Opcode ||
+		(q.Flags&FlagRD != 0) != m.RecursionDesired || (q.Flags&FlagQR != 0) != m.Response {
+		t.Errorf("header: Query %#04x/%#04x, Message %+v", q.ID, q.Flags, m)
+	}
+	if q.Question != m.Questions[0] {
+		t.Errorf("question: Query %v, Message %v", q.Question, m.Questions[0])
+	}
+	opt, size, do := m.EDNS()
+	if q.EDNS != (opt != nil) || q.UDPSize != size || q.DO != do {
+		t.Errorf("EDNS: Query %v/%d/%v, Message %v/%d/%v", q.EDNS, q.UDPSize, q.DO, opt != nil, size, do)
+	}
+}
+
+func TestQueryParseAgreesWithUnpack(t *testing.T) {
+	plain := NewQuery(0x1234, "www.example.com.", TypeA)
+	edns := NewQuery(2, "Example.ORG.", TypeAAAA)
+	edns.SetEDNS(4096, false)
+	do := NewQuery(3, ".", TypeNS)
+	do.RecursionDesired = false
+	do.SetEDNS(1232, true)
+	traced := NewQuery(4, "example.com.", TypeA)
+	traced.SetEDNS(1232, true)
+	traced.SetTraceOption(TraceContext{TraceID: 7, SpanID: 9, Sampled: true}, nil)
+	// Records in every section, and the OPT not last among the additionals.
+	busy := NewQuery(5, "a.example.", TypeTXT)
+	busy.Opcode = OpcodeNotify
+	busy.Answers = sampleRRs()
+	busy.Authority = []RR{NewRR("example.", 60, NS{Host: "ns.example."})}
+	busy.SetEDNS(512, true)
+	busy.Additional = append(busy.Additional, NewRR("ns.example.", 60, A{Addr: netip.MustParseAddr("192.0.2.1")}))
+	for _, m := range []*Message{plain, edns, do, traced, busy} {
+		wire, err := m.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		agreesWithUnpack(t, wire)
+	}
+}
+
+func TestQueryParseErrors(t *testing.T) {
+	wire, err := NewQuery(9, "example.com.", TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q Query
+	if err := q.Parse(wire[:11]); !errors.Is(err, ErrMessageTruncated) {
+		t.Errorf("short header: %v", err)
+	}
+	for _, qd := range []byte{0, 2} {
+		bad := append([]byte{}, wire...)
+		bad[5] = qd
+		if err := q.Parse(bad); err != ErrQuestionCount {
+			t.Errorf("qdcount %d: %v, want ErrQuestionCount", qd, err)
+		}
+		if q.ID != 9 || q.Flags != FlagRD {
+			t.Errorf("qdcount %d: header not filled in: %+v", qd, q)
+		}
+	}
+	if err := q.Parse(append(append([]byte{}, wire...), 0)); !errors.Is(err, ErrTrailingBytes) {
+		t.Errorf("trailing byte: %v", err)
+	}
+	if err := q.Parse(wire[:len(wire)-1]); err == nil {
+		t.Error("question cut short was accepted")
+	}
+	// An additional record whose rdlength runs past the datagram.
+	over := append([]byte{}, wire...)
+	over[11] = 1
+	over = append(over, 0, 0, 41, 4, 0xD0, 0, 0, 0, 0, 0, 9, 1, 2)
+	if err := q.Parse(over); err == nil {
+		t.Error("record running past the datagram was accepted")
+	}
+	// A name that never ends.
+	runaway := append([]byte{}, wire[:12]...)
+	runaway = append(runaway, 0x3F, 'a')
+	if err := q.Parse(runaway); err == nil {
+		t.Error("runaway name was accepted")
+	}
+}
+
+// The question name is the only thing Parse allocates.
+func TestQueryParseAllocs(t *testing.T) {
+	skipUnderRace(t)
+	m := NewQuery(1, "www.example.com.", TypeA)
+	m.SetEDNS(1232, true)
+	wire, _ := m.Pack()
+	var q Query
+	got := testing.AllocsPerRun(200, func() {
+		if err := q.Parse(wire); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 1 {
+		t.Errorf("Query.Parse: %v allocs/op, want <= 1", got)
+	}
+}
+
+// builderPack writes m's question, answers and OPT through a Builder.
+func builderPack(t *testing.T, m *Message, buf []byte) []byte {
+	t.Helper()
+	var flags uint16
+	hdr := *m
+	hdr.Questions, hdr.Answers, hdr.Authority, hdr.Additional = nil, nil, nil, nil
+	w, _ := hdr.Pack()
+	flags = uint16(w[2])<<8 | uint16(w[3])
+	var b Builder
+	b.Start(buf, m.ID, flags)
+	if err := b.Question(m.Questions[0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, rr := range m.Answers {
+		if err := b.Answer(rr, rr.TTL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, size, do := m.EDNS(); size > 0 {
+		b.OPT(size, do)
+	}
+	return b.Finish()
+}
+
+func TestBuilderMatchesAppendPack(t *testing.T) {
+	m := &Message{
+		ID: 0xBEEF, Response: true, RecursionDesired: true, RecursionAvailable: true, AuthenticData: true,
+		Rcode:     RcodeSuccess,
+		Questions: []Question{{Name: "alias.example.com.", Type: TypeA, Class: ClassINET}},
+		Answers: []RR{
+			NewRR("alias.example.com.", 300, CNAME{Target: "www.example.com."}),
+			NewRR("www.example.com.", 60, A{Addr: netip.MustParseAddr("192.0.2.80")}),
+			NewRR("www.example.com.", 60, A{Addr: netip.MustParseAddr("192.0.2.81")}),
+		},
+	}
+	for _, edns := range []bool{false, true} {
+		if edns {
+			m.SetEDNS(DefaultEDNSSize, true)
+		}
+		want, err := m.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A dirty, too-small buffer: Start discards it, append grows it.
+		got := builderPack(t, m, []byte("leftover"))
+		if !bytes.Equal(got, want) {
+			t.Errorf("edns=%v:\nBuilder    %x\nAppendPack %x", edns, got, want)
+		}
+	}
+}
+
+func TestBuilderTTLOverrideAndTruncate(t *testing.T) {
+	q := Question{Name: "big.example.", Type: TypeA, Class: ClassINET}
+	rr := NewRR("big.example.", 3600, A{Addr: netip.MustParseAddr("192.0.2.1")})
+	var b Builder
+	b.Start(nil, 1, FlagQR)
+	if err := b.Question(q); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Answer(rr, 17); err != nil {
+		t.Fatal(err)
+	}
+	if rr.TTL != 3600 {
+		t.Fatal("Answer changed the caller's record")
+	}
+	whole := append([]byte{}, b.buf...)
+	b.Truncate()
+	b.OPT(1232, true)
+	cut := b.Finish()
+
+	var m Message
+	if err := m.Unpack(whole); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Answers) != 1 || m.Answers[0].TTL != 17 {
+		t.Errorf("answer went out as %+v, want TTL 17", m.Answers)
+	}
+	if err := m.Unpack(cut); err != nil {
+		t.Fatalf("truncated message does not parse: %v", err)
+	}
+	_, size, do := m.EDNS()
+	if !m.Truncated || len(m.Answers) != 0 || len(m.Questions) != 1 || size != 1232 || !do {
+		t.Errorf("truncated message: %+v", m)
+	}
+}
+
+func TestBuilderReuseAllocs(t *testing.T) {
+	skipUnderRace(t)
+	q := Question{Name: "www.example.com.", Type: TypeA, Class: ClassINET}
+	rr := NewRR("www.example.com.", 3600, A{Addr: netip.MustParseAddr("192.0.2.1")})
+	buf := make([]byte, 0, 512)
+	got := testing.AllocsPerRun(200, func() {
+		var b Builder
+		b.Start(buf, 1, FlagQR)
+		_ = b.Question(q)
+		_ = b.Answer(rr, 5)
+		b.OPT(1232, false)
+		buf = b.Finish()
+	})
+	if got != 0 {
+		t.Errorf("Builder into a reused buffer: %v allocs/op, want 0", got)
+	}
+}

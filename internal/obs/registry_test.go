@@ -127,6 +127,10 @@ func TestPrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("rootless_resolver_resolutions_total", "total resolutions", Labels{"mode": "lookaside"}).Set(120)
 	r.Counter("rootless_resolver_resolutions_total", "total resolutions", Labels{"mode": "hints"}).Set(80)
+	// One family, a series per verdict: how drops are given a reason.
+	r.Counter("rootless_resolver_frontdoor_total", "datagrams by route", Labels{"path": "sync"}).Set(950)
+	r.Counter("rootless_resolver_frontdoor_total", "datagrams by route", Labels{"path": "pool"}).Set(40)
+	r.Counter("rootless_resolver_frontdoor_total", "datagrams by route", Labels{"path": "shed"}).Set(10)
 	r.Gauge("rootless_cache_rrsets", "cached RRsets", nil).Set(4321)
 	r.GaugeFunc("rootless_zone_age_seconds", "staleness age", Labels{"serial": "2019060700"},
 		func() float64 { return 151.5 })

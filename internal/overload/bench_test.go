@@ -19,7 +19,7 @@ func BenchmarkGate(b *testing.B) {
 // BenchmarkFlight is the uncoalesced singleflight path: one leader, no
 // waiters — the overhead Coalesce adds to every cache miss.
 func BenchmarkFlight(b *testing.B) {
-	f := NewFlight()
+	f := NewFlight[string]()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

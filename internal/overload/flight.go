@@ -36,22 +36,22 @@ type FlightStats struct {
 // Flight deduplicates concurrent function calls by key: while one call
 // for a key runs, further calls for the same key wait and share its
 // result instead of repeating the work.
-type Flight struct {
+type Flight[K comparable] struct {
 	mu    sync.Mutex
-	calls map[string]*flightCall
+	calls map[K]*flightCall
 	stats FlightStats
 }
 
 // NewFlight creates an empty Flight.
-func NewFlight() *Flight {
-	return &Flight{calls: make(map[string]*flightCall)}
+func NewFlight[K comparable]() *Flight[K] {
+	return &Flight[K]{calls: make(map[K]*flightCall)}
 }
 
 // Do runs fn once per key at a time: the first caller (the leader)
 // executes fn; callers arriving while it runs wait and receive the same
 // (val, err) with shared = true. Once the leader returns, the key is
 // forgotten — later calls start a fresh flight.
-func (f *Flight) Do(key string, fn func() (any, error)) (val any, err error, shared bool) {
+func (f *Flight[K]) Do(key K, fn func() (any, error)) (val any, err error, shared bool) {
 	f.mu.Lock()
 	if c, ok := f.calls[key]; ok {
 		f.stats.Waiters++
@@ -78,14 +78,14 @@ func (f *Flight) Do(key string, fn func() (any, error)) (val any, err error, sha
 }
 
 // Inflight returns how many keys are currently being executed.
-func (f *Flight) Inflight() int {
+func (f *Flight[K]) Inflight() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.calls)
 }
 
 // Stats returns a snapshot of the counters.
-func (f *Flight) Stats() FlightStats {
+func (f *Flight[K]) Stats() FlightStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.stats

@@ -10,7 +10,7 @@ import (
 )
 
 func TestFlightCoalesces(t *testing.T) {
-	f := NewFlight()
+	f := NewFlight[string]()
 	var executions atomic.Int64
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -75,7 +75,7 @@ func TestFlightCoalesces(t *testing.T) {
 }
 
 func TestFlightDistinctKeysDoNotCoalesce(t *testing.T) {
-	f := NewFlight()
+	f := NewFlight[string]()
 	var executions atomic.Int64
 	var wg sync.WaitGroup
 	for _, key := range []string{"a", "b", "c"} {
@@ -95,7 +95,7 @@ func TestFlightDistinctKeysDoNotCoalesce(t *testing.T) {
 }
 
 func TestFlightErrorShared(t *testing.T) {
-	f := NewFlight()
+	f := NewFlight[string]()
 	sentinel := errors.New("boom")
 	_, err, _ := f.Do("k", func() (any, error) { return nil, sentinel })
 	if !errors.Is(err, sentinel) {

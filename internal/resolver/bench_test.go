@@ -9,6 +9,7 @@ import (
 	"rootless/internal/dnswire"
 	"rootless/internal/obs"
 	"rootless/internal/obs/traffic"
+	"rootless/internal/udpengine"
 )
 
 // BenchmarkResolve measures a cache-warm resolution — the hot path an
@@ -115,4 +116,87 @@ func BenchmarkResolveConcurrent(b *testing.B) {
 	}
 	b.Run("Coalesce", func(b *testing.B) { run(b, true) })
 	b.Run("NoCoalesce", func(b *testing.B) { run(b, false) })
+}
+
+// BenchmarkResolverServe measures the front door itself, datagram in to
+// bytes out, for each kind of traffic: a cache hit, a negative-cache hit
+// and junk dying at the local root are answered where a socket worker
+// would answer them; Miss is what the worker pays to hand a question to
+// the pool (the resolution runs on the pool's goroutines, against an
+// upstream that answers at once).
+func BenchmarkResolverServe(b *testing.B) {
+	setup := func(b *testing.B) *Server {
+		tp := newTopo(b)
+		r := tp.resolver(b, RootModeLookaside, func(c *Config) {
+			c.Transport = &lockedTransport{inner: c.Transport}
+		})
+		for _, name := range []dnswire.Name{"www.example.com.", "nope.example.com."} {
+			if _, err := r.Resolve(name, dnswire.TypeA); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return NewServer(r)
+	}
+	run := func(b *testing.B, srv *Server, wires [][]byte, answered bool) {
+		buf := make([]byte, 0, 4096)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out := srv.serveDatagram(wires[i%len(wires)], udpengine.Peer{}, buf)
+			if (len(out) > 0) != answered {
+				b.Fatalf("datagram %d: reply %x", i, out)
+			}
+		}
+	}
+	b.Run("Hit", func(b *testing.B) {
+		run(b, setup(b), [][]byte{packQuery(b, 1, "www.example.com.", dnswire.TypeA, withOPT)}, true)
+	})
+	b.Run("NegHit", func(b *testing.B) {
+		run(b, setup(b), [][]byte{packQuery(b, 1, "nope.example.com.", dnswire.TypeA, withOPT)}, true)
+	})
+	b.Run("LocalJunk", func(b *testing.B) {
+		wires := make([][]byte, b.N) // every name new: no negative-cache hits
+		for i := range wires {
+			wires[i] = packQuery(b, 1, dnswire.Name(fmt.Sprintf("h%d.junk%d-zz.", i, i)), dnswire.TypeA, withOPT)
+		}
+		run(b, setup(b), wires, true)
+	})
+	b.Run("Miss", func(b *testing.B) {
+		wires := make([][]byte, b.N)
+		for i := range wires {
+			wires[i] = packQuery(b, 1, dnswire.Name(fmt.Sprintf("h%d.example.com.", i)), dnswire.TypeA, withOPT)
+		}
+		srv := setup(b)
+		run(b, srv, wires, false)
+		b.StopTimer()
+		if st := srv.FrontDoorStats(); st.Pool+st.Shed != int64(b.N) {
+			b.Fatalf("front door counted %+v for %d misses", st, b.N)
+		}
+	})
+}
+
+// BenchmarkResolveParallel is BenchmarkResolve/NoTracer from GOMAXPROCS
+// goroutines at once over a warm set of names: the figure that shows
+// whether cache hits still meet at a shared lock. The set is wide enough
+// to spread over the cache's shards and the clock is a constant, so the
+// only things shared are the resolver's own.
+func BenchmarkResolveParallel(b *testing.B) {
+	tp := newTopo(b)
+	now := tp.net.Now()
+	r := tp.resolver(b, RootModeHints, func(c *Config) { c.Clock = func() time.Time { return now } })
+	names := make([]dnswire.Name, 256)
+	for i := range names {
+		names[i] = dnswire.Name(fmt.Sprintf("w%d.example.com.", i))
+		r.Cache().Put([]dnswire.RR{dnswire.NewRR(names[i], 3600, dnswire.A{Addr: exampleV4})}, false)
+	}
+	var starts atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := int(starts.Add(97)); pb.Next(); i++ {
+			if res, err := r.Resolve(names[i%len(names)], dnswire.TypeA); err != nil || !res.FromCache {
+				b.Errorf("%s: %+v, %v", names[i%len(names)], res, err)
+				return
+			}
+		}
+	})
 }

@@ -7,8 +7,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -165,10 +167,34 @@ func TestConcurrentCoalescedResolve(t *testing.T) {
 	}
 }
 
+// TestCountersMirrorStats: the atomic counters and the Stats snapshot are
+// two declarations of one field list, and Stats() pairs them by position.
+func TestCountersMirrorStats(t *testing.T) {
+	ct, st := reflect.TypeOf(counters{}), reflect.TypeOf(Stats{})
+	if ct.NumField() != st.NumField() {
+		t.Fatalf("counters has %d fields, Stats %d", ct.NumField(), st.NumField())
+	}
+	var r Resolver
+	src := reflect.ValueOf(&r.stats).Elem()
+	for i := 0; i < ct.NumField(); i++ {
+		if ct.Field(i).Name != st.Field(i).Name {
+			t.Errorf("field %d: counter %s, Stats %s", i, ct.Field(i).Name, st.Field(i).Name)
+		}
+		src.Field(i).Addr().Interface().(*atomic.Int64).Store(int64(i + 1))
+	}
+	got := reflect.ValueOf(r.Stats())
+	for i := 0; i < got.NumField(); i++ {
+		if got.Field(i).Int() != int64(i+1) {
+			t.Errorf("Stats.%s reads %d, its counter holds %d", st.Field(i).Name, got.Field(i).Int(), i+1)
+		}
+	}
+}
+
 // TestAllCounterWritesUseCount parses every non-test file in the package
 // and verifies every access to the stats field goes through count() or
-// the Stats() snapshot — the single-mutation-path rule that makes the
-// Stats struct safe to grow without auditing lock sites.
+// the Stats() snapshot. The counters are atomics, so no write can tear;
+// what the single path still buys is that every place a counter moves is
+// a count() call, greppable and impossible to bypass by accident.
 func TestAllCounterWritesUseCount(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {

@@ -19,8 +19,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"net/netip"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rootless/internal/cache"
@@ -197,19 +200,19 @@ type Stats struct {
 	// Staged staleness outcomes for the local zone copy (PR 8).
 	LocalStaleConsults   int64 // consults answered from a stale-serve copy (TTLs capped)
 	LocalExpiredRefusals int64 // consults refused because the copy expired (fail closed)
-	TLDQueries        int64 // sent to TLD servers
-	OtherQueries      int64
-	Timeouts          int64
-	LameResponses     int64 // SERVFAIL/REFUSED answers from upstreams
-	GlueChases        int64 // sub-resolutions for nameserver addresses
-	StaleAnswers      int64 // resolutions served from expired cache entries
-	ServerSelections  int64 // SRTT-based choices among multiple servers
-	SRTTUpdates       int64
-	CNAMEChases       int64
-	HoldDowns         int64 // circuit-breaker trips (server held down)
-	HeldDownSkips     int64 // candidate servers skipped while held down
-	Probes            int64 // re-admission attempts after a hold-down
-	RetryBudgetStops  int64 // resolutions aborted by the retry budget
+	TLDQueries           int64 // sent to TLD servers
+	OtherQueries         int64
+	Timeouts             int64
+	LameResponses        int64 // SERVFAIL/REFUSED answers from upstreams
+	GlueChases           int64 // sub-resolutions for nameserver addresses
+	StaleAnswers         int64 // resolutions served from expired cache entries
+	ServerSelections     int64 // SRTT-based choices among multiple servers
+	SRTTUpdates          int64
+	CNAMEChases          int64
+	HoldDowns            int64 // circuit-breaker trips (server held down)
+	HeldDownSkips        int64 // candidate servers skipped while held down
+	Probes               int64 // re-admission attempts after a hold-down
+	RetryBudgetStops     int64 // resolutions aborted by the retry budget
 	// Overload-protection outcomes (PR 3).
 	CoalescedResolutions int64 // resolutions that shared another's in-flight result
 	ShedResolutions      int64 // resolutions refused an admission slot
@@ -222,6 +225,20 @@ type Stats struct {
 	BogusRejected        int64 // bogus responses refused under PolicyStrict
 	NSECSynthesized      int64 // queries answered from validated NSEC ranges (RFC 8198)
 	DNSKEYFetches        int64 // DNSKEY sub-queries issued to establish zone keys
+}
+
+// counters is Stats as the resolver keeps it: the same fields, each an
+// atomic, so counting takes no lock and queries answered on different
+// cores share nothing but cache lines. Stats() pairs the two field by
+// field in declaration order (TestCountersMirrorStats holds them equal).
+type counters struct {
+	Resolutions, Failures, CacheAnswers, NegCacheAnswers, TotalQueries, RootQueries,
+	LocalRootConsults, LocalStaleConsults, LocalExpiredRefusals, TLDQueries, OtherQueries,
+	Timeouts, LameResponses, GlueChases, StaleAnswers, ServerSelections, SRTTUpdates,
+	CNAMEChases, HoldDowns, HeldDownSkips, Probes, RetryBudgetStops,
+	CoalescedResolutions, ShedResolutions, NXDomainCutHits,
+	SecureAnswers, InsecureAnswers, BogusAnswers, IndeterminateAnswers, BogusRejected,
+	NSECSynthesized, DNSKEYFetches atomic.Int64
 }
 
 // Result is the outcome of one resolution.
@@ -256,9 +273,21 @@ var (
 	ErrBogus          = errors.New("resolver: answer failed DNSSEC validation")
 )
 
+// localRoot is one installed copy of the root zone. It is replaced whole,
+// never changed, so a consult reads the zone, its age and its validation
+// verdict together from one pointer load.
+type localRoot struct {
+	zone   *zone.Zone
+	loaded time.Time // when it was installed: what staleness is measured from
+	// secure records that the copy passed whole-zone validation
+	// (VerifyZone) at install, so answers consulted from it count as
+	// Secure.
+	secure bool
+}
+
 // Resolver is an iterative resolver with a shared cache. Safe for
-// concurrent use: the daemon's UDP server runs one goroutine per query
-// against a single shared resolver.
+// concurrent use: the daemon's front door answers from socket workers
+// and from a pool of goroutines against a single shared resolver.
 type Resolver struct {
 	cfg   Config
 	cache *cache.Cache
@@ -285,24 +314,27 @@ type Resolver struct {
 	// flight coalesces concurrent identical resolutions (nil when
 	// Coalesce is off); gate bounds admitted upstream work (nil when
 	// MaxInflight is 0). Both are internally synchronised.
-	flight *overload.Flight
+	flight *overload.Flight[flightKey]
 	gate   *overload.Gate
 
 	// validator holds the DNSSEC chain-of-trust state (nil when
-	// Config.Validate is PolicyOff). localSecure records that the local
-	// root zone copy passed whole-zone validation (VerifyZone) at
-	// install, so local consults count as Secure; guarded by mu.
-	validator   *validator.Validator
-	localSecure bool
+	// Config.Validate is PolicyOff).
+	validator *validator.Validator
 
-	mu         sync.Mutex
-	rng        *rand.Rand // guarded by mu: Resolve runs concurrently
-	stats      Stats
-	srtt       map[netip.Addr]time.Duration
-	health     map[netip.Addr]*serverHealth // backoff/hold-down state
-	rootAddrs  map[netip.Addr]bool
-	inflight   map[dnswire.Name]bool // glue chases underway (loop guard)
-	zoneLoaded time.Time             // when cfg.LocalZone was installed (staleness age)
+	// local is the root zone copy in use (nil when the mode carries none);
+	// Config.LocalZone is only the copy New starts with.
+	local atomic.Pointer[localRoot]
+
+	stats     counters
+	rootAddrs map[netip.Addr]bool // read-only after New
+
+	// mu guards what only upstream work touches. A query answered from
+	// the cache or the local zone never takes it.
+	mu       sync.Mutex
+	rng      *rand.Rand // seeded: backoff jitter stays reproducible
+	srtt     map[netip.Addr]time.Duration
+	health   map[netip.Addr]*serverHealth // backoff/hold-down state
+	inflight map[dnswire.Name]bool        // glue chases underway (loop guard)
 }
 
 // New creates a resolver. It panics if cfg.Transport is nil and the mode
@@ -339,7 +371,7 @@ func New(cfg Config) *Resolver {
 		gate:      overload.NewGate(cfg.MaxInflight, cfg.QueueDeadline),
 	}
 	if cfg.Coalesce {
-		r.flight = overload.NewFlight()
+		r.flight = overload.NewFlight[flightKey]()
 	}
 	for _, rr := range cfg.Hints {
 		switch d := rr.Data.(type) {
@@ -358,11 +390,7 @@ func New(cfg Config) *Resolver {
 		})
 	}
 	if cfg.LocalZone != nil {
-		r.zoneLoaded = cfg.Clock()
-		r.localSecure = r.verifyLocalZone(cfg.LocalZone)
-	}
-	if cfg.Mode == RootModePreload && cfg.LocalZone != nil {
-		r.PreloadRootZone(cfg.LocalZone)
+		r.SetLocalZone(cfg.LocalZone)
 	}
 	return r
 }
@@ -370,11 +398,16 @@ func New(cfg Config) *Resolver {
 // Cache exposes the resolver's cache for inspection by experiments.
 func (r *Resolver) Cache() *cache.Cache { return r.cache }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters. Each is read atomically; a
+// snapshot taken while queries run may show one counter a query ahead
+// of another.
 func (r *Resolver) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
+	var out Stats
+	src, dst := reflect.ValueOf(&r.stats).Elem(), reflect.ValueOf(&out).Elem()
+	for i := 0; i < dst.NumField(); i++ {
+		dst.Field(i).SetInt(src.Field(i).Addr().Interface().(*atomic.Int64).Load())
+	}
+	return out
 }
 
 // Mode returns the configured root mode.
@@ -384,12 +417,7 @@ func (r *Resolver) Mode() RootMode { return r.cfg.Mode }
 // In preload mode the new zone is re-pinned into the cache. With
 // validation enabled the copy is re-verified against the trust anchor.
 func (r *Resolver) SetLocalZone(z *zone.Zone) {
-	secure := r.verifyLocalZone(z)
-	r.mu.Lock()
-	r.cfg.LocalZone = z
-	r.zoneLoaded = r.cfg.Clock()
-	r.localSecure = secure
-	r.mu.Unlock()
+	r.local.Store(&localRoot{zone: z, loaded: r.cfg.Clock(), secure: r.verifyLocalZone(z)})
 	if r.cfg.Mode == RootModePreload {
 		r.PreloadRootZone(z)
 	}
@@ -412,14 +440,11 @@ func (r *Resolver) verifyLocalZone(z *zone.Zone) bool {
 // age — the §5.3 freshness metric /statusz surfaces. ok is false when the
 // mode carries no local zone.
 func (r *Resolver) LocalZoneStatus() (serial uint32, age time.Duration, ok bool) {
-	r.mu.Lock()
-	lz := r.cfg.LocalZone
-	loaded := r.zoneLoaded
-	r.mu.Unlock()
-	if lz == nil {
+	lr := r.local.Load()
+	if lr == nil {
 		return 0, 0, false
 	}
-	return lz.Serial(), r.cfg.Clock().Sub(loaded), true
+	return lr.zone.Serial(), r.cfg.Clock().Sub(lr.loaded), true
 }
 
 // ZoneFreshness places the local zone copy's age on the distribution
@@ -429,13 +454,11 @@ func (r *Resolver) ZoneFreshness() dist.Freshness {
 	if r.cfg.ZoneExpiry <= 0 {
 		return dist.FreshnessNone
 	}
-	r.mu.Lock()
-	lz, loaded := r.cfg.LocalZone, r.zoneLoaded
-	r.mu.Unlock()
-	if lz == nil {
+	lr := r.local.Load()
+	if lr == nil {
 		return dist.FreshnessNone
 	}
-	return dist.FreshnessOf(r.cfg.Clock().Sub(loaded),
+	return dist.FreshnessOf(r.cfg.Clock().Sub(lr.loaded),
 		r.cfg.ZoneRefresh, r.cfg.ZoneExpiry, r.cfg.ZoneStaleFor)
 }
 
@@ -543,22 +566,14 @@ func (r *Resolver) PreloadRootZone(z *zone.Zone) {
 	}
 }
 
-// count is the single mutation path for Stats: every counter write in the
+// count is the single mutation path for the counters: every write in the
 // package goes through here (pinned by TestAllCounterWritesUseCount), so
-// Stats() snapshots can never observe a torn or unsynchronised update.
-func (r *Resolver) count(f func(*Stats)) {
-	r.mu.Lock()
-	f(&r.stats)
-	r.mu.Unlock()
-}
+// no counter can be touched by anything but an atomic add.
+func (r *Resolver) count(f func(*counters)) { f(&r.stats) }
 
-// randID draws a query ID under the lock: Resolve runs concurrently and
-// math/rand.Rand is not goroutine-safe.
-func (r *Resolver) randID() uint16 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return uint16(r.rng.Intn(1 << 16))
-}
+// randID draws a query ID from the runtime's per-thread generator: no
+// lock, and not predictable from Config.Seed.
+func randID() uint16 { return uint16(randv2.Uint32()) }
 
 // srttFor reads one server's smoothed RTT estimate (0 when unknown).
 func (r *Resolver) srttFor(addr netip.Addr) time.Duration {
@@ -584,7 +599,7 @@ func (r *Resolver) Resolve(qname dnswire.Name, qtype dnswire.Type) (*Result, err
 	if r.tracer.Enabled() {
 		flightStart = time.Now()
 	}
-	v, err, shared := r.flight.Do(flightKey(qname, qtype), func() (any, error) {
+	v, err, shared := r.flight.Do(flightKey{qname, qtype}, func() (any, error) {
 		return r.resolveTop(qname, qtype, class)
 	})
 	res, _ := v.(*Result)
@@ -596,7 +611,7 @@ func (r *Resolver) Resolve(qname dnswire.Name, qtype dnswire.Type) (*Result, err
 	}
 	// A waiter: count it as its own resolution (every Resolve call is
 	// one) and hand back a copy so callers cannot alias each other.
-	r.count(func(s *Stats) { s.Resolutions++; s.CoalescedResolutions++ })
+	r.count(func(s *counters) { s.Resolutions.Add(1); s.CoalescedResolutions.Add(1) })
 	if tr := r.tracer.Begin(string(qname), qtype.String()); tr != nil {
 		tr.SetClass(class)
 		// The waiter's whole life was spent blocked on the leader's
@@ -612,8 +627,9 @@ func (r *Resolver) Resolve(qname dnswire.Name, qtype dnswire.Type) (*Result, err
 }
 
 // flightKey keys the singleflight table by question.
-func flightKey(qname dnswire.Name, qtype dnswire.Type) string {
-	return string(qname) + "|" + qtype.String()
+type flightKey struct {
+	name dnswire.Name
+	typ  dnswire.Type
 }
 
 // resolveTop runs one top-level resolution: trace lifecycle, admission
@@ -629,6 +645,15 @@ func (r *Resolver) resolveTop(qname dnswire.Name, qtype dnswire.Type, class stri
 	if tok.held {
 		r.gate.Release()
 	}
+	r.finish(tr, qtype, class, res, len(res.Answers), err)
+	return res, err
+}
+
+// finish is the end of every top-level resolution, by whichever route it
+// was answered: trace, latency, flight digest, SLO observation. answers
+// is the record count of the response (a Result built only to be
+// finished carries none).
+func (r *Resolver) finish(tr *obs.Trace, qtype dnswire.Type, class string, res *Result, answers int, err error) {
 	if tr != nil {
 		tr.Finish(res.Rcode.String(), res.Latency, res.Queries, err)
 	}
@@ -643,7 +668,7 @@ func (r *Resolver) resolveTop(qname dnswire.Name, qtype dnswire.Type, class stri
 			Rcode:     res.Rcode.String(),
 			LatencyNS: int64(res.Latency),
 			Queries:   res.Queries,
-			Answers:   len(res.Answers),
+			Answers:   answers,
 			FromCache: res.FromCache,
 			Shed:      errors.Is(err, ErrOverloaded),
 		}
@@ -661,7 +686,6 @@ func (r *Resolver) resolveTop(qname dnswire.Name, qtype dnswire.Type, class stri
 	if r.sloObserve != nil {
 		r.sloObserve(res.Latency, res.Rcode, err)
 	}
-	return res, err
 }
 
 // gateToken tracks one top-level resolution's admission slot. The slot
@@ -691,7 +715,7 @@ func (r *Resolver) admit(tok *gateToken, tr *obs.Trace) error {
 			return nil
 		}
 		tok.shed = true
-		r.count(func(s *Stats) { s.ShedResolutions++ })
+		r.count(func(s *counters) { s.ShedResolutions.Add(1) })
 		tr.Eventf("shed", "admission gate full; shedding upstream work")
 	}
 	return ErrOverloaded
@@ -700,7 +724,7 @@ func (r *Resolver) admit(tok *gateToken, tr *obs.Trace) error {
 // resolve is the trace-carrying resolution core (glue chases re-enter
 // here so their events land in the parent's trace).
 func (r *Resolver) resolve(qname dnswire.Name, qtype dnswire.Type, tr *obs.Trace, tok *gateToken) (*Result, error) {
-	r.count(func(s *Stats) { s.Resolutions++ })
+	r.count(func(s *counters) { s.Resolutions.Add(1) })
 	res := &Result{Rcode: dnswire.RcodeServFail}
 	budget := r.cfg.MaxQueries
 	retries := r.retryBudget()
@@ -709,11 +733,11 @@ func (r *Resolver) resolve(qname dnswire.Name, qtype dnswire.Type, tr *obs.Trace
 	var chain []dnswire.RR
 	// AD holds only if every link of a CNAME chain validated Secure.
 	authAll := true
-	for depth := 0; depth < 9; depth++ {
+	for depth := 0; depth < maxCNAMEDepth; depth++ {
 		res.AuthData = false
 		rcode, rrs, err := r.iterate(target, qtype, res, &budget, &retries, tr, tok)
 		if err != nil {
-			r.count(func(s *Stats) { s.Failures++ })
+			r.count(func(s *counters) { s.Failures.Add(1) })
 			tr.Eventf("fail", "%s: %v", target, err)
 			return res, err
 		}
@@ -724,8 +748,10 @@ func (r *Resolver) resolve(qname dnswire.Name, qtype dnswire.Type, tr *obs.Trace
 			if cn, ok := terminalCNAME(rrs, target); ok {
 				chain = append(chain, rrs...)
 				target = cn
-				r.count(func(s *Stats) { s.CNAMEChases++ })
-				tr.Eventf("cname", "chasing %s -> %s", qname, cn)
+				r.count(func(s *counters) { s.CNAMEChases.Add(1) })
+				if tr != nil {
+					tr.Eventf("cname", "chasing %s -> %s", qname, cn)
+				}
 				continue
 			}
 		}
@@ -734,7 +760,7 @@ func (r *Resolver) resolve(qname dnswire.Name, qtype dnswire.Type, tr *obs.Trace
 		res.AuthData = authAll
 		return res, nil
 	}
-	r.count(func(s *Stats) { s.Failures++ })
+	r.count(func(s *counters) { s.Failures.Add(1) })
 	return res, errors.New("resolver: CNAME chain too long")
 }
 
@@ -768,76 +794,11 @@ type nsSet struct {
 
 // iterate resolves one name without following CNAMEs.
 func (r *Resolver) iterate(qname dnswire.Name, qtype dnswire.Type, res *Result, budget, retries *int, tr *obs.Trace, tok *gateToken) (dnswire.Rcode, []dnswire.RR, error) {
-	// Full answer from cache? The Eventf calls here sit on the cache-hit
-	// fast path, so they are guarded: a nil-trace Eventf is itself free,
-	// but evaluating its variadic arguments is not. The cache-probe span
-	// covers every probe (positive, CNAME, NXDOMAIN cut) up to the
-	// hit/miss verdict.
-	csp := tr.StartSpan(obs.PhaseCache, "cache-probe")
-	if hit, ok := r.cache.Get(qname, qtype); ok {
-		if hit.Negative {
-			r.count(func(s *Stats) { s.NegCacheAnswers++; s.CacheAnswers++ })
-			if tr != nil {
-				tr.Eventf("cache-hit", "negative %s %s", qname, qtype)
-			}
-			csp.End()
-			// Replay the faithful rcode: NXDOMAIN if the name was proven
-			// absent, NODATA (Success, no answers) if only the type was.
-			if hit.NXDomain {
-				return dnswire.RcodeNXDomain, nil, nil
-			}
-			return dnswire.RcodeSuccess, nil, nil
-		}
-		r.count(func(s *Stats) { s.CacheAnswers++ })
-		if tr != nil {
-			tr.Eventf("cache-hit", "%s %s (%d RRs)", qname, qtype, len(hit.RRs))
-		}
-		csp.End()
-		// CopyRRs: the Result shares the cache's storage; callers get a
-		// private set with decayed TTLs.
-		return dnswire.RcodeSuccess, hit.CopyRRs(), nil
+	if k, ok := r.probe(qname, qtype, tr); ok {
+		r.countProbeHit(k.src)
+		res.AuthData = k.secure
+		return k.rcode, k.copyRRs(), nil
 	}
-	// Cached CNAME at the name also answers.
-	if qtype != dnswire.TypeCNAME {
-		if hit, ok := r.cache.Get(qname, dnswire.TypeCNAME); ok && !hit.Negative {
-			r.count(func(s *Stats) { s.CacheAnswers++ })
-			if tr != nil {
-				tr.Eventf("cache-hit", "%s CNAME", qname)
-			}
-			csp.End()
-			return dnswire.RcodeSuccess, hit.CopyRRs(), nil
-		}
-	}
-	// A validated NSEC range covering qname answers with cryptographic
-	// certainty (RFC 8198): the denial was proven, not observed, so the
-	// synthesized answer even carries AD. Checked before the RFC 8020
-	// cut — when both apply, the stronger mechanism takes the hit.
-	if r.cfg.NSECAggressive {
-		if nx, ok := r.cache.NSECSynthesize(qname, qtype); ok {
-			r.count(func(s *Stats) { s.NSECSynthesized++; s.NegCacheAnswers++; s.CacheAnswers++ })
-			if tr != nil {
-				tr.Eventf("cache-hit", "validated NSEC range covers %s %s", qname, qtype)
-			}
-			csp.End()
-			res.AuthData = true
-			if nx {
-				return dnswire.RcodeNXDomain, nil, nil
-			}
-			return dnswire.RcodeSuccess, nil, nil
-		}
-	}
-	// An NXDOMAIN cut at any ancestor (in practice: the TLD) answers the
-	// miss without any upstream work — the aggressive negative cache the
-	// paper's junk-dominated workload rewards.
-	if r.cfg.NXDomainCut && r.cache.NXDomainCovered(qname) {
-		r.count(func(s *Stats) { s.NXDomainCutHits++; s.NegCacheAnswers++; s.CacheAnswers++ })
-		if tr != nil {
-			tr.Eventf("cache-hit", "NXDOMAIN cut covers %s", qname)
-		}
-		csp.End()
-		return dnswire.RcodeNXDomain, nil, nil
-	}
-	csp.End()
 	if tr != nil {
 		tr.Eventf("cache-miss", "%s %s", qname, qtype)
 	}
@@ -845,15 +806,16 @@ func (r *Resolver) iterate(qname dnswire.Name, qtype dnswire.Type, res *Result, 
 	cur := r.closestNameservers(qname)
 	for hop := 0; hop < 24; hop++ {
 		if cur.local {
-			tr.Eventf("local-root", "consulting local zone for %s %s", qname, qtype)
+			if tr != nil {
+				tr.Eventf("local-root", "consulting local zone for %s %s", qname, qtype)
+			}
 			asp := tr.StartSpan(obs.PhaseAuth, "local-root")
-			next, rcode, rrs, done := r.consultLocalRoot(qname, qtype)
+			lk := r.lookupLocalRoot(qname, qtype)
+			next, k, done := r.applyLocalRoot(qname, qtype, &lk)
 			asp.End()
 			if done {
-				r.mu.Lock()
-				res.AuthData = r.localSecure
-				r.mu.Unlock()
-				return rcode, rrs, nil
+				res.AuthData = k.secure
+				return k.rcode, k.rrs, nil
 			}
 			tr.Eventf("referral", "local zone -> %s (%d servers)", next.zone, len(next.hosts))
 			cur = next
@@ -877,7 +839,7 @@ func (r *Resolver) iterate(qname dnswire.Name, qtype dnswire.Type, res *Result, 
 			if outcome == validator.Bogus && r.cfg.Validate == validator.PolicyStrict {
 				// Strict policy: the answer is discarded before any of it
 				// can reach the cache, and the resolution fails closed.
-				r.count(func(s *Stats) { s.BogusRejected++ })
+				r.count(func(s *counters) { s.BogusRejected.Add(1) })
 				return dnswire.RcodeServFail, nil, fmt.Errorf("%w: %w", ErrBogus, verr)
 			}
 			secure = outcome == validator.Secure
@@ -904,114 +866,41 @@ func (r *Resolver) staleAnswer(qname dnswire.Name, qtype dnswire.Type) ([]dnswir
 		limit = 24 * time.Hour
 	}
 	if hit, ok := r.cache.GetStale(qname, qtype, limit); ok {
-		r.count(func(s *Stats) { s.StaleAnswers++ })
+		r.count(func(s *counters) { s.StaleAnswers.Add(1) })
 		return hit.CopyRRs(), true
 	}
 	return nil, false
-}
-
-// consultLocalRoot performs the lookaside step: read the referral (or
-// terminal answer) straight from the local root zone. With staleness
-// staging enabled, the copy's freshness stage gates the consult: a
-// stale-serve copy still answers but with capped TTLs, an expired copy
-// fails closed.
-func (r *Resolver) consultLocalRoot(qname dnswire.Name, qtype dnswire.Type) (nsSet, dnswire.Rcode, []dnswire.RR, bool) {
-	r.count(func(s *Stats) { s.LocalRootConsults++ })
-	r.mu.Lock()
-	lz := r.cfg.LocalZone
-	loaded := r.zoneLoaded
-	r.mu.Unlock()
-	if lz == nil {
-		return nsSet{}, dnswire.RcodeServFail, nil, true
-	}
-	var ttlCap uint32
-	if r.cfg.ZoneExpiry > 0 {
-		age := r.cfg.Clock().Sub(loaded)
-		switch dist.FreshnessOf(age, r.cfg.ZoneRefresh, r.cfg.ZoneExpiry, r.cfg.ZoneStaleFor) {
-		case dist.FreshnessExpired:
-			// Fail closed: a copy past its stale-serve window must not
-			// steer resolution toward long-gone servers.
-			r.count(func(s *Stats) { s.LocalExpiredRefusals++ })
-			return nsSet{}, dnswire.RcodeServFail, nil, true
-		case dist.FreshnessStaleServe:
-			r.count(func(s *Stats) { s.LocalStaleConsults++ })
-			ttlCap = uint32(r.cfg.ZoneStaleTTLCap / time.Second)
-			if ttlCap == 0 {
-				ttlCap = 1
-			}
-		}
-	}
-	ans := lz.Query(qname, qtype)
-	if ttlCap > 0 {
-		ans.Answer = capTTLs(ans.Answer, ttlCap)
-		ans.Authority = capTTLs(ans.Authority, ttlCap)
-		ans.Additional = capTTLs(ans.Additional, ttlCap)
-	}
-	switch {
-	case ans.Rcode == dnswire.RcodeNXDomain:
-		if len(ans.Authority) > 0 {
-			r.cache.PutNegative(qname, qtype, ans.Authority[0], true)
-			// The local root zone just proved the TLD undelegated.
-			if tld := qname.TLD(); r.cfg.NXDomainCut && !tld.IsRoot() {
-				r.cache.PutNXDomainCut(tld, ans.Authority[0])
-			}
-		}
-		return nsSet{}, dnswire.RcodeNXDomain, nil, true
-	case len(ans.Answer) > 0:
-		r.cacheSets(ans.Answer, false)
-		return nsSet{}, dnswire.RcodeSuccess, ans.Answer, true
-	case !ans.Authoritative && len(ans.Authority) > 0:
-		// Referral: cache the NS set and glue, then continue iterating
-		// at the TLD servers.
-		r.cacheSets(ans.Authority, false)
-		r.cacheSets(ans.Additional, false)
-		next := nsSet{zone: ans.Authority[0].Name}
-		for _, rr := range ans.Authority {
-			if rr.Type == dnswire.TypeNS {
-				next.hosts = append(next.hosts, rr.Data.(dnswire.NS).Host)
-			}
-		}
-		return next, 0, nil, false
-	default:
-		// NODATA at the root (e.g. TLD apex, wrong type).
-		if len(ans.Authority) > 0 {
-			r.cache.PutNegative(qname, qtype, ans.Authority[0], false)
-		}
-		return nsSet{}, dnswire.RcodeSuccess, nil, true
-	}
-}
-
-// capTTLs returns a copy of rrs with every TTL capped — answers from a
-// stale-serve zone copy must not linger in downstream caches.
-func capTTLs(rrs []dnswire.RR, cap uint32) []dnswire.RR {
-	out := make([]dnswire.RR, len(rrs))
-	copy(out, rrs)
-	for i := range out {
-		if out[i].TTL > cap {
-			out[i].TTL = cap
-		}
-	}
-	return out
 }
 
 // closestNameservers finds the deepest delegation the resolver already
 // knows that encloses qname, falling back to the root per the configured
 // mode.
 func (r *Resolver) closestNameservers(qname dnswire.Name) nsSet {
+	if cut, rrs, ok := r.closestCut(qname); ok {
+		set := nsSet{zone: cut}
+		for _, rr := range rrs {
+			if ns, ok := rr.Data.(dnswire.NS); ok {
+				set.hosts = append(set.hosts, ns.Host)
+			}
+		}
+		return set
+	}
+	return r.rootSet()
+}
+
+// closestCut finds the deepest name enclosing qname, below the root,
+// whose NS set the cache holds.
+func (r *Resolver) closestCut(qname dnswire.Name) (dnswire.Name, []dnswire.RR, bool) {
 	for n := qname; !n.IsRoot(); n = n.Parent() {
 		if hit, ok := r.cache.Get(n, dnswire.TypeNS); ok && !hit.Negative {
-			set := nsSet{zone: n}
 			for _, rr := range hit.RRs {
-				if ns, ok := rr.Data.(dnswire.NS); ok {
-					set.hosts = append(set.hosts, ns.Host)
+				if _, ok := rr.Data.(dnswire.NS); ok {
+					return n, hit.RRs, true
 				}
-			}
-			if len(set.hosts) > 0 {
-				return set
 			}
 		}
 	}
-	return r.rootSet()
+	return "", nil, false
 }
 
 // rootSet returns the starting point for a resolution that must begin at
@@ -1026,10 +915,7 @@ func (r *Resolver) rootSet() nsSet {
 		// Preload pins TLD NS sets in the cache, so reaching here means
 		// the name's TLD does not exist in the local zone — consult it
 		// directly so NXDOMAIN is answered without any network traffic.
-		r.mu.Lock()
-		lz := r.cfg.LocalZone
-		r.mu.Unlock()
-		if lz != nil {
+		if r.local.Load() != nil {
 			return nsSet{zone: dnswire.Root, local: true}
 		}
 	}
@@ -1094,7 +980,7 @@ func (r *Resolver) serverAddrs(set nsSet, res *Result, budget *int, chase bool, 
 		if busy {
 			continue // a chase for this host encloses us; avoid the loop
 		}
-		r.count(func(s *Stats) { s.GlueChases++ })
+		r.count(func(s *counters) { s.GlueChases.Add(1) })
 		tr.Eventf("glue-chase", "resolving %s A out of band", host)
 		gsp := tr.StartSpan(obs.PhaseOther, "glue-chase")
 		if gsp != nil {
@@ -1149,13 +1035,13 @@ func (r *Resolver) queryZoneServers(set nsSet, qname dnswire.Name, qtype dnswire
 	r.orderBySRTT(addrs)
 	candidates, heldCount, probes := r.planAttempts(addrs, r.cfg.Clock())
 	if heldCount > 0 {
-		r.count(func(s *Stats) { s.HeldDownSkips += int64(heldCount) })
+		r.count(func(s *counters) { s.HeldDownSkips.Add(int64(heldCount)) })
 		if tr != nil {
 			tr.Eventf("hold-down", "zone=%s skipping %d held-down servers", set.zone, heldCount)
 		}
 	}
 	if len(candidates) > 1 {
-		r.count(func(s *Stats) { s.ServerSelections++ })
+		r.count(func(s *counters) { s.ServerSelections.Add(1) })
 		if tr != nil { // srttFor takes the lock; skip entirely when not tracing
 			tr.Eventf("select", "zone=%s picked %s by SRTT (%v) of %d servers",
 				set.zone, candidates[0], r.srttFor(candidates[0]), len(candidates))
@@ -1168,28 +1054,28 @@ func (r *Resolver) queryZoneServers(set nsSet, qname dnswire.Name, qtype dnswire
 			return nil, ErrBudgetExceeded
 		}
 		*budget--
-		q := dnswire.NewQuery(r.randID(), sendName, sendType)
+		q := dnswire.NewQuery(randID(), sendName, sendType)
 		q.RecursionDesired = false
 		q.SetEDNS(dnswire.DefaultEDNSSize, true)
 		if attempt > 0 {
 			tr.Eventf("retry", "attempt=%d trying %s", attempt+1, addr)
 		}
 		if probes[addr] {
-			r.count(func(s *Stats) { s.Probes++ })
+			r.count(func(s *counters) { s.Probes.Add(1) })
 			tr.Eventf("probe", "re-admitting %s after hold-down", addr)
 		}
 
-		r.count(func(s *Stats) {
-			s.TotalQueries++
+		r.count(func(s *counters) {
+			s.TotalQueries.Add(1)
 			switch {
 			case r.rootAddrs[addr] || (set.zone.IsRoot() && r.cfg.Mode == RootModeHints):
-				s.RootQueries++
+				s.RootQueries.Add(1)
 			case addr == r.cfg.LocalAuthAddr && r.cfg.Mode == RootModeLocalAuth:
-				s.LocalRootConsults++
+				s.LocalRootConsults.Add(1)
 			case set.zone.LabelCount() == 1:
-				s.TLDQueries++
+				s.TLDQueries.Add(1)
 			default:
-				s.OtherQueries++
+				s.OtherQueries.Add(1)
 			}
 		})
 
@@ -1213,7 +1099,7 @@ func (r *Resolver) queryZoneServers(set nsSet, qname dnswire.Name, qtype dnswire
 		if err != nil {
 			xsp.SetPhase(obs.PhaseBackoff)
 			xsp.EndWithDuration(rtt)
-			r.count(func(s *Stats) { s.Timeouts++ })
+			r.count(func(s *counters) { s.Timeouts.Add(1) })
 			r.updateSRTT(addr, rtt, true)
 			tr.Eventf("timeout", "%s after %v: %v", addr, rtt, err)
 			lastErr = fmt.Errorf("%w: %v", ErrTimeout, err)
@@ -1226,7 +1112,7 @@ func (r *Resolver) queryZoneServers(set nsSet, qname dnswire.Name, qtype dnswire
 		if resp.Rcode == dnswire.RcodeServFail || resp.Rcode == dnswire.RcodeRefused {
 			xsp.SetPhase(obs.PhaseBackoff)
 			xsp.EndWithDuration(rtt)
-			r.count(func(s *Stats) { s.LameResponses++ })
+			r.count(func(s *counters) { s.LameResponses.Add(1) })
 			tr.Eventf("lame", "%s from %s", resp.Rcode, addr)
 			lastErr = fmt.Errorf("%w: %s from %s", ErrLame, resp.Rcode, addr)
 			if err := r.recordFailure(addr, retries, tr); err != nil {
@@ -1239,7 +1125,7 @@ func (r *Resolver) queryZoneServers(set nsSet, qname dnswire.Name, qtype dnswire
 			// over to the next candidate like any other lame answer.
 			xsp.SetPhase(obs.PhaseBackoff)
 			xsp.EndWithDuration(rtt)
-			r.count(func(s *Stats) { s.LameResponses++ })
+			r.count(func(s *counters) { s.LameResponses.Add(1) })
 			tr.Eventf("lame", "non-descending referral from %s", addr)
 			lastErr = fmt.Errorf("%w: non-descending referral from %s", ErrLame, addr)
 			if err := r.recordFailure(addr, retries, tr); err != nil {
@@ -1286,7 +1172,7 @@ func (r *Resolver) exchange(tr *obs.Trace, dst netip.Addr, q *dnswire.Message) (
 func (r *Resolver) recordFailure(addr netip.Addr, retries *int, tr *obs.Trace) error {
 	backoff, hold := r.noteFailure(addr, r.cfg.Clock())
 	if hold > 0 {
-		r.count(func(s *Stats) { s.HoldDowns++ })
+		r.count(func(s *counters) { s.HoldDowns.Add(1) })
 		tr.Eventf("hold-down", "tripped %s for %v", addr, hold)
 	} else if backoff > 0 && tr != nil {
 		tr.Eventf("backoff", "%s backing off %v", addr, backoff)
@@ -1295,7 +1181,7 @@ func (r *Resolver) recordFailure(addr netip.Addr, retries *int, tr *obs.Trace) e
 	if *retries > 0 {
 		return nil
 	}
-	r.count(func(s *Stats) { s.RetryBudgetStops++ })
+	r.count(func(s *counters) { s.RetryBudgetStops.Add(1) })
 	tr.Eventf("retry-budget", "exhausted at %s", addr)
 	return ErrRetryBudget
 }
@@ -1474,19 +1360,27 @@ func referralNS(resp *dnswire.Message) []dnswire.RR {
 // the selection machinery §4 notes local-root modes can delete.
 func (r *Resolver) orderBySRTT(addrs []netip.Addr) {
 	const unknownSRTT = 30 * time.Millisecond
-	r.mu.Lock()
-	key := func(a netip.Addr) time.Duration {
-		if v, ok := r.srtt[a]; ok {
-			return v
-		}
-		return unknownSRTT
+	if len(addrs) < 2 {
+		return
 	}
-	for i := 1; i < len(addrs); i++ {
-		for j := i; j > 0 && key(addrs[j]) < key(addrs[j-1]); j-- {
-			addrs[j], addrs[j-1] = addrs[j-1], addrs[j]
+	// One read of each estimate under the lock; the sort runs outside it.
+	var buf [16]time.Duration
+	keys := buf[:0]
+	r.mu.Lock()
+	for _, a := range addrs {
+		v, ok := r.srtt[a]
+		if !ok {
+			v = unknownSRTT
 		}
+		keys = append(keys, v)
 	}
 	r.mu.Unlock()
+	for i := 1; i < len(addrs); i++ {
+		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
+			addrs[j], addrs[j-1] = addrs[j-1], addrs[j]
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+		}
+	}
 }
 
 // maxSRTTEntries bounds the per-server timing table. A cold stream of
@@ -1500,7 +1394,7 @@ const maxSRTTEntries = 1 << 16
 // updateSRTT folds a measurement into the per-server estimate (EWMA with
 // BIND-style decay; timeouts penalize multiplicatively).
 func (r *Resolver) updateSRTT(addr netip.Addr, rtt time.Duration, timedOut bool) {
-	r.count(func(s *Stats) { s.SRTTUpdates++ })
+	r.count(func(s *counters) { s.SRTTUpdates.Add(1) })
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old, ok := r.srtt[addr]

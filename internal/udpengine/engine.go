@@ -12,8 +12,9 @@
 // The engine owns every buffer it hands a Handler. ServeDatagram's req
 // slice aliases the worker's receive buffer and is valid ONLY for the
 // duration of the call: the next read into that slot overwrites it, so
-// a handler that needs the bytes later (an async responder like the
-// resolver) must copy them first. The resp slice is the worker's
+// a handler that answers after it returns (the resolver, for a question
+// that needs upstream work) must keep what it needs by value — it keeps
+// the parsed question, not the packet. The resp slice is the worker's
 // per-slot transmit buffer with length 0; the handler appends its
 // response and returns the extended slice, which the engine transmits
 // before the slot is reused and then adopts as the slot's buffer (so a
@@ -59,8 +60,8 @@ func (f HandlerFunc) ServeDatagram(req []byte, src Peer, resp []byte) []byte {
 
 // Peer identifies a datagram's source and carries the reply path for
 // handlers that answer asynchronously (after ServeDatagram returned).
-// It is a value type: capturing it in a goroutine is safe and does not
-// pin any engine buffer.
+// It is a value type: handing it to another goroutine is safe and does
+// not pin any engine buffer.
 type Peer struct {
 	// Addr is the datagram's source address.
 	Addr netip.AddrPort
@@ -72,20 +73,21 @@ type Peer struct {
 
 // Detach records that the handler has taken ownership of this datagram
 // and will answer (or deliberately not) via Reply after ServeDatagram
-// returns. Call it before returning nil from an asynchronous handler:
-// the nil return then counts toward Async instead of Dropped, so an
-// async daemon does not report every answered query as a drop.
+// returns. Call it before returning nil for such a datagram: the nil
+// return then counts toward Async instead of Dropped, so a hand-off is
+// not reported as a drop.
 func (p Peer) Detach() {
 	if p.w != nil {
 		p.w.detached.Add(1)
 	}
 }
 
-// Reply sends b to the peer, bypassing the engine's transmit batch.
-// Synchronous handlers should return the response from ServeDatagram
-// instead (it batches); Reply exists for handlers that answer after
-// ServeDatagram returned, like the resolver's per-query goroutines.
-// The transmission is counted in the owning worker's Writes/WriteErrs.
+// Reply sends b to the peer with a send of its own, bypassing the
+// engine's transmit batch. A handler that can answer inside
+// ServeDatagram should return the response instead (it batches); Reply
+// exists for answers that come later, like those of the resolver's miss
+// pool. It may be called from any goroutine. The transmission is counted
+// in the owning worker's Writes/WriteErrs.
 func (p Peer) Reply(b []byte) error {
 	var err error
 	switch {
@@ -155,8 +157,8 @@ type WorkerStats struct {
 	// by Peer.Detach count toward Async instead.
 	Dropped int64
 	// Async counts datagrams a handler detached for asynchronous reply
-	// (Peer.Detach + Peer.Reply), like the resolver's per-query
-	// goroutines.
+	// (Peer.Detach + Peer.Reply), like the questions the resolver hands
+	// to its miss pool.
 	Async int64
 	// RxQueueDrops is the kernel's SO_RXQ_OVFL cumulative counter: how
 	// many datagrams the socket's receive queue overflowed and lost.
