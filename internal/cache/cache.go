@@ -31,7 +31,10 @@ const StaleTTL = 30 * time.Second
 // per-shard maps stay large enough to hash well.
 const DefaultShards = 16
 
-// Stats counts cache activity.
+// Stats counts cache activity. Hits and Misses count lookups, not
+// questions: the resolver looks a question that needs upstream work up
+// twice (before it joins a flight, and again as the flight's leader), so
+// its misses show here twice.
 type Stats struct {
 	Hits         int64
 	Misses       int64

@@ -49,7 +49,7 @@ func FuzzMessageUnpack(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0,
 		0x03, 'a', 'b', 'c', 0xC0, 0x0C, 0x00, 0x01, 0x00, 0x01}) // pointer loop via own label
 	f.Add([]byte{0, 2, 0x80, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}) // counts claim records absent from the body
-	f.Add([]byte{0, 3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xC0, 0xFF})       // pointer past the end
+	f.Add([]byte{0, 3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xC0, 0xFF})      // pointer past the end
 	// Pointer pathologies targeting the memoizing decoder: two names
 	// pointing at each other, a forward pointer (illegal: targets must
 	// precede the pointer), and a chain of pointers to pointers.
@@ -165,9 +165,9 @@ func FuzzNameParse(f *testing.F) {
 		`bad\`, "..", "xn--idn00.", "_sip._tcp.example.com.",
 		// Edge cases around the length limits and escape decoder.
 		"a.root-servers.net.", "nstld.verisign-grs.com.",
-		strings.Repeat("a", 63) + ".com.",         // maximum label
-		strings.Repeat("a", 64) + ".com.",         // over-long label
-		strings.Repeat("abcdefg.", 31) + "owner.", // near the 255-octet name cap
+		strings.Repeat("a", 63) + ".com.",          // maximum label
+		strings.Repeat("a", 64) + ".com.",          // over-long label
+		strings.Repeat("abcdefg.", 31) + "owner.",  // near the 255-octet name cap
 		`\000.com.`, `\255.`, `\999.`, `a\`, `\04`, // escape-decoder edges
 		"*.example.com.", "-lead.trail-.dash.",
 	} {

@@ -177,13 +177,17 @@ func BenchmarkResolverServe(b *testing.B) {
 
 // BenchmarkResolveParallel is BenchmarkResolve/NoTracer from GOMAXPROCS
 // goroutines at once over a warm set of names: the figure that shows
-// whether cache hits still meet at a shared lock. The set is wide enough
-// to spread over the cache's shards and the clock is a constant, so the
-// only things shared are the resolver's own.
+// whether cache hits still meet at a shared lock. Coalescing is on, as in
+// resolverd: a hit must not reach the flight table. The set is wide
+// enough to spread over the cache's shards and the clock is a constant,
+// so the only things shared are the resolver's own.
 func BenchmarkResolveParallel(b *testing.B) {
 	tp := newTopo(b)
 	now := tp.net.Now()
-	r := tp.resolver(b, RootModeHints, func(c *Config) { c.Clock = func() time.Time { return now } })
+	r := tp.resolver(b, RootModeHints, func(c *Config) {
+		c.Clock = func() time.Time { return now }
+		c.Coalesce = true
+	})
 	names := make([]dnswire.Name, 256)
 	for i := range names {
 		names[i] = dnswire.Name(fmt.Sprintf("w%d.example.com.", i))

@@ -219,7 +219,7 @@ func TestFrontDoorRoutesAgree(t *testing.T) {
 				if err := parsed.Parse(req); err != nil {
 					t.Fatal(err)
 				}
-				want := pool.srv.answerJob(&parsed, nil)
+				want := pool.srv.answerJob(&job{q: parsed}, nil)
 				poolMoved := pool.read().minus(before)
 
 				if !p.miss && !bytes.Equal(got, want) {

@@ -2,25 +2,27 @@ package resolver
 
 // What the resolver can answer without I/O: the cache (positive, negative,
 // CNAME), validated NSEC ranges, NXDOMAIN cuts and — when the root is
-// local — the zone copy. iterate tries this before any upstream work;
-// resolveKnown is the whole resolution when nothing else is needed, which
-// is what lets the front door answer on a socket worker.
+// local — the zone copy. walk follows a question's CNAME chain through
+// all of that and, when allowed, through upstream iteration; resolveKnown
+// is the whole resolution when nothing upstream is needed, which is what
+// lets the front door answer on a socket worker.
 //
-// Everything here up to the commit in resolveKnown leaves the counters
-// alone, so a question that turns out to need upstream work can be handed
-// to Resolve and counted once.
+// Nothing a walk reads here is counted until commit, so a question that
+// turns out to need upstream work leaves resolveKnown as if it had never
+// been asked, and is counted once by whoever resolves it.
 
 import (
+	"errors"
 	"time"
 
-	"rootless/internal/cache"
 	"rootless/internal/dist"
 	"rootless/internal/dnswire"
 	"rootless/internal/obs"
 	"rootless/internal/zone"
 )
 
-// knownSource says where a known answer came from: which counters it moves.
+// knownSource says where a link of a chain came from: what commit still
+// has to count for it.
 type knownSource uint8
 
 const (
@@ -28,11 +30,11 @@ const (
 	fromNegCache
 	fromNSEC
 	fromCut
-	fromLocalRoot
+	fromLocalRoot // a consult read but not yet counted or cached: chain.local holds it
+	counted       // nothing: iterate's links, and a consult once applied
 )
 
-// known is the answer to one name (one link of a CNAME chain), or any
-// other set of answer records on its way into a response.
+// known is the answer to one name — one link of a CNAME chain.
 type known struct {
 	src   knownSource
 	rcode dnswire.Rcode
@@ -46,15 +48,6 @@ type known struct {
 	// a VerifyZone-checked local copy; plain cache hits never are (the
 	// cache does not record chain state).
 	secure bool
-}
-
-// copyRRs returns the records as a Result may hold them: private, with
-// the TTLs they go out with.
-func (k known) copyRRs() []dnswire.RR {
-	if !k.decayed {
-		return k.rrs
-	}
-	return cache.Result{RRs: k.rrs, TTL: k.ttl}.CopyRRs()
 }
 
 // probe looks qname up in everything the cache holds. The Eventf calls
@@ -125,16 +118,16 @@ func nxOrNoData(nxdomain bool) dnswire.Rcode {
 
 // countProbeHit is the accounting of one probe hit.
 func (r *Resolver) countProbeHit(src knownSource) {
-	r.count(func(s *counters) {
-		s.CacheAnswers.Add(1)
+	r.count(func(s *Stats) {
+		inc(&s.CacheAnswers, 1)
 		switch src {
 		case fromNSEC:
-			s.NSECSynthesized.Add(1)
+			inc(&s.NSECSynthesized, 1)
 		case fromCut:
-			s.NXDomainCutHits.Add(1)
+			inc(&s.NXDomainCutHits, 1)
 		}
 		if src != fromCache {
-			s.NegCacheAnswers.Add(1)
+			inc(&s.NegCacheAnswers, 1)
 		}
 	})
 }
@@ -142,7 +135,9 @@ func (r *Resolver) countProbeHit(src knownSource) {
 // localLookup is what the local root zone copy says about one question,
 // read but not yet counted or cached.
 type localLookup struct {
-	ans zone.Answer
+	qname dnswire.Name
+	qtype dnswire.Type
+	ans   zone.Answer
 	// refused: there is no copy, or it is past its stale-serve window.
 	// An expired copy must not steer resolution toward long-gone servers,
 	// so the consult fails closed (SERVFAIL).
@@ -163,11 +158,13 @@ func (lk *localLookup) referral() bool {
 // stale-serve copy still answers but with capped TTLs, an expired copy
 // is refused.
 func (r *Resolver) lookupLocalRoot(qname dnswire.Name, qtype dnswire.Type) localLookup {
+	lk := localLookup{qname: qname, qtype: qtype}
 	lr := r.local.Load()
 	if lr == nil {
-		return localLookup{refused: true}
+		lk.refused = true
+		return lk
 	}
-	lk := localLookup{secure: lr.secure}
+	lk.secure = lr.secure
 	if r.cfg.ZoneExpiry > 0 {
 		age := r.cfg.Clock().Sub(lr.loaded)
 		switch dist.FreshnessOf(age, r.cfg.ZoneRefresh, r.cfg.ZoneExpiry, r.cfg.ZoneStaleFor) {
@@ -193,17 +190,18 @@ func (r *Resolver) lookupLocalRoot(qname dnswire.Name, qtype dnswire.Type) local
 
 // applyLocalRoot counts a consult and caches what it learned. done is
 // false for a referral: iteration continues at next's servers.
-func (r *Resolver) applyLocalRoot(qname dnswire.Name, qtype dnswire.Type, lk *localLookup) (next nsSet, k known, done bool) {
-	r.count(func(s *counters) {
-		s.LocalRootConsults.Add(1)
+func (r *Resolver) applyLocalRoot(lk *localLookup) (next nsSet, k known, done bool) {
+	qname, qtype := lk.qname, lk.qtype
+	r.count(func(s *Stats) {
+		inc(&s.LocalRootConsults, 1)
 		if lk.expired {
-			s.LocalExpiredRefusals.Add(1)
+			inc(&s.LocalExpiredRefusals, 1)
 		}
 		if lk.stale {
-			s.LocalStaleConsults.Add(1)
+			inc(&s.LocalStaleConsults, 1)
 		}
 	})
-	k = known{src: fromLocalRoot, secure: lk.secure}
+	k = known{src: counted, secure: lk.secure}
 	ans := &lk.ans
 	switch {
 	case lk.refused:
@@ -257,77 +255,144 @@ func capTTLs(rrs []dnswire.RR, cap uint32) []dnswire.RR {
 // maxCNAMEDepth bounds the links of a CNAME chain one resolution follows.
 const maxCNAMEDepth = 9
 
-// knownAnswer is a whole response resolved without I/O: the links of the
-// CNAME chain in order, their records still shared with the cache.
-type knownAnswer struct {
-	rcode  dnswire.Rcode
-	secure bool // every link was: the response may carry AD
+var (
+	errCNAMEChain = errors.New("resolver: CNAME chain too long")
+	// errNeedsUpstream ends a walk that may not do I/O.
+	errNeedsUpstream = errors.New("resolver: not answerable from what is known")
+)
+
+// chain is a question's CNAME chain as walk found it, link by link, the
+// records of known links still shared with the cache.
+type chain struct {
+	rcode  dnswire.Rcode // the last link's
+	secure bool          // every link was: the response may carry AD (set by commit)
 	n      int
 	links  [maxCNAMEDepth]known
+	chases int         // CNAMEs followed
+	local  localLookup // behind the fromLocalRoot link, which is always the last
 }
 
-// resolveKnown is Resolve for a question that needs no upstream work,
-// start to finish and without a Result or a copied record: on true, out
-// is the answer and the resolution has been counted, classified, traced
-// and observed exactly as Resolve would have. On false nothing has been
-// counted and the caller takes the question to Resolve.
-func (r *Resolver) resolveKnown(qname dnswire.Name, qtype dnswire.Type, out *knownAnswer) bool {
+// walk answers (qname, qtype) link by link along its CNAME chain. Each
+// link comes from what is known — the cache, a proven denial, a verdict of
+// the local root copy that ends the resolution — or, where nothing known
+// answers, from iterate. A nil iterate keeps the walk free of I/O: the
+// first link that would need it ends the walk with errNeedsUpstream.
+// Either way the links found are not yet counted; commit does that.
+func (r *Resolver) walk(qname dnswire.Name, qtype dnswire.Type, tr *obs.Trace, iterate func(dnswire.Name) (known, error), out *chain) error {
+	out.n, out.chases, out.rcode = 0, 0, dnswire.RcodeServFail
+	for target := qname; out.n < len(out.links); {
+		k, ok := r.probe(target, qtype, tr)
+		if !ok {
+			if tr != nil {
+				tr.Eventf("cache-miss", "%s %s", target, qtype)
+			}
+			if iterate != nil {
+				var err error
+				if k, err = iterate(target); err != nil {
+					return err
+				}
+			} else if out.local, ok = r.localTerminal(target, qtype, tr); ok {
+				k = known{src: fromLocalRoot, rrs: out.local.ans.Answer}
+			} else {
+				return errNeedsUpstream
+			}
+		}
+		out.links[out.n] = k
+		out.n++
+		out.rcode = k.rcode
+		// Follow a CNAME unless that is what was asked for.
+		cn, chase := chaseCNAME(k, target, qtype)
+		if !chase {
+			return nil
+		}
+		if k.src == fromLocalRoot {
+			// The root zone holds no CNAMEs; one in a local copy takes the
+			// long way rather than a second pending consult here.
+			return errNeedsUpstream
+		}
+		out.chases++
+		if tr != nil {
+			tr.Eventf("cname", "chasing %s -> %s", qname, cn)
+		}
+		target = cn
+	}
+	return errCNAMEChain
+}
+
+// commit is the accounting of a walk: the chases, and each known link as
+// the cache answer or local consult it was.
+func (r *Resolver) commit(c *chain) {
+	if c.chases > 0 {
+		r.count(func(s *Stats) { inc(&s.CNAMEChases, int64(c.chases)) })
+	}
+	c.secure = true
+	for i := range c.links[:c.n] {
+		link := &c.links[i]
+		switch link.src {
+		case counted:
+		case fromLocalRoot:
+			_, *link, _ = r.applyLocalRoot(&c.local)
+			c.rcode = link.rcode
+		default:
+			r.countProbeHit(link.src)
+		}
+		c.secure = c.secure && link.secure
+	}
+}
+
+// answers is the number of records in the chain.
+func (c *chain) answers() (n int) {
+	for i := range c.links[:c.n] {
+		n += len(c.links[i].rrs)
+	}
+	return n
+}
+
+// result fills res with the chain's outcome; the records are copied, with
+// the TTLs they go out with.
+func (c *chain) result(res *Result) {
+	res.Rcode = c.rcode
+	res.Answers = nil
+	if n := c.answers(); n > 0 {
+		res.Answers = make([]dnswire.RR, 0, n)
+	}
+	for i := range c.links[:c.n] {
+		link := &c.links[i]
+		for _, rr := range link.rrs {
+			if link.decayed {
+				rr.TTL = link.ttl
+			}
+			res.Answers = append(res.Answers, rr)
+		}
+	}
+	res.FromCache = res.Queries == 0
+	res.AuthData = c.secure
+}
+
+// resolveKnown is a whole resolution for a question that needs no
+// upstream work, without a Result or a copied record: on true, out is the
+// answer and the resolution has been counted, classified, traced and
+// observed. On false nothing has been counted, and the caller takes the
+// question — and the trace begun for it, nil when tracing is off — to
+// resolveUpstream.
+func (r *Resolver) resolveKnown(qname dnswire.Name, qtype dnswire.Type, out *chain) (*obs.Trace, bool) {
 	var tr *obs.Trace
 	if r.tracer.Enabled() { // the mnemonic of an unknown qtype is an allocation
 		tr = r.tracer.Begin(string(qname), qtype.String())
 	}
-	out.n, out.secure = 0, true
-	var lk localLookup
-	for target := qname; out.n < len(out.links); {
-		k, ok := r.probe(target, qtype, tr)
-		if !ok {
-			if lk, ok = r.localTerminal(target, qtype, tr); !ok {
-				return false
-			}
-			k = known{src: fromLocalRoot, rrs: lk.ans.Answer}
-		}
-		out.links[out.n] = k
-		out.n++
-		if cn, chase := chaseCNAME(k, target, qtype); chase {
-			if k.src == fromLocalRoot {
-				// The root zone holds no CNAMEs; one in a local copy takes
-				// the long way rather than a second commit path here.
-				return false
-			}
-			if tr != nil {
-				tr.Eventf("cname", "chasing %s -> %s", qname, cn)
-			}
-			target = cn
-			continue
-		}
-
-		// Terminal, and nothing past this point can send the question
-		// elsewhere: commit.
-		var class string
-		if r.traffic != nil {
-			class = r.traffic.Observe(qname, qtype).String()
-			tr.SetClass(class)
-		}
-		r.count(func(s *counters) {
-			s.Resolutions.Add(1)
-			s.CNAMEChases.Add(int64(out.n - 1))
-		})
-		answers := 0
-		for i := range out.links[:out.n] {
-			link := &out.links[i]
-			if link.src == fromLocalRoot {
-				_, *link, _ = r.applyLocalRoot(target, qtype, &lk)
-			} else {
-				r.countProbeHit(link.src)
-			}
-			answers += len(link.rrs)
-			out.secure = out.secure && link.secure
-			out.rcode = link.rcode
-		}
-		r.finish(tr, qtype, class, &Result{Rcode: out.rcode, FromCache: true}, answers, nil)
-		return true
+	if r.walk(qname, qtype, tr, nil, out) != nil {
+		return tr, false
 	}
-	return false // chain too long: Resolve fails it, and counts the failure
+	// Nothing past this point can send the question elsewhere.
+	var class string
+	if r.traffic != nil {
+		class = r.traffic.Observe(qname, qtype).String()
+		tr.SetClass(class)
+	}
+	r.count(func(s *Stats) { inc(&s.Resolutions, 1) })
+	r.commit(out)
+	r.finish(tr, qtype, class, &Result{Rcode: out.rcode, FromCache: true}, out.answers(), nil)
+	return nil, true
 }
 
 // chaseCNAME reports whether k answers target only with a CNAME that the
@@ -345,9 +410,6 @@ func chaseCNAME(k known, target dnswire.Name, qtype dnswire.Type) (dnswire.Name,
 // a refusal. That is all of the paper's junk. A referral is a miss: the
 // TLD's servers come next, and that is upstream work.
 func (r *Resolver) localTerminal(qname dnswire.Name, qtype dnswire.Type, tr *obs.Trace) (localLookup, bool) {
-	if tr != nil {
-		tr.Eventf("cache-miss", "%s %s", qname, qtype)
-	}
 	if r.cfg.Mode != RootModeLookaside && r.cfg.Mode != RootModePreload {
 		return localLookup{}, false
 	}

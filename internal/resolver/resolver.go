@@ -188,7 +188,9 @@ type Config struct {
 }
 
 // Stats counts resolver activity. Every counter the paper's experiments
-// compare across root modes lives here.
+// compare across root modes lives here. The resolver's own copy is only
+// ever moved by atomic adds (see count), so counting takes no lock and
+// queries answered on different cores share nothing but cache lines.
 type Stats struct {
 	Resolutions       int64
 	Failures          int64
@@ -200,19 +202,19 @@ type Stats struct {
 	// Staged staleness outcomes for the local zone copy (PR 8).
 	LocalStaleConsults   int64 // consults answered from a stale-serve copy (TTLs capped)
 	LocalExpiredRefusals int64 // consults refused because the copy expired (fail closed)
-	TLDQueries           int64 // sent to TLD servers
-	OtherQueries         int64
-	Timeouts             int64
-	LameResponses        int64 // SERVFAIL/REFUSED answers from upstreams
-	GlueChases           int64 // sub-resolutions for nameserver addresses
-	StaleAnswers         int64 // resolutions served from expired cache entries
-	ServerSelections     int64 // SRTT-based choices among multiple servers
-	SRTTUpdates          int64
-	CNAMEChases          int64
-	HoldDowns            int64 // circuit-breaker trips (server held down)
-	HeldDownSkips        int64 // candidate servers skipped while held down
-	Probes               int64 // re-admission attempts after a hold-down
-	RetryBudgetStops     int64 // resolutions aborted by the retry budget
+	TLDQueries        int64 // sent to TLD servers
+	OtherQueries      int64
+	Timeouts          int64
+	LameResponses     int64 // SERVFAIL/REFUSED answers from upstreams
+	GlueChases        int64 // sub-resolutions for nameserver addresses
+	StaleAnswers      int64 // resolutions served from expired cache entries
+	ServerSelections  int64 // SRTT-based choices among multiple servers
+	SRTTUpdates       int64
+	CNAMEChases       int64
+	HoldDowns         int64 // circuit-breaker trips (server held down)
+	HeldDownSkips     int64 // candidate servers skipped while held down
+	Probes            int64 // re-admission attempts after a hold-down
+	RetryBudgetStops  int64 // resolutions aborted by the retry budget
 	// Overload-protection outcomes (PR 3).
 	CoalescedResolutions int64 // resolutions that shared another's in-flight result
 	ShedResolutions      int64 // resolutions refused an admission slot
@@ -225,20 +227,6 @@ type Stats struct {
 	BogusRejected        int64 // bogus responses refused under PolicyStrict
 	NSECSynthesized      int64 // queries answered from validated NSEC ranges (RFC 8198)
 	DNSKEYFetches        int64 // DNSKEY sub-queries issued to establish zone keys
-}
-
-// counters is Stats as the resolver keeps it: the same fields, each an
-// atomic, so counting takes no lock and queries answered on different
-// cores share nothing but cache lines. Stats() pairs the two field by
-// field in declaration order (TestCountersMirrorStats holds them equal).
-type counters struct {
-	Resolutions, Failures, CacheAnswers, NegCacheAnswers, TotalQueries, RootQueries,
-	LocalRootConsults, LocalStaleConsults, LocalExpiredRefusals, TLDQueries, OtherQueries,
-	Timeouts, LameResponses, GlueChases, StaleAnswers, ServerSelections, SRTTUpdates,
-	CNAMEChases, HoldDowns, HeldDownSkips, Probes, RetryBudgetStops,
-	CoalescedResolutions, ShedResolutions, NXDomainCutHits,
-	SecureAnswers, InsecureAnswers, BogusAnswers, IndeterminateAnswers, BogusRejected,
-	NSECSynthesized, DNSKEYFetches atomic.Int64
 }
 
 // Result is the outcome of one resolution.
@@ -289,6 +277,10 @@ type localRoot struct {
 // concurrent use: the daemon's front door answers from socket workers
 // and from a pool of goroutines against a single shared resolver.
 type Resolver struct {
+	// stats comes first: 64-bit atomics want the alignment on 32-bit
+	// platforms.
+	stats Stats
+
 	cfg   Config
 	cache *cache.Cache
 
@@ -325,7 +317,6 @@ type Resolver struct {
 	// Config.LocalZone is only the copy New starts with.
 	local atomic.Pointer[localRoot]
 
-	stats     counters
 	rootAddrs map[netip.Addr]bool // read-only after New
 
 	// mu guards what only upstream work touches. A query answered from
@@ -405,7 +396,7 @@ func (r *Resolver) Stats() Stats {
 	var out Stats
 	src, dst := reflect.ValueOf(&r.stats).Elem(), reflect.ValueOf(&out).Elem()
 	for i := 0; i < dst.NumField(); i++ {
-		dst.Field(i).SetInt(src.Field(i).Addr().Interface().(*atomic.Int64).Load())
+		dst.Field(i).SetInt(atomic.LoadInt64(src.Field(i).Addr().Interface().(*int64)))
 	}
 	return out
 }
@@ -567,9 +558,13 @@ func (r *Resolver) PreloadRootZone(z *zone.Zone) {
 }
 
 // count is the single mutation path for the counters: every write in the
-// package goes through here (pinned by TestAllCounterWritesUseCount), so
-// no counter can be touched by anything but an atomic add.
-func (r *Resolver) count(f func(*counters)) { f(&r.stats) }
+// package is an inc inside a closure passed here (both pinned by
+// TestAllCounterWritesUseCount), so no counter can be touched by anything
+// but an atomic add.
+func (r *Resolver) count(f func(*Stats)) { f(&r.stats) }
+
+// inc moves one counter of the Stats a count closure was handed.
+func inc(counter *int64, n int64) { atomic.AddInt64(counter, n) }
 
 // randID draws a query ID from the runtime's per-thread generator: no
 // lock, and not predictable from Config.Seed.
@@ -582,25 +577,45 @@ func (r *Resolver) srttFor(addr netip.Addr) time.Duration {
 	return r.srtt[addr]
 }
 
-// Resolve performs a full iterative resolution of (qname, qtype). With
-// coalescing enabled, concurrent identical calls collapse onto one
-// leader: it alone does the work, and every waiter shares its result.
+// Resolve performs a full iterative resolution of (qname, qtype). What
+// the resolver already knows is answered first, without touching the
+// flight table or any lock shared with upstream work.
 func (r *Resolver) Resolve(qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
+	var c chain
+	tr, ok := r.resolveKnown(qname, qtype, &c)
+	if !ok {
+		return r.resolveUpstream(qname, qtype, tr)
+	}
+	res := new(Result)
+	c.result(res)
+	return res, nil
+}
+
+// resolveUpstream resolves a question resolveKnown could not answer; tr is
+// the trace resolveKnown began for it. With coalescing enabled, concurrent
+// identical calls collapse onto one leader: it alone does the work, and
+// every waiter shares its result. The leader starts over at the cache —
+// the question was looked up before it joined the flight, and an earlier
+// flight may have landed the answer since — so a question that goes
+// upstream is looked up twice, which is what keeps a burst of one question
+// down to one upstream resolution.
+func (r *Resolver) resolveUpstream(qname dnswire.Name, qtype dnswire.Type, tr *obs.Trace) (*Result, error) {
 	// Classify before the coalescing branch so waiters and duplicates
 	// count toward the composition too (they are real arriving queries).
 	var class string
 	if r.traffic != nil {
 		class = r.traffic.Observe(qname, qtype).String()
+		tr.SetClass(class)
 	}
 	if r.flight == nil {
-		return r.resolveTop(qname, qtype, class)
+		return r.resolveTop(qname, qtype, class, tr)
 	}
 	var flightStart time.Time
-	if r.tracer.Enabled() {
+	if tr != nil {
 		flightStart = time.Now()
 	}
 	v, err, shared := r.flight.Do(flightKey{qname, qtype}, func() (any, error) {
-		return r.resolveTop(qname, qtype, class)
+		return r.resolveTop(qname, qtype, class, tr)
 	})
 	res, _ := v.(*Result)
 	if res == nil {
@@ -611,9 +626,8 @@ func (r *Resolver) Resolve(qname dnswire.Name, qtype dnswire.Type) (*Result, err
 	}
 	// A waiter: count it as its own resolution (every Resolve call is
 	// one) and hand back a copy so callers cannot alias each other.
-	r.count(func(s *counters) { s.Resolutions.Add(1); s.CoalescedResolutions.Add(1) })
-	if tr := r.tracer.Begin(string(qname), qtype.String()); tr != nil {
-		tr.SetClass(class)
+	r.count(func(s *Stats) { inc(&s.Resolutions, 1); inc(&s.CoalescedResolutions, 1) })
+	if tr != nil {
 		// The waiter's whole life was spent blocked on the leader's
 		// flight: charge it to overload_wait in the attribution.
 		wsp := tr.StartSpan(obs.PhaseOverloadWait, "coalesce-wait")
@@ -632,14 +646,10 @@ type flightKey struct {
 	typ  dnswire.Type
 }
 
-// resolveTop runs one top-level resolution: trace lifecycle, admission
-// token, and latency observation. Glue chases re-enter resolve directly,
-// sharing the parent's token and trace.
-func (r *Resolver) resolveTop(qname dnswire.Name, qtype dnswire.Type, class string) (*Result, error) {
-	tr := r.tracer.Begin(string(qname), qtype.String())
-	if class != "" {
-		tr.SetClass(class)
-	}
+// resolveTop runs one top-level resolution: admission token, the end of
+// the trace, and latency observation. Glue chases re-enter resolve
+// directly, sharing the parent's token and trace.
+func (r *Resolver) resolveTop(qname dnswire.Name, qtype dnswire.Type, class string, tr *obs.Trace) (*Result, error) {
 	var tok gateToken
 	res, err := r.resolve(qname, qtype, tr, &tok)
 	if tok.held {
@@ -715,53 +725,37 @@ func (r *Resolver) admit(tok *gateToken, tr *obs.Trace) error {
 			return nil
 		}
 		tok.shed = true
-		r.count(func(s *counters) { s.ShedResolutions.Add(1) })
+		r.count(func(s *Stats) { inc(&s.ShedResolutions, 1) })
 		tr.Eventf("shed", "admission gate full; shedding upstream work")
 	}
 	return ErrOverloaded
 }
 
 // resolve is the trace-carrying resolution core (glue chases re-enter
-// here so their events land in the parent's trace).
+// here so their events land in the parent's trace): a walk that may go
+// upstream.
 func (r *Resolver) resolve(qname dnswire.Name, qtype dnswire.Type, tr *obs.Trace, tok *gateToken) (*Result, error) {
-	r.count(func(s *counters) { s.Resolutions.Add(1) })
+	r.count(func(s *Stats) { inc(&s.Resolutions, 1) })
 	res := &Result{Rcode: dnswire.RcodeServFail}
 	budget := r.cfg.MaxQueries
 	retries := r.retryBudget()
 
-	target := qname
-	var chain []dnswire.RR
-	// AD holds only if every link of a CNAME chain validated Secure.
-	authAll := true
-	for depth := 0; depth < maxCNAMEDepth; depth++ {
-		res.AuthData = false
-		rcode, rrs, err := r.iterate(target, qtype, res, &budget, &retries, tr, tok)
+	var c chain
+	err := r.walk(qname, qtype, tr, func(target dnswire.Name) (known, error) {
+		k, err := r.iterate(target, qtype, res, &budget, &retries, tr, tok)
 		if err != nil {
-			r.count(func(s *counters) { s.Failures.Add(1) })
 			tr.Eventf("fail", "%s: %v", target, err)
-			return res, err
 		}
-		res.Rcode = rcode
-		authAll = authAll && res.AuthData
-		// Follow a CNAME unless that is what was asked for.
-		if rcode == dnswire.RcodeSuccess && qtype != dnswire.TypeCNAME {
-			if cn, ok := terminalCNAME(rrs, target); ok {
-				chain = append(chain, rrs...)
-				target = cn
-				r.count(func(s *counters) { s.CNAMEChases.Add(1) })
-				if tr != nil {
-					tr.Eventf("cname", "chasing %s -> %s", qname, cn)
-				}
-				continue
-			}
-		}
-		res.Answers = append(chain, rrs...)
-		res.FromCache = res.Queries == 0
-		res.AuthData = authAll
-		return res, nil
+		return k, err
+	}, &c)
+	r.commit(&c)
+	if err != nil {
+		r.count(func(s *Stats) { inc(&s.Failures, 1) })
+		res.Rcode = c.rcode
+		return res, err
 	}
-	r.count(func(s *counters) { s.Failures.Add(1) })
-	return res, errors.New("resolver: CNAME chain too long")
+	c.result(res)
+	return res, nil
 }
 
 // terminalCNAME reports whether rrs answers name only via a CNAME.
@@ -792,17 +786,10 @@ type nsSet struct {
 	local bool
 }
 
-// iterate resolves one name without following CNAMEs.
-func (r *Resolver) iterate(qname dnswire.Name, qtype dnswire.Type, res *Result, budget, retries *int, tr *obs.Trace, tok *gateToken) (dnswire.Rcode, []dnswire.RR, error) {
-	if k, ok := r.probe(qname, qtype, tr); ok {
-		r.countProbeHit(k.src)
-		res.AuthData = k.secure
-		return k.rcode, k.copyRRs(), nil
-	}
-	if tr != nil {
-		tr.Eventf("cache-miss", "%s %s", qname, qtype)
-	}
-
+// iterate resolves one name nothing known answers, without following
+// CNAMEs: from the closest delegation the cache holds (or the root, per
+// the mode) down to an answer.
+func (r *Resolver) iterate(qname dnswire.Name, qtype dnswire.Type, res *Result, budget, retries *int, tr *obs.Trace, tok *gateToken) (known, error) {
 	cur := r.closestNameservers(qname)
 	for hop := 0; hop < 24; hop++ {
 		if cur.local {
@@ -811,11 +798,10 @@ func (r *Resolver) iterate(qname dnswire.Name, qtype dnswire.Type, res *Result, 
 			}
 			asp := tr.StartSpan(obs.PhaseAuth, "local-root")
 			lk := r.lookupLocalRoot(qname, qtype)
-			next, k, done := r.applyLocalRoot(qname, qtype, &lk)
+			next, k, done := r.applyLocalRoot(&lk)
 			asp.End()
 			if done {
-				res.AuthData = k.secure
-				return k.rcode, k.rrs, nil
+				return k, nil
 			}
 			tr.Eventf("referral", "local zone -> %s (%d servers)", next.zone, len(next.hosts))
 			cur = next
@@ -826,9 +812,9 @@ func (r *Resolver) iterate(qname dnswire.Name, qtype dnswire.Type, res *Result, 
 		if err != nil {
 			if rrs, ok := r.staleAnswer(qname, qtype); ok {
 				tr.Eventf("stale", "served %s %s from expired cache", qname, qtype)
-				return dnswire.RcodeSuccess, rrs, nil
+				return known{src: counted, rrs: rrs}, nil
 			}
-			return dnswire.RcodeServFail, nil, err
+			return known{}, err
 		}
 
 		secure := false
@@ -839,21 +825,20 @@ func (r *Resolver) iterate(qname dnswire.Name, qtype dnswire.Type, res *Result, 
 			if outcome == validator.Bogus && r.cfg.Validate == validator.PolicyStrict {
 				// Strict policy: the answer is discarded before any of it
 				// can reach the cache, and the resolution fails closed.
-				r.count(func(s *counters) { s.BogusRejected.Add(1) })
-				return dnswire.RcodeServFail, nil, fmt.Errorf("%w: %w", ErrBogus, verr)
+				r.count(func(s *Stats) { inc(&s.BogusRejected, 1) })
+				return known{}, fmt.Errorf("%w: %w", ErrBogus, verr)
 			}
 			secure = outcome == validator.Secure
 		}
 
 		rcode, rrs, next, done := r.processResponse(cur, qname, qtype, resp)
 		if done {
-			res.AuthData = secure
-			return rcode, rrs, nil
+			return known{src: counted, rcode: rcode, rrs: rrs, secure: secure}, nil
 		}
 		tr.Eventf("referral", "hop=%d %s -> %s (%d servers)", hop+1, cur.zone, next.zone, len(next.hosts))
 		cur = next
 	}
-	return dnswire.RcodeServFail, nil, ErrLame
+	return known{}, ErrLame
 }
 
 // staleAnswer consults the expired cache when serve-stale is enabled.
@@ -866,7 +851,7 @@ func (r *Resolver) staleAnswer(qname dnswire.Name, qtype dnswire.Type) ([]dnswir
 		limit = 24 * time.Hour
 	}
 	if hit, ok := r.cache.GetStale(qname, qtype, limit); ok {
-		r.count(func(s *counters) { s.StaleAnswers.Add(1) })
+		r.count(func(s *Stats) { inc(&s.StaleAnswers, 1) })
 		return hit.CopyRRs(), true
 	}
 	return nil, false
@@ -980,7 +965,7 @@ func (r *Resolver) serverAddrs(set nsSet, res *Result, budget *int, chase bool, 
 		if busy {
 			continue // a chase for this host encloses us; avoid the loop
 		}
-		r.count(func(s *counters) { s.GlueChases.Add(1) })
+		r.count(func(s *Stats) { inc(&s.GlueChases, 1) })
 		tr.Eventf("glue-chase", "resolving %s A out of band", host)
 		gsp := tr.StartSpan(obs.PhaseOther, "glue-chase")
 		if gsp != nil {
@@ -1035,13 +1020,13 @@ func (r *Resolver) queryZoneServers(set nsSet, qname dnswire.Name, qtype dnswire
 	r.orderBySRTT(addrs)
 	candidates, heldCount, probes := r.planAttempts(addrs, r.cfg.Clock())
 	if heldCount > 0 {
-		r.count(func(s *counters) { s.HeldDownSkips.Add(int64(heldCount)) })
+		r.count(func(s *Stats) { inc(&s.HeldDownSkips, int64(heldCount)) })
 		if tr != nil {
 			tr.Eventf("hold-down", "zone=%s skipping %d held-down servers", set.zone, heldCount)
 		}
 	}
 	if len(candidates) > 1 {
-		r.count(func(s *counters) { s.ServerSelections.Add(1) })
+		r.count(func(s *Stats) { inc(&s.ServerSelections, 1) })
 		if tr != nil { // srttFor takes the lock; skip entirely when not tracing
 			tr.Eventf("select", "zone=%s picked %s by SRTT (%v) of %d servers",
 				set.zone, candidates[0], r.srttFor(candidates[0]), len(candidates))
@@ -1061,21 +1046,21 @@ func (r *Resolver) queryZoneServers(set nsSet, qname dnswire.Name, qtype dnswire
 			tr.Eventf("retry", "attempt=%d trying %s", attempt+1, addr)
 		}
 		if probes[addr] {
-			r.count(func(s *counters) { s.Probes.Add(1) })
+			r.count(func(s *Stats) { inc(&s.Probes, 1) })
 			tr.Eventf("probe", "re-admitting %s after hold-down", addr)
 		}
 
-		r.count(func(s *counters) {
-			s.TotalQueries.Add(1)
+		r.count(func(s *Stats) {
+			inc(&s.TotalQueries, 1)
 			switch {
 			case r.rootAddrs[addr] || (set.zone.IsRoot() && r.cfg.Mode == RootModeHints):
-				s.RootQueries.Add(1)
+				inc(&s.RootQueries, 1)
 			case addr == r.cfg.LocalAuthAddr && r.cfg.Mode == RootModeLocalAuth:
-				s.LocalRootConsults.Add(1)
+				inc(&s.LocalRootConsults, 1)
 			case set.zone.LabelCount() == 1:
-				s.TLDQueries.Add(1)
+				inc(&s.TLDQueries, 1)
 			default:
-				s.OtherQueries.Add(1)
+				inc(&s.OtherQueries, 1)
 			}
 		})
 
@@ -1099,7 +1084,7 @@ func (r *Resolver) queryZoneServers(set nsSet, qname dnswire.Name, qtype dnswire
 		if err != nil {
 			xsp.SetPhase(obs.PhaseBackoff)
 			xsp.EndWithDuration(rtt)
-			r.count(func(s *counters) { s.Timeouts.Add(1) })
+			r.count(func(s *Stats) { inc(&s.Timeouts, 1) })
 			r.updateSRTT(addr, rtt, true)
 			tr.Eventf("timeout", "%s after %v: %v", addr, rtt, err)
 			lastErr = fmt.Errorf("%w: %v", ErrTimeout, err)
@@ -1112,7 +1097,7 @@ func (r *Resolver) queryZoneServers(set nsSet, qname dnswire.Name, qtype dnswire
 		if resp.Rcode == dnswire.RcodeServFail || resp.Rcode == dnswire.RcodeRefused {
 			xsp.SetPhase(obs.PhaseBackoff)
 			xsp.EndWithDuration(rtt)
-			r.count(func(s *counters) { s.LameResponses.Add(1) })
+			r.count(func(s *Stats) { inc(&s.LameResponses, 1) })
 			tr.Eventf("lame", "%s from %s", resp.Rcode, addr)
 			lastErr = fmt.Errorf("%w: %s from %s", ErrLame, resp.Rcode, addr)
 			if err := r.recordFailure(addr, retries, tr); err != nil {
@@ -1125,7 +1110,7 @@ func (r *Resolver) queryZoneServers(set nsSet, qname dnswire.Name, qtype dnswire
 			// over to the next candidate like any other lame answer.
 			xsp.SetPhase(obs.PhaseBackoff)
 			xsp.EndWithDuration(rtt)
-			r.count(func(s *counters) { s.LameResponses.Add(1) })
+			r.count(func(s *Stats) { inc(&s.LameResponses, 1) })
 			tr.Eventf("lame", "non-descending referral from %s", addr)
 			lastErr = fmt.Errorf("%w: non-descending referral from %s", ErrLame, addr)
 			if err := r.recordFailure(addr, retries, tr); err != nil {
@@ -1172,7 +1157,7 @@ func (r *Resolver) exchange(tr *obs.Trace, dst netip.Addr, q *dnswire.Message) (
 func (r *Resolver) recordFailure(addr netip.Addr, retries *int, tr *obs.Trace) error {
 	backoff, hold := r.noteFailure(addr, r.cfg.Clock())
 	if hold > 0 {
-		r.count(func(s *counters) { s.HoldDowns.Add(1) })
+		r.count(func(s *Stats) { inc(&s.HoldDowns, 1) })
 		tr.Eventf("hold-down", "tripped %s for %v", addr, hold)
 	} else if backoff > 0 && tr != nil {
 		tr.Eventf("backoff", "%s backing off %v", addr, backoff)
@@ -1181,7 +1166,7 @@ func (r *Resolver) recordFailure(addr netip.Addr, retries *int, tr *obs.Trace) e
 	if *retries > 0 {
 		return nil
 	}
-	r.count(func(s *counters) { s.RetryBudgetStops.Add(1) })
+	r.count(func(s *Stats) { inc(&s.RetryBudgetStops, 1) })
 	tr.Eventf("retry-budget", "exhausted at %s", addr)
 	return ErrRetryBudget
 }
@@ -1394,7 +1379,7 @@ const maxSRTTEntries = 1 << 16
 // updateSRTT folds a measurement into the per-server estimate (EWMA with
 // BIND-style decay; timeouts penalize multiplicatively).
 func (r *Resolver) updateSRTT(addr netip.Addr, rtt time.Duration, timedOut bool) {
-	r.count(func(s *counters) { s.SRTTUpdates.Add(1) })
+	r.count(func(s *Stats) { inc(&s.SRTTUpdates, 1) })
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old, ok := r.srtt[addr]

@@ -48,10 +48,12 @@ type Server struct {
 	door struct{ sync, pool, shed, malformed, limited atomic.Int64 }
 }
 
-// job is one question on its way to the miss pool.
+// job is one question on its way to the miss pool, with the trace the
+// socket worker began for it (nil when tracing is off).
 type job struct {
 	peer udpengine.Peer
 	q    dnswire.Query
+	tr   *obs.Trace
 }
 
 const (
@@ -149,12 +151,13 @@ func (s *Server) serveDatagram(req []byte, src udpengine.Peer, resp []byte) []by
 		s.door.sync.Add(1)
 		return writeResponse(resp, &q, rcode, false, nil)
 	}
-	var ans knownAnswer
-	if s.resolver.resolveKnown(q.Question.Name, q.Question.Type, &ans) {
+	var ans chain
+	tr, ok := s.resolver.resolveKnown(q.Question.Name, q.Question.Type, &ans)
+	if ok {
 		s.door.sync.Add(1)
 		return writeResponse(resp, &q, ans.rcode, ans.secure, ans.links[:ans.n])
 	}
-	if !s.submit(job{peer: src, q: q}) {
+	if !s.submit(job{peer: src, q: q, tr: tr}) {
 		s.door.shed.Add(1)
 		return nil
 	}
@@ -249,7 +252,7 @@ func (s *Server) work(j job) {
 	idle := time.NewTimer(s.idleExit)
 	defer idle.Stop()
 	for {
-		if buf = s.answerJob(&j.q, buf); len(buf) > 0 {
+		if buf = s.answerJob(&j, buf); len(buf) > 0 {
 			_ = j.peer.Reply(buf) // a failed send is counted by the engine
 		}
 		if !idle.Stop() {
@@ -267,16 +270,16 @@ func (s *Server) work(j job) {
 	}
 }
 
-// answerJob is the pool's route to a reply: Resolve, then the same
-// writer the socket worker uses, into buf. A failed resolution is
-// answered SERVFAIL.
-func (s *Server) answerJob(q *dnswire.Query, buf []byte) []byte {
-	res, err := s.resolver.Resolve(q.Question.Name, q.Question.Type)
+// answerJob is the pool's route to a reply: the upstream half of Resolve
+// (the socket worker ran the other), then the same writer the worker
+// uses, into buf. A failed resolution is answered SERVFAIL.
+func (s *Server) answerJob(j *job, buf []byte) []byte {
+	res, err := s.resolver.resolveUpstream(j.q.Question.Name, j.q.Question.Type, j.tr)
 	if err != nil {
-		return writeResponse(buf, q, dnswire.RcodeServFail, false, nil)
+		return writeResponse(buf, &j.q, dnswire.RcodeServFail, false, nil)
 	}
 	answers := [1]known{{rrs: res.Answers}}
-	return writeResponse(buf, q, res.Rcode, res.AuthData, answers[:])
+	return writeResponse(buf, &j.q, res.Rcode, res.AuthData, answers[:])
 }
 
 // ServeUDP answers stub queries on conn until ctx ends or the connection

@@ -54,7 +54,7 @@ func (r *Resolver) validateResponse(cur nsSet, qname dnswire.Name, qtype dnswire
 // fetchKeys issues the DNSKEY sub-query to the zone's servers and chains
 // the answer to the trust anchor via the validator.
 func (r *Resolver) fetchKeys(cur nsSet, res *Result, budget, retries *int, tr *obs.Trace, tok *gateToken) error {
-	r.count(func(s *counters) { s.DNSKEYFetches.Add(1) })
+	r.count(func(s *Stats) { inc(&s.DNSKEYFetches, 1) })
 	tr.Eventf("dnskey", "fetching %s DNSKEY to build the chain", cur.zone)
 	resp, err := r.queryZoneServers(cur, cur.zone, dnswire.TypeDNSKEY, res, budget, retries, tr, tok)
 	if err != nil {
@@ -68,14 +68,14 @@ func (r *Resolver) fetchKeys(cur nsSet, res *Result, budget, retries *int, tr *o
 func (r *Resolver) countOutcome(o validator.Outcome, zone dnswire.Name, tr *obs.Trace, cause error) (validator.Outcome, error) {
 	switch o {
 	case validator.Secure:
-		r.count(func(s *counters) { s.SecureAnswers.Add(1) })
+		r.count(func(s *Stats) { inc(&s.SecureAnswers, 1) })
 	case validator.Insecure:
-		r.count(func(s *counters) { s.InsecureAnswers.Add(1) })
+		r.count(func(s *Stats) { inc(&s.InsecureAnswers, 1) })
 	case validator.Bogus:
-		r.count(func(s *counters) { s.BogusAnswers.Add(1) })
+		r.count(func(s *Stats) { inc(&s.BogusAnswers, 1) })
 		tr.Eventf("bogus", "zone=%s: %v", zone, cause)
 	default:
-		r.count(func(s *counters) { s.IndeterminateAnswers.Add(1) })
+		r.count(func(s *Stats) { inc(&s.IndeterminateAnswers, 1) })
 	}
 	return o, cause
 }
