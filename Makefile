@@ -35,12 +35,12 @@ bench:
 	  go test -run='^$$' -bench=. -benchtime=100000x -count=1 -benchmem \
 	    ./internal/overload ./internal/dnswire ./internal/authserver; \
 	  go test -run='^$$' -bench='^(BenchmarkZoneQuery|BenchmarkNSECCovering)$$' -benchtime=100000x -count=1 -benchmem ./internal/zone; \
-	  go test -run='^$$' -bench='^(BenchmarkZoneNames|BenchmarkIndexBuild)$$' -benchtime=500x -count=1 -benchmem ./internal/zone; \
+	  go test -run='^$$' -bench='^(BenchmarkZoneNames|BenchmarkIndexBuild|BenchmarkZoneClone)$$' -benchtime=500x -count=1 -benchmem ./internal/zone; \
 	  go test -run='^$$' -bench='^BenchmarkCache$$/^(Get|Put)$$' -benchtime=1000000x -count=1 -benchmem ./internal/cache; \
 	  go test -run='^$$' -bench='^BenchmarkCache$$/^GetParallel' -benchtime=100000x -count=1 -benchmem -cpu=8 ./internal/cache; \
 	  go test -run='^$$' -bench='^BenchmarkValidate$$' -benchtime=20000x -count=1 -benchmem ./internal/dnssec/validator; \
 	  go test -run='^$$' -bench='^BenchmarkNSECSynthesize$$' -benchtime=200000x -count=1 -benchmem ./internal/cache; \
-	  go test -run='^$$' -bench='^(BenchmarkDeltaApply|BenchmarkFullBundleVerify)$$' -benchtime=500x -count=1 -benchmem ./internal/dist; \
+	  go test -run='^$$' -bench='^(BenchmarkDeltaApply|BenchmarkDeltaApplyRoot|BenchmarkFullBundleVerify)$$' -benchtime=500x -count=1 -benchmem ./internal/dist; \
 	  go test -run='^$$' -bench='^BenchmarkServedQPS$$' -benchtime=20000x -count=1 ./internal/loadgen \
 	) | tee /dev/stderr | go run ./cmd/benchreport -write $(BENCH); \
 	go run ./cmd/benchreport -validate $(BENCH) -min 8; \

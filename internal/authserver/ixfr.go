@@ -77,35 +77,26 @@ func (s *Server) recordVersion(z *zone.Zone) {
 // ixfrDiff computes the deleted/added RRsets between two versions in
 // IXFR stream order: oldSOA, deletions, newSOA, additions.
 func ixfrDiff(old, new *zone.Zone) (deleted, added []dnswire.RR) {
-	oldSet := make(map[string]dnswire.RR)
-	for _, rr := range old.Records() {
-		if rr.Type == dnswire.TypeSOA && rr.Name == old.Origin {
-			continue
+	// only appends the records of have that want lacks, the apex SOA aside.
+	only := func(out, have, want []dnswire.RR) []dnswire.RR {
+		in := make(map[string]bool, len(want))
+		for _, rr := range want {
+			in[rr.String()] = true
 		}
-		oldSet[rr.String()] = rr
-	}
-	newSet := make(map[string]dnswire.RR)
-	for _, rr := range new.Records() {
-		if rr.Type == dnswire.TypeSOA && rr.Name == new.Origin {
-			continue
-		}
-		newSet[rr.String()] = rr
-	}
-	for _, rr := range old.Records() {
-		key := rr.String()
-		if _, ok := newSet[key]; !ok && oldSet[key].Data != nil {
-			deleted = append(deleted, rr)
-		}
-	}
-	for _, rr := range new.Records() {
-		key := rr.String()
-		if _, ok := oldSet[key]; !ok {
+		for _, rr := range have {
 			if rr.Type == dnswire.TypeSOA && rr.Name == new.Origin {
 				continue
 			}
-			added = append(added, rr)
+			if !in[rr.String()] {
+				out = append(out, rr)
+			}
 		}
+		return out
 	}
+	zone.DiffOwners(old, new, func(_ dnswire.Name, was, now []dnswire.RR) {
+		deleted = only(deleted, was, now)
+		added = only(added, now, was)
+	})
 	return deleted, added
 }
 

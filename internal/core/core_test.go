@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"net/http/httptest"
 	"net/netip"
 	"testing"
 	"time"
@@ -168,6 +169,67 @@ func TestLocalRootFullDNSSECVerify(t *testing.T) {
 	}
 	if lr2.Tick(context.Background()) {
 		t.Error("unsigned zone passed full verification")
+	}
+}
+
+// TestLocalRootFollowsMirrorByDelta: a LocalRoot whose source is a
+// mirror's HTTP client catches up by signed delta once it holds a copy,
+// in every verification mode: wrapping the source with validation must
+// not hide its delta chains from the refresher.
+func TestLocalRootFollowsMirrorByDelta(t *testing.T) {
+	s := signer(t)
+	clk := &vclock{t: time.Date(2019, time.June, 1, 0, 0, 0, 0, time.UTC)}
+	z1 := rootAt(t, clk.t)
+	if err := s.SignZone(z1, clk.t); err != nil {
+		t.Fatal(err)
+	}
+	// The next serial: one TLD loses its DS, and the zone is re-signed.
+	z2 := rootAt(t, clk.t)
+	z2.Remove("com.", dnswire.TypeDS)
+	soa, _ := z2.SOA()
+	next := soa.Data.(dnswire.SOA)
+	next.Serial++
+	z2.Remove(dnswire.Root, dnswire.TypeSOA)
+	if err := z2.Add(dnswire.NewRR(dnswire.Root, soa.TTL, next)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SignZone(z2, clk.t); err != nil {
+		t.Fatal(err)
+	}
+
+	m := dist.NewMirror(s, 4)
+	if err := m.Publish(z1); err != nil {
+		t.Fatal(err)
+	}
+	web := httptest.NewServer(m)
+	defer web.Close()
+	client := dist.NewHTTPClient(web.URL)
+	srv := authserver.New(zone.New(dnswire.Root))
+	lr, err := New(Config{
+		Source: client, KSK: s.KSK.DNSKEY, Anchor: s.TrustAnchor(),
+		Verify: VerifyBoth, AuthServer: srv, Clock: clk.now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !lr.Tick(context.Background()) {
+		t.Fatalf("bootstrap fetch failed: %v", lr.State().LastErr)
+	}
+	if err := m.Publish(z2); err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(42 * time.Hour)
+	if !lr.Tick(context.Background()) {
+		t.Fatalf("refresh one serial behind failed: %v", lr.State().LastErr)
+	}
+	st := lr.State()
+	full, delta := client.Fetches()
+	if st.Serial != next.Serial || st.DeltaInstalls != 1 || st.ChainFallbacks != 0 || full != 1 || delta != 1 {
+		t.Errorf("serial %d (want %d), delta installs %d, chain fallbacks %d, fetches full %d delta %d; want one of each fetch and a delta install",
+			st.Serial, next.Serial, st.DeltaInstalls, st.ChainFallbacks, full, delta)
+	}
+	if got := srv.Zone().Lookup("com.", dnswire.TypeDS); len(got) != 0 {
+		t.Errorf("the served zone still has com. DS after the delta: %v", got)
 	}
 }
 

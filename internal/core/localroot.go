@@ -158,9 +158,13 @@ func New(cfg Config) (*LocalRoot, error) {
 
 // verifying wraps a source with full-DNSSEC validation when configured;
 // detached-signature validation always runs in the refresher, and every
-// source — primary or fallback — goes through the same pipeline.
+// source — primary or fallback — goes through the same pipeline. A
+// source that also serves signed delta chains keeps doing so through the
+// wrapper, or the refresher would never find its O(delta) path: a chain
+// needs no validation here, since the refresher checks every link's
+// signature and the RRSIG of every RRset it changes.
 func (lr *LocalRoot) verifying(src dist.Source) dist.Source {
-	return dist.SourceFunc(func(ctx context.Context) (*dist.Bundle, error) {
+	full := dist.SourceFunc(func(ctx context.Context) (*dist.Bundle, error) {
 		b, err := src.Fetch(ctx)
 		if err != nil {
 			return nil, err
@@ -172,6 +176,17 @@ func (lr *LocalRoot) verifying(src dist.Source) dist.Source {
 		}
 		return b, nil
 	})
+	if ds, ok := src.(dist.DeltaSource); ok {
+		return deltaSource{full, ds}
+	}
+	return full
+}
+
+// deltaSource is a verifying source over one that is a dist.DeltaSource
+// too: Fetch validates, FetchDeltaChain is the wrapped source's own.
+type deltaSource struct {
+	dist.Source
+	dist.DeltaSource
 }
 
 // install pushes a verified zone into the configured serving paths.

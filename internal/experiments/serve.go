@@ -116,12 +116,15 @@ func Serve(queries int) Result {
 				"%.2f msgs/read", msgsPerRead)(
 				msgsPerRead > 1.2 || !udpengine.BatchSupported()),
 			// The ratio of two saturation wall-clock measurements is noise
-			// under the race detector's ~10x slowdown and on a time-sliced
-			// single core — same caveat as the cache_shard_speedup figure;
-			// report it, but only gate where the host can measure it.
+			// under the race detector's ~10x slowdown and wherever the
+			// four workers, the generator and the test runner's other
+			// packages share fewer than four cores: at 2 vCPUs untouched
+			// code reads 0.37x–0.68x in one run of three or four. Same
+			// caveat as the scaling row above; report it, but only gate
+			// where the host can measure it.
 			row("packed-answer vs classic encode", "packed serves at least classic rate",
 				"%.2fx", packedRatio)(
-				packedRatio >= 0.7 || cores < 2 || raceEnabled),
+				packedRatio >= 0.7 || cores < 4 || raceEnabled),
 			row("paced 5k qps response rate", ">= 99% answered",
 				"%.4f (p999 %.1fms)", paced.RespRate, paced.P999*1e3)(
 				paced.RespRate >= 0.99 && (paced.P999 < 0.5 || raceEnabled)),

@@ -18,8 +18,8 @@ func (z *Zone) Indexed() bool { return z.idx.Load() != nil }
 func (z *Zone) OwnerNames() []dnswire.Name {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	names := make([]dnswire.Name, 0, len(z.records))
-	for n := range z.records {
+	names := make([]dnswire.Name, 0, len(z.nodes))
+	for n := range z.nodes {
 		names = append(names, n)
 	}
 	return names

@@ -188,9 +188,9 @@ func TestIndexEmptyNonTerminals(t *testing.T) {
 	checkIndexed(t, z, append(z.Names(), "c.example.", "b.example.", "y.example.", "0.example.", "zz.example."))
 }
 
-// Every Add and Remove must drop the index: after any interleaving of
-// mutations the indexed lookups still equal the scans of the zone as it
-// now is.
+// Every Add and Remove that changes the owner set or the NSEC chain
+// must drop the index: after any interleaving of mutations the indexed
+// lookups still equal the scans of the zone as it now is.
 func TestIndexInvalidatedByMutation(t *testing.T) {
 	z := rootZone(t).Clone()
 	r := rand.New(rand.NewSource(4))
@@ -222,27 +222,75 @@ func TestIndexInvalidatedByMutation(t *testing.T) {
 	}
 }
 
-// A zone that was verified, listed or cloned-from before install is
-// served with its index already built.
+// The index outlives every mutation that leaves what it lists alone: a
+// clone starts with its source's, an RRset that comes or goes at a
+// standing owner keeps it, and an owner or an NSEC that comes or goes
+// drops it, on the zone mutated and on no other generation.
 func TestIndexBuiltByNames(t *testing.T) {
-	z := rootZone(t).Clone()
-	if z.Indexed() {
-		t.Fatal("a fresh clone should build its index lazily")
-	}
-	z.Names()
+	src := rootZone(t)
+	src.Names()
+	z := src.Clone()
 	if !z.Indexed() {
-		t.Fatal("Names() did not leave the index in place")
+		t.Fatal("a clone of an indexed zone did not inherit the index")
 	}
-	z.Remove("com.", dnswire.TypeDS)
-	if z.Indexed() {
-		t.Fatal("Remove left a stale index in place")
+	probes := []dnswire.Name{"com.", "comx.", "nosuchtld.", "net.", "zz.", "new.", "ns.new."}
+	keeps := func(what string, mutate func()) {
+		t.Helper()
+		mutate()
+		if !z.Indexed() {
+			t.Fatalf("%s dropped the index", what)
+		}
+		checkIndexed(t, z, probes)
+	}
+	drops := func(what string, mutate func()) {
+		t.Helper()
+		z.Names()
+		mutate()
+		if z.Indexed() {
+			t.Fatalf("%s left a stale index in place", what)
+		}
+		checkIndexed(t, z, probes)
+	}
+	txt := func(name dnswire.Name) dnswire.RR {
+		return dnswire.NewRR(name, 60, dnswire.TXT{Strings: []string{"x"}})
+	}
+	keeps(`Remove("com.", DS)`, func() { z.Remove("com.", dnswire.TypeDS) })
+	keeps("removing a type the owner lacks", func() { z.Remove("com.", dnswire.TypeTXT) })
+	keeps("removing at a name that is not there", func() { z.Remove("nosuchtld.", dnswire.TypeANY) })
+	keeps("a new RRset at a standing owner", func() { _ = z.Add(txt("com.")) })
+	keeps("a duplicate record", func() { _ = z.Add(txt("com.")) })
+	drops("a new owner", func() { _ = z.Add(txt("ns.new.")) })
+	drops("an owner's last RRset going", func() { z.Remove("ns.new.", dnswire.TypeTXT) })
+	drops("a new NSEC at a standing owner", func() {
+		z.Remove("com.", dnswire.TypeNSEC) // (itself a drop)
+		z.Names()
+		_ = z.Add(dnswire.NewRR("com.", 60, dnswire.NSEC{NextName: "net.", Types: []dnswire.Type{dnswire.TypeNS}}))
+	})
+	drops("an NSEC going", func() { z.Remove("net.", dnswire.TypeNSEC) })
+	drops("a whole owner going", func() { z.Remove("org.", dnswire.TypeANY) })
+	if !src.Indexed() {
+		t.Fatal("mutating the clone dropped its source's index")
+	}
+	checkIndexed(t, src, probes)
+
+	fresh := zone.New(dnswire.Root)
+	_ = fresh.Add(txt("a."))
+	if fresh.Indexed() {
+		t.Fatal("a zone nobody has read from should build its index lazily")
+	}
+	fresh.Names()
+	if !fresh.Indexed() {
+		t.Fatal("Names() did not leave the index in place")
 	}
 }
 
 // TestConcurrentQueryAndMutation is the regression test for Query
 // reading a per-owner type map after releasing the lock: readers hammer
 // every indexed entry point while writers add and remove records at the
-// one owner name they all look at. Run under -race.
+// one owner name they all look at, and while cloners take generations
+// off the served zone and write to those at the same owner, so that the
+// node everyone reads is shared, copied and written all the time. Run
+// under -race.
 func TestConcurrentQueryAndMutation(t *testing.T) {
 	// A small signed-looking zone: every rebuild of the index the
 	// writers force is microseconds, so the readers get through many.
@@ -259,6 +307,28 @@ func TestConcurrentQueryAndMutation(t *testing.T) {
 	_ = z.Add(dnswire.NewRR(owner, 60, dnswire.TXT{Strings: []string{"seed"}}))
 	stop := make(chan struct{})
 	var readers, writers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		writers.Add(1)
+		go func(g int) {
+			defer writers.Done()
+			mine := dnswire.Name(fmt.Sprintf("cloner%d.", g))
+			for i := 0; i < 200; i++ {
+				c := z.Clone()
+				_ = c.Add(dnswire.NewRR(owner, 60, dnswire.TXT{Strings: []string{fmt.Sprint("clone", g, i)}}))
+				_ = c.Add(dnswire.NewRR(mine, 60, dnswire.NSEC{NextName: "t00.", Types: []dnswire.Type{dnswire.TypeTXT}}))
+				c.Remove("t07.", dnswire.TypeNS)
+				if nsec, ok := c.NSECCovering(mine); !ok || nsec.Name != mine {
+					t.Errorf("a clone's own NSEC does not cover its owner: %v, %v", nsec, ok)
+					return
+				}
+				if len(c.Lookup(owner, dnswire.TypeTXT)) == 0 || !c.Query("x.t07.", dnswire.TypeA).Authoritative {
+					t.Error("a clone lost its own writes")
+					return
+				}
+				c.Clone().Remove(owner, dnswire.TypeANY)
+			}
+		}(g)
+	}
 	for g := 0; g < 4; g++ {
 		readers.Add(1)
 		go func(g int) {
@@ -309,4 +379,7 @@ func TestConcurrentQueryAndMutation(t *testing.T) {
 	close(stop)
 	readers.Wait()
 	checkIndexed(t, z, []dnswire.Name{owner, "below." + owner, "nosuchtld.", "t07.", "a.", "zz."})
+	if z.HasName("cloner0.") || len(z.Lookup("t07.", dnswire.TypeNS)) != 1 {
+		t.Error("a write to a clone reached the zone it was cloned from")
+	}
 }

@@ -35,7 +35,10 @@ func Parse(r io.Reader, origin dnswire.Name) (*Zone, error) {
 		defaultTTL: 86400,
 	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
+	// The buffer grows to the longest line, 16 MB at most. It starts small
+	// because most of what is parsed is a delta's few kilobytes of text,
+	// once per refresh.
+	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
 	lineNo := 0
 	var pending []token
 	parenDepth := 0

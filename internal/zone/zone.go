@@ -9,6 +9,7 @@ package zone
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -25,17 +26,90 @@ import (
 // a lookup sees the zone either before or after a concurrent mutation,
 // never in between. What a method returns is the caller's: result slices
 // are copies, and rdata is immutable by convention.
+//
+// A zone is also one generation in a chain of them: Clone makes a
+// successor that shares every owner's node with its source, and a write
+// to either copies just the node it touches (see node and Clone).
 type Zone struct {
 	Origin dnswire.Name
 
-	mu      sync.RWMutex
-	records map[dnswire.Name]map[dnswire.Type][]dnswire.RR
-	// delegations caches the set of names that own NS rrsets other than
-	// the origin — the zone cuts.
-	delegations map[dnswire.Name]bool
+	mu    sync.RWMutex
+	nodes map[dnswire.Name]*node
+	// epoch is the zone's write token: it may write in place only the
+	// nodes that carry it. Atomic because Clone replaces it under the
+	// read lock, where another Clone may be doing the same; Add and
+	// Remove read it under the write lock.
+	epoch atomic.Pointer[epoch]
 	// idx is the canonical-order index of the current records, nil until
-	// a reader needs it and again after every mutation (see index).
+	// a reader needs it and again after a mutation that changes what it
+	// lists (see index).
 	idx atomic.Pointer[index]
+}
+
+// epoch is a write token, compared by address. It has a size so that two
+// of them never share one.
+type epoch struct{ _ byte }
+
+// node holds everything at one owner name. A zone writes a node in place
+// only while the node carries the zone's current epoch, which is to say
+// while no other generation can see it: a node made or copied by this
+// zone since the zone was last cloned or made by cloning. Every other
+// node is frozen for good, so the generations sharing it need no lock in
+// common, and a write goes to a copy (writable). An owner name with no
+// records has no node.
+type node struct {
+	epoch *epoch
+	sets  []rrset // by ascending type
+}
+
+// rrset is the records of one type at one owner, in the order they were
+// added. sorted says that this is also ascending order of rdata text,
+// the order Records lists a set in.
+type rrset struct {
+	typ    dnswire.Type
+	sorted bool
+	rrs    []dnswire.RR
+}
+
+// find returns the position of the type's RRset in nd.sets, or else the
+// position it would be inserted at. A nil node has no sets.
+func (nd *node) find(typ dnswire.Type) (int, bool) {
+	if nd == nil {
+		return 0, false
+	}
+	for i := range nd.sets {
+		if nd.sets[i].typ >= typ {
+			return i, nd.sets[i].typ == typ
+		}
+	}
+	return len(nd.sets), false
+}
+
+// get returns the node's RRset of the type, nil if it has none. The
+// slice is the node's own: callers copy before handing it on.
+func (nd *node) get(typ dnswire.Type) []dnswire.RR {
+	if i, ok := nd.find(typ); ok {
+		return nd.sets[i].rrs
+	}
+	return nil
+}
+
+// appendRecords appends the node's records in listing order: by type,
+// then by rdata text.
+func (nd *node) appendRecords(out []dnswire.RR) []dnswire.RR {
+	if nd == nil {
+		return out
+	}
+	for _, s := range nd.sets {
+		out = append(out, s.rrs...)
+		if !s.sorted {
+			added := out[len(out)-len(s.rrs):]
+			sort.Slice(added, func(i, j int) bool {
+				return added[i].Data.String() < added[j].Data.String()
+			})
+		}
+	}
+	return out
 }
 
 // index is the zone's owner names in DNSSEC canonical order (RFC 4034
@@ -44,12 +118,14 @@ type Zone struct {
 // the one at the last NSEC owner not after it. Both questions are one
 // binary search here instead of a scan, or a sort, of the whole zone.
 //
-// An index is immutable and describes one generation of the zone. It is
-// built and published by the first reader that needs it, under the read
-// lock, so no mutation can fall between the records it was built from
-// and its publication; Add and Remove drop it under the write lock. A
-// reader therefore never observes an index that misses a mutation. The
-// name strings share their bytes with the record map's keys.
+// An index is immutable and lists two sets of names, so it describes
+// every generation that has those two sets: a clone starts with its
+// source's index, and Add and Remove drop it, under the write lock, only
+// when they add or remove an owner name or an NSEC RRset. It is built
+// and published by the first reader that needs it, under the read lock,
+// so no mutation can fall between the records it was built from and its
+// publication. A reader therefore never observes an index that misses a
+// mutation. The name strings share their bytes with the node map's keys.
 type index struct {
 	names []dnswire.Name // every owner name
 	nsec  []dnswire.Name // the owners of an NSEC rrset, a subsequence of names
@@ -61,13 +137,13 @@ func (z *Zone) indexLocked() *index {
 	if ix := z.idx.Load(); ix != nil {
 		return ix
 	}
-	ix := &index{names: make([]dnswire.Name, 0, len(z.records))}
-	for n := range z.records {
+	ix := &index{names: make([]dnswire.Name, 0, len(z.nodes))}
+	for n := range z.nodes {
 		ix.names = append(ix.names, n)
 	}
 	dnswire.SortNames(ix.names)
 	for _, n := range ix.names {
-		if len(z.records[n][dnswire.TypeNSEC]) > 0 {
+		if _, ok := z.nodes[n].find(dnswire.TypeNSEC); ok {
 			ix.nsec = append(ix.nsec, n)
 		}
 	}
@@ -84,11 +160,46 @@ func firstAfter(names []dnswire.Name, name dnswire.Name) int {
 
 // New returns an empty zone for the given origin.
 func New(origin dnswire.Name) *Zone {
-	return &Zone{
-		Origin:      origin,
-		records:     make(map[dnswire.Name]map[dnswire.Type][]dnswire.RR),
-		delegations: make(map[dnswire.Name]bool),
+	z := &Zone{Origin: origin, nodes: make(map[dnswire.Name]*node)}
+	z.epoch.Store(new(epoch))
+	return z
+}
+
+// Clone returns the zone's successor generation: a zone with the same
+// records that shares every node with z. It copies the owner table and
+// nothing else, under z's read lock, so it costs the same whatever the
+// nodes hold and z's readers carry on. Both zones leave with a fresh
+// epoch: each now copies a node before its first write to it, and
+// neither sees the other's writes. The index, which no write alters,
+// comes along.
+func (z *Zone) Clone() *Zone {
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	z.epoch.Store(new(epoch))
+	c := &Zone{Origin: z.Origin, nodes: maps.Clone(z.nodes)}
+	c.epoch.Store(new(epoch))
+	c.idx.Store(z.idx.Load())
+	return c
+}
+
+// writable returns the node z holds at name, which is nd, in a state z
+// may write in place: nd itself if only z can see it, else a copy put in
+// its place. The copy shares nd's record slices but not their spare
+// capacity, so that appending to one reallocates it, and has room for
+// the one RRset an Add may be about to insert. The caller holds the
+// write lock.
+func (z *Zone) writable(name dnswire.Name, nd *node) *node {
+	ep := z.epoch.Load()
+	if nd.epoch == ep {
+		return nd
 	}
+	c := &node{epoch: ep, sets: make([]rrset, len(nd.sets), len(nd.sets)+1)}
+	for i, s := range nd.sets {
+		s.rrs = slices.Clip(s.rrs)
+		c.sets[i] = s
+	}
+	z.nodes[name] = c
+	return c
 }
 
 // Add inserts a record. Records outside the zone's origin are rejected.
@@ -99,21 +210,34 @@ func (z *Zone) Add(rr dnswire.RR) error {
 	}
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	byType, ok := z.records[rr.Name]
-	if !ok {
-		byType = make(map[dnswire.Type][]dnswire.RR)
-		z.records[rr.Name] = byType
-	}
-	for _, existing := range byType[rr.Type] {
-		if existing.Class == rr.Class && existing.Data.String() == rr.Data.String() {
-			return nil
+	nd := z.nodes[rr.Name]
+	i, have := nd.find(rr.Type)
+	var text, last string // rdata text of rr and of the set's last record
+	if have {
+		text = rr.Data.String()
+		for _, existing := range nd.sets[i].rrs {
+			last = existing.Data.String()
+			if existing.Class == rr.Class && last == text {
+				return nil
+			}
 		}
 	}
-	z.idx.Store(nil)
-	byType[rr.Type] = append(byType[rr.Type], rr)
-	if rr.Type == dnswire.TypeNS && rr.Name != z.Origin {
-		z.delegations[rr.Name] = true
+	if nd == nil {
+		nd = &node{epoch: z.epoch.Load()}
+		z.nodes[rr.Name] = nd
+		z.idx.Store(nil) // an owner more
+	} else {
+		nd = z.writable(rr.Name, nd)
 	}
+	if !have {
+		nd.sets = slices.Insert(nd.sets, i, rrset{typ: rr.Type, sorted: true})
+		if rr.Type == dnswire.TypeNSEC {
+			z.idx.Store(nil) // a link more in the chain
+		}
+	}
+	set := &nd.sets[i]
+	set.rrs = append(set.rrs, rr)
+	set.sorted = set.sorted && last <= text
 	return nil
 }
 
@@ -122,22 +246,21 @@ func (z *Zone) Add(rr dnswire.RR) error {
 func (z *Zone) Remove(name dnswire.Name, typ dnswire.Type) {
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	byType, ok := z.records[name]
-	if !ok {
+	nd := z.nodes[name]
+	if nd == nil {
 		return
 	}
-	z.idx.Store(nil)
-	if typ == dnswire.TypeANY {
-		delete(z.records, name)
-		delete(z.delegations, name)
-		return
-	}
-	delete(byType, typ)
-	if typ == dnswire.TypeNS {
-		delete(z.delegations, name)
-	}
-	if len(byType) == 0 {
-		delete(z.records, name)
+	i, have := nd.find(typ)
+	switch {
+	case typ == dnswire.TypeANY || have && len(nd.sets) == 1:
+		delete(z.nodes, name)
+		z.idx.Store(nil) // an owner fewer
+	case have:
+		nd = z.writable(name, nd)
+		nd.sets = slices.Delete(nd.sets, i, i+1)
+		if typ == dnswire.TypeNSEC {
+			z.idx.Store(nil) // a link fewer in the chain
+		}
 	}
 }
 
@@ -145,13 +268,7 @@ func (z *Zone) Remove(name dnswire.Name, typ dnswire.Type) {
 func (z *Zone) Lookup(name dnswire.Name, typ dnswire.Type) []dnswire.RR {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	rrs := z.records[name][typ]
-	if len(rrs) == 0 {
-		return nil
-	}
-	out := make([]dnswire.RR, len(rrs))
-	copy(out, rrs)
-	return out
+	return slices.Clone(z.nodes[name].get(typ))
 }
 
 // LookupAll returns every record at name, across types.
@@ -159,8 +276,10 @@ func (z *Zone) LookupAll(name dnswire.Name) []dnswire.RR {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
 	var out []dnswire.RR
-	for _, rrs := range z.records[name] {
-		out = append(out, rrs...)
+	if nd := z.nodes[name]; nd != nil {
+		for _, s := range nd.sets {
+			out = append(out, s.rrs...)
+		}
 	}
 	return out
 }
@@ -169,7 +288,7 @@ func (z *Zone) LookupAll(name dnswire.Name) []dnswire.RR {
 func (z *Zone) HasName(name dnswire.Name) bool {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	return len(z.records[name]) > 0
+	return z.nodes[name] != nil
 }
 
 // SOA returns the zone's SOA record, or false if absent.
@@ -203,28 +322,9 @@ func (z *Zone) Records() []dnswire.RR {
 	defer z.mu.RUnlock()
 	var out []dnswire.RR
 	for _, n := range z.indexLocked().names {
-		byType := z.records[n]
-		for _, t := range sortedTypes(byType) {
-			rrs := append([]dnswire.RR(nil), byType[t]...)
-			sort.Slice(rrs, func(i, j int) bool {
-				return rrs[i].Data.String() < rrs[j].Data.String()
-			})
-			out = append(out, rrs...)
-		}
+		out = z.nodes[n].appendRecords(out)
 	}
 	return out
-}
-
-// sortedTypes returns the types present at one owner in ascending order,
-// so that what is built from the per-owner map does not inherit its
-// iteration order.
-func sortedTypes(byType map[dnswire.Type][]dnswire.RR) []dnswire.Type {
-	types := make([]dnswire.Type, 0, len(byType))
-	for t := range byType {
-		types = append(types, t)
-	}
-	slices.Sort(types)
-	return types
 }
 
 // Len returns the number of records in the zone.
@@ -232,9 +332,9 @@ func (z *Zone) Len() int {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
 	n := 0
-	for _, byType := range z.records {
-		for _, rrs := range byType {
-			n += len(rrs)
+	for _, nd := range z.nodes {
+		for _, s := range nd.sets {
+			n += len(s.rrs)
 		}
 	}
 	return n
@@ -245,8 +345,8 @@ func (z *Zone) RRsetCount() int {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
 	n := 0
-	for _, byType := range z.records {
-		n += len(byType)
+	for _, nd := range z.nodes {
+		n += len(nd.sets)
 	}
 	return n
 }
@@ -255,9 +355,9 @@ func (z *Zone) RRsetCount() int {
 func (z *Zone) Delegations() []dnswire.Name {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	cuts := make([]dnswire.Name, 0, len(z.delegations))
+	cuts := []dnswire.Name{}
 	for _, n := range z.indexLocked().names {
-		if z.delegations[n] {
+		if z.isCut(n) {
 			cuts = append(cuts, n)
 		}
 	}
@@ -297,8 +397,8 @@ func (z *Zone) Query(name dnswire.Name, typ dnswire.Type) Answer {
 		return z.referral(cut)
 	}
 
-	if byType, exists := z.records[name]; exists {
-		if rrs := byType[typ]; len(rrs) > 0 {
+	if nd := z.nodes[name]; nd != nil {
+		if rrs := nd.get(typ); len(rrs) > 0 {
 			return Answer{
 				Rcode:         dnswire.RcodeSuccess,
 				Authoritative: true,
@@ -307,13 +407,13 @@ func (z *Zone) Query(name dnswire.Name, typ dnswire.Type) Answer {
 		}
 		if typ == dnswire.TypeANY {
 			var all []dnswire.RR
-			for _, t := range sortedTypes(byType) {
-				all = append(all, byType[t]...)
+			for _, s := range nd.sets {
+				all = append(all, s.rrs...)
 			}
 			return Answer{Rcode: dnswire.RcodeSuccess, Authoritative: true, Answer: all}
 		}
 		// CNAME at the name answers any type except CNAME itself.
-		if rrs := byType[dnswire.TypeCNAME]; len(rrs) > 0 {
+		if rrs := nd.get(dnswire.TypeCNAME); len(rrs) > 0 {
 			return Answer{
 				Rcode:         dnswire.RcodeSuccess,
 				Authoritative: true,
@@ -337,12 +437,19 @@ func (z *Zone) Query(name dnswire.Name, typ dnswire.Type) Answer {
 	return Answer{Rcode: rcode, Authoritative: true, Authority: z.soaAuthority()}
 }
 
+// isCut reports whether name is a zone cut: the owner of an NS RRset
+// other than the origin. The caller holds z.mu, as for the four helpers
+// below.
+func (z *Zone) isCut(name dnswire.Name) bool {
+	_, ok := z.nodes[name].find(dnswire.TypeNS)
+	return ok && name != z.Origin
+}
+
 // findCut locates the closest delegation at-or-above name, excluding the
-// origin. A cut exactly at name does not count for DS queries. The
-// caller holds z.mu, as for the three helpers below.
+// origin. A cut exactly at name does not count for DS queries.
 func (z *Zone) findCut(name dnswire.Name, typ dnswire.Type) (dnswire.Name, bool) {
 	for n := name; n != z.Origin && !n.IsRoot(); n = n.Parent() {
-		if z.delegations[n] {
+		if z.isCut(n) {
 			if n == name && typ == dnswire.TypeDS {
 				continue
 			}
@@ -354,23 +461,25 @@ func (z *Zone) findCut(name dnswire.Name, typ dnswire.Type) (dnswire.Name, bool)
 
 func (z *Zone) referral(cut dnswire.Name) Answer {
 	ans := Answer{Rcode: dnswire.RcodeSuccess}
-	nsSet := z.records[cut][dnswire.TypeNS]
+	nd := z.nodes[cut]
+	nsSet := nd.get(dnswire.TypeNS)
 	ans.Authority = append(ans.Authority, nsSet...)
 	// DS records live at the cut in the parent and accompany referrals.
-	ans.Authority = append(ans.Authority, z.records[cut][dnswire.TypeDS]...)
+	ans.Authority = append(ans.Authority, nd.get(dnswire.TypeDS)...)
 	for _, ns := range nsSet {
 		host := ns.Data.(dnswire.NS).Host
 		if !host.IsSubdomainOf(z.Origin) {
 			continue
 		}
-		ans.Additional = append(ans.Additional, z.records[host][dnswire.TypeA]...)
-		ans.Additional = append(ans.Additional, z.records[host][dnswire.TypeAAAA]...)
+		glue := z.nodes[host]
+		ans.Additional = append(ans.Additional, glue.get(dnswire.TypeA)...)
+		ans.Additional = append(ans.Additional, glue.get(dnswire.TypeAAAA)...)
 	}
 	return ans
 }
 
 func (z *Zone) soaAuthority() []dnswire.RR {
-	return append([]dnswire.RR(nil), z.records[z.Origin][dnswire.TypeSOA]...)
+	return slices.Clone(z.nodes[z.Origin].get(dnswire.TypeSOA))
 }
 
 // hasDescendants reports whether any stored name is strictly below name.
@@ -411,15 +520,55 @@ func (z *Zone) NSECCovering(name dnswire.Name) (dnswire.RR, bool) {
 	if i < 0 {
 		i = len(owners) - 1
 	}
-	return z.records[owners[i]][dnswire.TypeNSEC][0], true
+	return z.nodes[owners[i]].get(dnswire.TypeNSEC)[0], true
 }
 
-// Clone returns a deep-enough copy of the zone (records are value types
-// except rdata, which is immutable by convention).
-func (z *Zone) Clone() *Zone {
-	c := New(z.Origin)
-	for _, rr := range z.Records() {
-		_ = c.Add(rr)
+// DiffOwners calls fn, in canonical order, for every owner name whose
+// records differ between two zones, with the records each holds there
+// in Records order (nil for a name one of them lacks). The slices are
+// fn's to keep. It is the one walk every delta format derives from, and
+// between generations of one Clone chain it costs what changed: an owner
+// whose node the two still share is passed over on sight, and only the
+// rest are compared by content. It works on a clone of each zone, so it
+// holds no lock while fn runs and sees each zone as it was at the call.
+func DiffOwners(old, new *Zone, fn func(owner dnswire.Name, was, now []dnswire.RR)) {
+	a, b := old.Clone(), new.Clone()
+	an, bn := a.indexLocked().names, b.indexLocked().names
+	for i, j := 0, 0; i < len(an) || j < len(bn); {
+		var c int // which zone has the next name in order: <0 a, >0 b, 0 both
+		switch {
+		case j == len(bn):
+			c = -1
+		case i == len(an):
+			c = 1
+		case an[i] != bn[j]:
+			c = an[i].Compare(bn[j])
+		}
+		var owner dnswire.Name
+		var x, y *node
+		if c <= 0 {
+			owner, x = an[i], a.nodes[an[i]]
+			i++
+		}
+		if c >= 0 {
+			owner, y = bn[j], b.nodes[bn[j]]
+			j++
+		}
+		if x == y {
+			continue
+		}
+		was, now := x.appendRecords(nil), y.appendRecords(nil)
+		if !sameRecords(was, now) {
+			fn(owner, was, now)
+		}
 	}
-	return c
+}
+
+// sameRecords reports whether two record lists at one owner name are
+// equal element for element.
+func sameRecords(a, b []dnswire.RR) bool {
+	return slices.EqualFunc(a, b, func(x, y dnswire.RR) bool {
+		return x.Type == y.Type && x.Class == y.Class && x.TTL == y.TTL &&
+			x.Data.String() == y.Data.String()
+	})
 }

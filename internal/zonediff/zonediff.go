@@ -212,20 +212,21 @@ func ApplyAdditions(z *zone.Zone, additions []dnswire.RR) error {
 // sorted canonically and added records follow the new zone's RRset order,
 // so the delta is deterministic for a given (old, new) pair.
 func RRsetDelta(old, new *zone.Zone) (removed []dnswire.RRsetKey, added []dnswire.RR) {
-	_, oldSets := dnswire.GroupRRsets(old.Records())
-	newOrder, newSets := dnswire.GroupRRsets(new.Records())
-	for key, oldSet := range oldSets {
-		newSet, ok := newSets[key]
-		if !ok || !sameRRset(oldSet, newSet) {
-			removed = append(removed, key)
+	zone.DiffOwners(old, new, func(_ dnswire.Name, was, now []dnswire.RR) {
+		oldOrder, oldSets := dnswire.GroupRRsets(was)
+		newOrder, newSets := dnswire.GroupRRsets(now)
+		for _, key := range oldOrder {
+			if newSet, ok := newSets[key]; !ok || !sameRRset(oldSets[key], newSet) {
+				removed = append(removed, key)
+			}
 		}
-	}
-	for _, key := range newOrder {
-		if oldSet, ok := oldSets[key]; ok && sameRRset(oldSet, newSets[key]) {
-			continue
+		for _, key := range newOrder {
+			if oldSet, ok := oldSets[key]; ok && sameRRset(oldSet, newSets[key]) {
+				continue
+			}
+			added = append(added, newSets[key]...)
 		}
-		added = append(added, newSets[key]...)
-	}
+	})
 	sort.Slice(removed, func(i, j int) bool {
 		if c := removed[i].Name.Compare(removed[j].Name); c != 0 {
 			return c < 0
