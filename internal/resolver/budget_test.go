@@ -1,0 +1,162 @@
+package resolver
+
+import (
+	"fmt"
+	"net/netip"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"rootless/internal/dnswire"
+	"rootless/internal/zone"
+)
+
+// cutWorld is a root zone with a six-server TLD ("tld.") and a one-server
+// one ("other."), and below it a zero-RTT upstream shaped like rootbench's
+// Fabric: a TLD's servers refer every name to ns1.<sld> with in-bailiwick
+// glue, every other address answers A authoritatively. Responses are built
+// once per name, so what a resolution allocates is the resolver's.
+type cutWorld struct {
+	root  *zone.Zone
+	tld   map[netip.Addr]bool
+	mu    sync.Mutex
+	resps map[dnswire.Name][2]*dnswire.Message // by qname: referral, answer
+	// tamper, when set, may rewrite a response on its way out: it gets a
+	// copy whose sections it may replace, not write into.
+	tamper func(dst netip.Addr, q dnswire.Question, resp *dnswire.Message)
+}
+
+var otherTLDAddr = netip.MustParseAddr("192.5.7.1")
+
+const cutTLDServers = 6
+
+func newCutWorld(t testing.TB) *cutWorld {
+	t.Helper()
+	var src strings.Builder
+	src.WriteString(". 86400 IN SOA a.root-servers.net. nstld.verisign-grs.com. 2019041100 1800 900 604800 3600\n")
+	src.WriteString(". 518400 IN NS a.root-servers.net.\na.root-servers.net. 518400 IN A 198.41.0.4\n")
+	w := &cutWorld{tld: make(map[netip.Addr]bool), resps: make(map[dnswire.Name][2]*dnswire.Message)}
+	for i := 0; i < cutTLDServers; i++ {
+		addr := netip.AddrFrom4([4]byte{192, 5, 6, byte(30 + i)})
+		fmt.Fprintf(&src, "tld. 172800 IN NS ns%d.nic.tld.\nns%d.nic.tld. 172800 IN A %s\n", i, i, addr)
+		w.tld[addr] = true
+	}
+	fmt.Fprintf(&src, "other. 172800 IN NS ns0.nic.other.\nns0.nic.other. 172800 IN A %s\n", otherTLDAddr)
+	w.tld[otherTLDAddr] = true
+	w.root = mustZone(t, src.String(), dnswire.Root)
+	return w
+}
+
+// sldAddr is the address of ns1.<cut>.
+func sldAddr(cut dnswire.Name) netip.Addr {
+	var h uint32 = 2166136261
+	for i := 0; i < len(cut); i++ {
+		h = (h ^ uint32(cut[i])) * 16777619
+	}
+	return netip.AddrFrom4([4]byte{10, byte(h >> 16), byte(h >> 8), byte(h)})
+}
+
+func (w *cutWorld) responses(qname dnswire.Name) [2]*dnswire.Message {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if r, ok := w.resps[qname]; ok {
+		return r
+	}
+	cut := qname
+	for cut.LabelCount() > 2 {
+		cut = cut.Parent()
+	}
+	host := dnswire.Name("ns1." + string(cut))
+	r := [2]*dnswire.Message{
+		{Response: true,
+			Authority:  []dnswire.RR{dnswire.NewRR(cut, 172800, dnswire.NS{Host: host})},
+			Additional: []dnswire.RR{dnswire.NewRR(host, 172800, dnswire.A{Addr: sldAddr(cut)})}},
+		{Response: true, Authoritative: true,
+			Answers: []dnswire.RR{dnswire.NewRR(qname, 3600, dnswire.A{Addr: exampleV4})}},
+	}
+	w.resps[qname] = r
+	return r
+}
+
+// Exchange implements Transport.
+func (w *cutWorld) Exchange(dst netip.Addr, q *dnswire.Message) (*dnswire.Message, time.Duration, error) {
+	r := w.responses(q.Questions[0].Name)
+	resp := r[1]
+	if w.tld[dst] {
+		resp = r[0]
+	}
+	if w.tamper != nil {
+		cp := *resp
+		w.tamper(dst, q.Questions[0], &cp)
+		resp = &cp
+	}
+	return resp, 0, nil
+}
+
+func (w *cutWorld) resolver(opts ...func(*Config)) *Resolver {
+	now := time.Unix(1555000000, 0)
+	cfg := Config{
+		Mode:      RootModeLookaside,
+		LocalZone: w.root,
+		Transport: w,
+		Clock:     func() time.Time { return now },
+		Coalesce:  true,
+		Seed:      7,
+	}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return New(cfg)
+}
+
+// TestMissBudget pins what a two-hop miss costs once its TLD is known:
+// how often it reads the RRset cache, and what it allocates. The figures
+// are what the test measures today, committed so a diff shows them move.
+func TestMissBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts not meaningful under -race")
+	}
+	const (
+		maxCacheLookups = 17
+		maxAllocs       = 45
+	)
+	w := newCutWorld(t)
+	r := w.resolver()
+	const runs = 200
+	names := make([]dnswire.Name, 2*runs+2)
+	for i := range names {
+		names[i] = dnswire.Name(fmt.Sprintf("h%d.d%d.tld.", i, i))
+		w.responses(names[i])
+	}
+	next := 0
+	miss := func() {
+		res, err := r.Resolve(names[next], dnswire.TypeA)
+		next++
+		if err != nil || res.Rcode != dnswire.RcodeSuccess || len(res.Answers) != 1 || res.Queries != 2 {
+			t.Fatalf("%s: %+v, %v", names[next-1], res, err)
+		}
+	}
+	miss() // learns the TLD
+
+	before := r.Cache().Stats()
+	for i := 0; i < runs; i++ {
+		miss()
+	}
+	after := r.Cache().Stats()
+	lookups := float64(after.Hits+after.Misses-before.Hits-before.Misses) / runs
+	t.Logf("cache lookups per miss: %.2f", lookups)
+	if lookups > maxCacheLookups {
+		t.Errorf("a two-hop miss read the cache %.2f times, want <= %d", lookups, maxCacheLookups)
+	}
+
+	allocs := testing.AllocsPerRun(runs, miss)
+	t.Logf("allocations per miss: %.1f", allocs)
+	if allocs > maxAllocs {
+		t.Errorf("a two-hop miss made %.1f allocations, want <= %d", allocs, maxAllocs)
+	}
+	if st := r.Stats(); st.LocalRootConsults != 1 || st.TotalQueries != 2*int64(next) {
+		t.Errorf("consults %d, upstream queries %d over %d misses: want 1 and two each",
+			st.LocalRootConsults, st.TotalQueries, next)
+	}
+}
