@@ -529,6 +529,14 @@ func statusFunc(r *resolver.Resolver, refresher *dist.Refresher, tracer *obs.Tra
 			"uptime_seconds":   time.Since(start).Seconds(),
 			"tracing":          tracer.Enabled(),
 		}
+		// The hop budget: a miss under a known cut starts from the
+		// delegation table, not from the RRset cache.
+		cuts := r.DelegationStats()
+		status["delegation_entries"] = cuts.Entries
+		status["delegation_hits"] = cuts.Hits
+		status["delegation_misses"] = cuts.Misses
+		status["delegation_expired"] = cuts.Expired
+		status["out_of_bailiwick"] = st.OutOfBailiwick
 		if tail, ok := r.TailLatencySeconds(); ok {
 			status["latency_p50"] = tail[0]
 			status["latency_p99"] = tail[1]

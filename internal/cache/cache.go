@@ -11,9 +11,9 @@
 package cache
 
 import (
-	"container/list"
 	"hash/maphash"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rootless/internal/dnswire"
@@ -71,17 +71,46 @@ type entry struct {
 	soa      *dnswire.RR // negative entries carry the SOA for the response
 	expires  time.Time
 	pinned   bool // pinned entries (preloaded root zone) resist eviction
-	elem     *list.Element
+	// prev and next link the entry into its shard's LRU ring; both are nil
+	// while it is off the ring (pinned entries always are).
+	prev, next *entry
 }
 
-// shard is one lock domain: a map, an LRU list, a capacity slice, and
+// shard is one lock domain: a map, an LRU ring, a capacity slice, and
 // its own statistics (summed on demand).
 type shard struct {
 	mu       sync.Mutex
 	capacity int // max RRsets in this shard; 0 means unlimited
 	entries  map[dnswire.RRsetKey]*entry
-	lru      *list.List // front = most recent
-	stats    Stats
+	// lru is the ring's sentinel: lru.next is the most recently used
+	// entry, lru.prev the least. Entries link themselves, so a Put makes
+	// no list element.
+	lru   entry
+	stats Stats
+}
+
+func (s *shard) resetLRU() { s.lru.prev, s.lru.next = &s.lru, &s.lru }
+
+// unlink takes e off the ring; a no-op for an entry that is not on it.
+func (s *shard) unlink(e *entry) {
+	if e.next == nil {
+		return
+	}
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+func (s *shard) pushFront(e *entry) {
+	e.prev, e.next = &s.lru, s.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// touch marks e most recently used.
+func (s *shard) touch(e *entry) {
+	if e.next != nil && s.lru.next != e {
+		s.unlink(e)
+		s.pushFront(e)
+	}
 }
 
 // Cache is a TTL+LRU RRset cache. The zero value is not usable; call New.
@@ -93,6 +122,8 @@ type Cache struct {
 
 	// nsec holds DNSSEC-validated denial ranges (RFC 8198); see nsec.go.
 	nsec nsecStore
+
+	flushes atomic.Uint64
 }
 
 // New creates a cache holding at most capacity RRsets (0 = unlimited),
@@ -135,11 +166,8 @@ func NewSharded(capacity, shards int, now func() time.Time) *Cache {
 				sc++
 			}
 		}
-		c.shards[i] = &shard{
-			capacity: sc,
-			entries:  make(map[dnswire.RRsetKey]*entry),
-			lru:      list.New(),
-		}
+		c.shards[i] = &shard{capacity: sc, entries: make(map[dnswire.RRsetKey]*entry)}
+		c.shards[i].resetLRU()
 	}
 	return c
 }
@@ -167,15 +195,28 @@ func (c *Cache) Put(rrs []dnswire.RR, pinned bool) {
 			minTTL = rr.TTL
 		}
 	}
+	e := newPositive(rrs)
+	e.key, e.pinned = key, pinned
+	e.expires = c.now().Add(time.Duration(minTTL) * time.Second)
 	s := c.shardFor(key.Name, key.Type)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.insert(&entry{
-		key:     key,
-		rrs:     append([]dnswire.RR(nil), rrs...),
-		expires: c.now().Add(time.Duration(minTTL) * time.Second),
-		pinned:  pinned,
-	})
+	s.insert(e)
+}
+
+// newPositive returns an entry holding a copy of rrs. A one-record set —
+// an address, a single NS, most of what a resolver caches — shares the
+// entry's allocation, as a negative entry's SOA does.
+func newPositive(rrs []dnswire.RR) *entry {
+	if len(rrs) > 1 {
+		return &entry{rrs: append([]dnswire.RR(nil), rrs...)}
+	}
+	pe := &struct {
+		entry
+		one [1]dnswire.RR
+	}{one: [1]dnswire.RR{rrs[0]}}
+	pe.rrs = pe.one[:]
+	return &pe.entry
 }
 
 // PutNegative caches a negative answer for (name, type), using the SOA
@@ -238,9 +279,7 @@ func (c *Cache) NXDomainCovered(name dnswire.Name) bool {
 		s := c.shardFor(n, nxCutType)
 		s.mu.Lock()
 		if e, ok := s.entries[key]; ok && e.expires.After(now) {
-			if e.elem != nil {
-				s.lru.MoveToFront(e.elem)
-			}
+			s.touch(e)
 			s.stats.NegativeHits++
 			s.stats.Hits++
 			s.mu.Unlock()
@@ -256,16 +295,14 @@ func (c *Cache) NXDomainCovered(name dnswire.Name) bool {
 func (s *shard) insert(e *entry) {
 	s.stats.Inserts++
 	if old, ok := s.entries[e.key]; ok {
-		if old.elem != nil {
-			s.lru.Remove(old.elem)
-		}
-		delete(s.entries, e.key)
+		s.unlink(old)
+		delete(s.entries, e.key) // so the map takes the new key's string, not the old one's
 	}
 	// Pinned entries never participate in LRU eviction, so they stay off
-	// the list entirely — evictions then run in O(1) regardless of how
+	// the ring entirely — evictions then run in O(1) regardless of how
 	// much of the root zone is preloaded.
 	if !e.pinned {
-		e.elem = s.lru.PushFront(e)
+		s.pushFront(e)
 	}
 	s.entries[e.key] = e
 	if s.capacity > 0 {
@@ -279,12 +316,11 @@ func (s *shard) insert(e *entry) {
 
 // evictOne removes the least recently used unpinned entry.
 func (s *shard) evictOne() bool {
-	el := s.lru.Back()
-	if el == nil {
+	e := s.lru.prev
+	if e == &s.lru {
 		return false
 	}
-	e := el.Value.(*entry)
-	s.lru.Remove(el)
+	s.unlink(e)
 	delete(s.entries, e.key)
 	s.stats.Evictions++
 	return true
@@ -344,9 +380,7 @@ func (c *Cache) Get(name dnswire.Name, typ dnswire.Type) (Result, bool) {
 		s.stats.Misses++
 		return Result{}, false
 	}
-	if e.elem != nil {
-		s.lru.MoveToFront(e.elem)
-	}
+	s.touch(e)
 	if e.negative {
 		s.stats.NegativeHits++
 		s.stats.Hits++
@@ -373,9 +407,7 @@ func (c *Cache) GetStale(name dnswire.Name, typ dnswire.Type, staleLimit time.Du
 	if staleLimit > 0 && now.Sub(e.expires) > staleLimit {
 		return Result{}, false
 	}
-	if e.elem != nil {
-		s.lru.MoveToFront(e.elem)
-	}
+	s.touch(e)
 	ttl := uint32(StaleTTL / time.Second)
 	if remaining := e.expires.Sub(now); remaining > 0 {
 		ttl = uint32(remaining / time.Second)
@@ -450,13 +482,19 @@ func (c *Cache) Collect(reg *obs.Registry) {
 // cached observations, and keeping them is exactly what lets bogus-TLD
 // junk keep dying locally across a flush.
 func (c *Cache) Flush() {
+	c.flushes.Add(1)
 	for _, s := range c.shards {
 		s.mu.Lock()
 		s.entries = make(map[dnswire.RRsetKey]*entry)
-		s.lru.Init()
+		s.resetLRU()
 		s.mu.Unlock()
 	}
 }
+
+// Flushes counts the calls to Flush. Whatever a caller has worked out from
+// the cache's content and keeps beside it — the resolver's delegation
+// table — holds for one value of it.
+func (c *Cache) Flushes() uint64 { return c.flushes.Load() }
 
 // Sweep removes expired entries proactively and returns how many.
 func (c *Cache) Sweep() int {
@@ -466,9 +504,7 @@ func (c *Cache) Sweep() int {
 		s.mu.Lock()
 		for key, e := range s.entries {
 			if !e.expires.After(now) {
-				if e.elem != nil {
-					s.lru.Remove(e.elem)
-				}
+				s.unlink(e)
 				delete(s.entries, key)
 				s.stats.Expired++
 				removed++

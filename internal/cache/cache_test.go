@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"container/list"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -299,5 +300,134 @@ func TestCacheExpiredEntriesRemainUntilSwept(t *testing.T) {
 	}
 	if n := c.Sweep(); n != 1 {
 		t.Fatalf("sweep = %d", n)
+	}
+}
+
+// The entries link themselves into the LRU order; a container/list of keys
+// is the reference it replaced. Under a random mix of every operation that
+// touches the order — Put (new, replacing, pinned), Get, GetStale,
+// PutNegative, NXDOMAIN cuts, Sweep, Flush, time passing — the cache must
+// hold exactly the keys the reference holds, evicting the same victim at
+// every step; and a one-record Put, whose records share the entry's
+// allocation, must give back the record it was given.
+func TestLRUMatchesListReference(t *testing.T) {
+	const capacity = 8
+	type ref struct {
+		el      *list.Element // nil while pinned
+		expires time.Time
+		neg     bool
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		clk := &fakeClock{t: time.Unix(1555000000, 0)}
+		c := NewSharded(capacity, 1, clk.now)
+		order := list.New() // front = most recent
+		model := map[dnswire.RRsetKey]*ref{}
+		key := func(name dnswire.Name, typ dnswire.Type) dnswire.RRsetKey {
+			return dnswire.RRsetKey{Name: name, Type: typ, Class: dnswire.ClassINET}
+		}
+		insert := func(k dnswire.RRsetKey, ttl uint32, pinned, neg bool) {
+			if old, ok := model[k]; ok && old.el != nil {
+				order.Remove(old.el)
+			}
+			e := &ref{expires: clk.t.Add(time.Duration(ttl) * time.Second), neg: neg}
+			if !pinned {
+				e.el = order.PushFront(k)
+			}
+			model[k] = e
+			for len(model) > capacity && order.Len() > 0 {
+				victim := order.Remove(order.Back()).(dnswire.RRsetKey)
+				delete(model, victim)
+			}
+		}
+		// touch is a lookup's effect on the order: Get reaches live
+		// entries, GetStale positive ones of any age.
+		touch := func(k dnswire.RRsetKey, stale bool) {
+			e, ok := model[k]
+			if !ok || e.el == nil {
+				return
+			}
+			if stale && !e.neg || !stale && e.expires.After(clk.t) {
+				order.MoveToFront(e.el)
+			}
+		}
+		soa := dnswire.NewRR("example.", 300, dnswire.SOA{MName: "ns.example.", RName: "h.example.", Minimum: 120})
+		for step := 0; step < 3000; step++ {
+			name := dnswire.Name(fmt.Sprintf("n%d.example.", rng.Intn(14)))
+			switch op := rng.Intn(20); {
+			case op < 7:
+				ttl := uint32(30 + rng.Intn(300))
+				rrs := []dnswire.RR{dnswire.NewRR(name, ttl, dnswire.A{Addr: netip.AddrFrom4([4]byte{10, 0, byte(step >> 8), byte(step)})})}
+				if rng.Intn(3) == 0 {
+					rrs = append(rrs, dnswire.NewRR(name, ttl, dnswire.A{Addr: netip.AddrFrom4([4]byte{10, 1, 0, 1})}))
+				}
+				pinned := rng.Intn(12) == 0
+				c.Put(rrs, pinned)
+				insert(key(name, dnswire.TypeA), ttl, pinned, false)
+				if hit, ok := c.Get(name, dnswire.TypeA); !ok || len(hit.RRs) != len(rrs) || hit.RRs[0].Data != rrs[0].Data {
+					t.Fatalf("seed %d step %d: Get after Put = %+v, %v", seed, step, hit, ok)
+				}
+				touch(key(name, dnswire.TypeA), false)
+			case op < 12:
+				c.Get(name, dnswire.TypeA)
+				touch(key(name, dnswire.TypeA), false)
+			case op < 13:
+				c.GetStale(name, dnswire.TypeA, 0)
+				touch(key(name, dnswire.TypeA), true)
+			case op < 15:
+				c.PutNegative(name, dnswire.TypeA, soa, true)
+				insert(key(name, dnswire.TypeA), 120, false, true)
+			case op < 16:
+				c.PutNXDomainCut(name, soa)
+				insert(key(name, nxCutType), 120, false, true)
+			case op < 17:
+				c.NXDomainCovered(name)
+				for n := name; ; n = n.Parent() {
+					if e, ok := model[key(n, nxCutType)]; ok && e.expires.After(clk.t) {
+						touch(key(n, nxCutType), false)
+						break
+					}
+					if n.IsRoot() {
+						break
+					}
+				}
+			case op < 18:
+				clk.advance(time.Duration(rng.Intn(90)) * time.Second)
+			case op < 19:
+				c.Sweep()
+				for k, e := range model {
+					if !e.expires.After(clk.t) {
+						if e.el != nil {
+							order.Remove(e.el)
+						}
+						delete(model, k)
+					}
+				}
+			default:
+				if rng.Intn(10) == 0 {
+					c.Flush()
+					order.Init()
+					model = map[dnswire.RRsetKey]*ref{}
+				}
+			}
+			s := c.shards[0]
+			if len(s.entries) != len(model) {
+				t.Fatalf("seed %d step %d: cache holds %d entries, reference %d", seed, step, len(s.entries), len(model))
+			}
+			for k := range model {
+				if _, ok := s.entries[k]; !ok {
+					t.Fatalf("seed %d step %d: %v evicted, the reference still holds it", seed, step, k)
+				}
+			}
+			el := order.Front()
+			for e := s.lru.next; e != &s.lru; e, el = e.next, el.Next() {
+				if el == nil || el.Value.(dnswire.RRsetKey) != e.key {
+					t.Fatalf("seed %d step %d: LRU order diverges at %v", seed, step, e.key)
+				}
+			}
+			if el != nil {
+				t.Fatalf("seed %d step %d: LRU ring is shorter than the reference", seed, step)
+			}
+		}
 	}
 }

@@ -266,6 +266,48 @@ func TestGroupRRsets(t *testing.T) {
 	}
 }
 
+// EachRRset must yield what GroupRRsets yields — same sets, same order,
+// same records — on sections with few owners (so sets repeat, together and
+// scattered), on both sides of the length where it stops scanning, and
+// without touching the section.
+func TestEachRRsetMatchesGroupRRsets(t *testing.T) {
+	r := rand.New(rand.NewSource(20))
+	owners := []Name{"a.example.", "b.example.", "c.example."}
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + r.Intn(12)
+		if trial%10 == 0 {
+			n = maxScanRRsets - 2 + r.Intn(5)
+		}
+		rrs := make([]RR, n)
+		for i := range rrs {
+			rrs[i] = NewRR(owners[r.Intn(len(owners))], uint32(i), A{Addr: mustAddr("192.0.2.1")})
+			if r.Intn(3) == 0 {
+				rrs[i] = NewRR(rrs[i].Name, uint32(i), NS{Host: "ns.example."})
+			}
+		}
+		before := append([]RR(nil), rrs...)
+		order, sets := GroupRRsets(rrs)
+		var got [][]RR
+		EachRRset(rrs, func(set []RR) { got = append(got, append([]RR(nil), set...)) })
+		if len(got) != len(order) {
+			t.Fatalf("trial %d: %d sets, want %d", trial, len(got), len(order))
+		}
+		for i, k := range order {
+			if !reflect.DeepEqual(got[i], sets[k]) {
+				t.Fatalf("trial %d: set %d = %v, want %v", trial, i, got[i], sets[k])
+			}
+		}
+		if !reflect.DeepEqual(rrs, before) {
+			t.Fatalf("trial %d: section modified", trial)
+		}
+	}
+	// A section of whole sets, as messages carry them, costs nothing.
+	msg := sampleRRs()
+	if allocs := testing.AllocsPerRun(100, func() { EachRRset(msg, func([]RR) {}) }); allocs != 0 {
+		t.Errorf("grouping a section of contiguous sets made %v allocations", allocs)
+	}
+}
+
 // randomRR builds a random well-formed RR for property testing.
 func randomRR(r *rand.Rand) RR {
 	name := randomName(r)

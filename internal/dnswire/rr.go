@@ -112,3 +112,45 @@ func GroupRRsets(rrs []RR) ([]RRsetKey, map[RRsetKey][]RR) {
 	}
 	return order, sets
 }
+
+// maxScanRRsets is the longest section EachRRset groups by comparing
+// records with one another; beyond it the quadratic scan gives way to
+// GroupRRsets' map.
+const maxScanRRsets = 64
+
+// EachRRset calls fn with every RRset in rrs, in first-seen order, records
+// in section order — what GroupRRsets yields, without building a map. A
+// set whose records sit together, as in a DNS message they nearly always
+// do, is passed as a subslice of rrs: fn must neither modify nor keep it.
+func EachRRset(rrs []RR, fn func(set []RR)) {
+	if len(rrs) > maxScanRRsets {
+		order, sets := GroupRRsets(rrs)
+		for _, k := range order {
+			fn(sets[k])
+		}
+		return
+	}
+	for i := 0; i < len(rrs); {
+		k := rrs[i].Key()
+		seen := false
+		for j := 0; j < i && !seen; j++ {
+			seen = rrs[j].Key() == k
+		}
+		if seen { // a straggler of a set already passed on
+			i++
+			continue
+		}
+		end := i + 1
+		for end < len(rrs) && rrs[end].Key() == k {
+			end++
+		}
+		set := rrs[i:end:end]
+		for j := end; j < len(rrs); j++ {
+			if rrs[j].Key() == k {
+				set = append(set, rrs[j]) // copies: the cap was clipped
+			}
+		}
+		fn(set)
+		i = end
+	}
+}

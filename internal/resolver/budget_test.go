@@ -112,14 +112,17 @@ func (w *cutWorld) resolver(opts ...func(*Config)) *Resolver {
 
 // TestMissBudget pins what a two-hop miss costs once its TLD is known:
 // how often it reads the RRset cache, and what it allocates. The figures
-// are what the test measures today, committed so a diff shows them move.
+// are committed so a diff shows them move: the commit that added this test
+// pinned what it measured then, 17 cache lookups and 45 allocations per
+// miss; with the delegation table in front of the cache the same miss
+// measures 4 and 15.
 func TestMissBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts not meaningful under -race")
 	}
 	const (
-		maxCacheLookups = 17
-		maxAllocs       = 45
+		maxCacheLookups = 8
+		maxAllocs       = 16
 	)
 	w := newCutWorld(t)
 	r := w.resolver()

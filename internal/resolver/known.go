@@ -190,7 +190,7 @@ func (r *Resolver) lookupLocalRoot(qname dnswire.Name, qtype dnswire.Type) local
 
 // applyLocalRoot counts a consult and caches what it learned. done is
 // false for a referral: iteration continues at next's servers.
-func (r *Resolver) applyLocalRoot(lk *localLookup) (next nsSet, k known, done bool) {
+func (r *Resolver) applyLocalRoot(lk *localLookup) (next *delegation, k known, done bool) {
 	qname, qtype := lk.qname, lk.qtype
 	r.count(func(s *Stats) {
 		inc(&s.LocalRootConsults, 1)
@@ -216,27 +216,24 @@ func (r *Resolver) applyLocalRoot(lk *localLookup) (next nsSet, k known, done bo
 		}
 		k.rcode = dnswire.RcodeNXDomain
 	case len(ans.Answer) > 0:
-		r.cacheSets(ans.Answer, false)
+		r.cacheSets(ans.Answer, nil)
 		k.rrs = ans.Answer
 	case lk.referral():
 		// Cache the NS set and glue, then continue iterating at the TLD
-		// servers.
-		r.cacheSets(ans.Authority, false)
-		r.cacheSets(ans.Additional, false)
-		next = nsSet{zone: ans.Authority[0].Name}
-		for _, rr := range ans.Authority {
-			if rr.Type == dnswire.TypeNS {
-				next.hosts = append(next.hosts, rr.Data.(dnswire.NS).Host)
-			}
+		// servers. The copy is the root: all of it is in bailiwick.
+		next, _ = r.learn(ans.Authority[0].Name, dnswire.Root, ans.Authority, ans.Additional)
+		r.cacheSets(ans.Authority, nil)
+		if next != nil {
+			return next, known{}, false
 		}
-		return next, known{}, false
+		k.rcode = dnswire.RcodeServFail // a cut without a nameserver
 	default:
 		// NODATA at the root (e.g. TLD apex, wrong type).
 		if len(ans.Authority) > 0 {
 			r.cache.PutNegative(qname, qtype, ans.Authority[0], false)
 		}
 	}
-	return nsSet{}, k, true
+	return nil, k, true
 }
 
 // capTTLs returns a copy of rrs with every TTL capped — answers from a
@@ -413,7 +410,7 @@ func (r *Resolver) localTerminal(qname dnswire.Name, qtype dnswire.Type, tr *obs
 	if r.cfg.Mode != RootModeLookaside && r.cfg.Mode != RootModePreload {
 		return localLookup{}, false
 	}
-	if _, _, cached := r.closestCut(qname); cached || !r.rootSet().local {
+	if !r.closestDelegation(qname).local {
 		return localLookup{}, false
 	}
 	if tr != nil {

@@ -227,6 +227,9 @@ type Stats struct {
 	BogusRejected        int64 // bogus responses refused under PolicyStrict
 	NSECSynthesized      int64 // queries answered from validated NSEC ranges (RFC 8198)
 	DNSKEYFetches        int64 // DNSKEY sub-queries issued to establish zone keys
+	// Records of upstream responses left out of the cache and the
+	// delegation table by the bailiwick rule (PR 20).
+	OutOfBailiwick int64
 }
 
 // Result is the outcome of one resolution.
@@ -319,6 +322,13 @@ type Resolver struct {
 
 	rootAddrs map[netip.Addr]bool // read-only after New
 
+	// cuts memoises delegations in front of the cache (delegation.go);
+	// hints and loopback are the fixed starting points of the modes that
+	// begin at a root server. Both are read-only after New.
+	cuts     cutTable
+	hints    *delegation
+	loopback *delegation
+
 	// mu guards what only upstream work touches. A query answered from
 	// the cache or the local zone never takes it.
 	mu       sync.Mutex
@@ -364,6 +374,12 @@ func New(cfg Config) *Resolver {
 	if cfg.Coalesce {
 		r.flight = overload.NewFlight[flightKey]()
 	}
+	r.cuts.reset(0)
+	if r.hints = newDelegation(dnswire.Root, dnswire.Root, cfg.Hints, cfg.Hints, time.Time{}); r.hints == nil {
+		r.hints = &delegation{zone: dnswire.Root}
+	}
+	r.hints.expires = time.Time{}
+	r.loopback = &delegation{zone: dnswire.Root, hosts: []dnswire.Name{"localroot."}, addrs: []netip.Addr{cfg.LocalAuthAddr}}
 	for _, rr := range cfg.Hints {
 		switch d := rr.Data.(type) {
 		case dnswire.A:
@@ -409,6 +425,7 @@ func (r *Resolver) Mode() RootMode { return r.cfg.Mode }
 // validation enabled the copy is re-verified against the trust anchor.
 func (r *Resolver) SetLocalZone(z *zone.Zone) {
 	r.local.Store(&localRoot{zone: z, loaded: r.cfg.Clock(), secure: r.verifyLocalZone(z)})
+	r.cuts.drop() // the new copy may delegate differently
 	if r.cfg.Mode == RootModePreload {
 		r.PreloadRootZone(z)
 	}
@@ -506,6 +523,19 @@ func (r *Resolver) Collect(reg *obs.Registry) {
 	reg.Gauge("rootless_resolver_srtt_entries",
 		"per-server timing entries held (the §4 complexity metric)", labels).
 		Set(float64(r.SRTTStateSize()))
+	cuts := r.DelegationStats()
+	reg.Gauge("rootless_resolver_delegation_entries",
+		"zone cuts memoised in front of the RRset cache", labels).
+		Set(float64(cuts.Entries))
+	for _, c := range []struct {
+		result string
+		n      int64
+	}{{"hit", cuts.Hits}, {"miss", cuts.Misses}, {"expired", cuts.Expired}} {
+		reg.Counter("rootless_resolver_delegation_lookups_total",
+			"searches for the closest known delegation, by what the table held: a live one, "+
+				"none (derived from the cache or started at the root), or only expired ones",
+			obs.Labels{"mode": r.cfg.Mode.String(), "result": c.result}).Set(c.n)
+	}
 	held, backing := r.HealthCounts()
 	reg.Gauge("rootless_resolver_held_down_servers",
 		"servers currently held down by the circuit breaker", labels).
@@ -549,12 +579,10 @@ func (r *Resolver) Collect(reg *obs.Registry) {
 // — the paper's "place all records from the root zone file in the cache".
 func (r *Resolver) PreloadRootZone(z *zone.Zone) {
 	_, sets := dnswire.GroupRRsets(z.Records())
-	for key, rrs := range sets {
-		if key.Type == dnswire.TypeSOA && key.Name.IsRoot() {
-			// keep the SOA too; it answers negative proofs
-		}
-		r.cache.Put(rrs, true)
+	for _, rrs := range sets {
+		r.cache.Put(rrs, true) // the SOA too: it answers negative proofs
 	}
+	r.cuts.drop()
 }
 
 // count is the single mutation path for the counters: every write in the
@@ -778,19 +806,15 @@ func terminalCNAME(rrs []dnswire.RR, name dnswire.Name) (dnswire.Name, bool) {
 	return cn, true
 }
 
-// nsSet is a delegation: the zone name and its servers.
-type nsSet struct {
-	zone  dnswire.Name
-	hosts []dnswire.Name
-	// local marks "consult the local root zone" (lookaside mode).
-	local bool
-}
-
 // iterate resolves one name nothing known answers, without following
-// CNAMEs: from the closest delegation the cache holds (or the root, per
-// the mode) down to an answer.
+// CNAMEs: from the closest delegation the resolver knows (or the root, per
+// the mode) down to an answer, each referral's delegation handed to the
+// next hop as it was built.
 func (r *Resolver) iterate(qname dnswire.Name, qtype dnswire.Type, res *Result, budget, retries *int, tr *obs.Trace, tok *gateToken) (known, error) {
-	cur := r.closestNameservers(qname)
+	cur := r.closestDelegation(qname)
+	// floor is the name QNAME minimisation counts labels from: the zone
+	// being asked, or deeper once an empty non-terminal has been met.
+	floor := cur.zone
 	for hop := 0; hop < 24; hop++ {
 		if cur.local {
 			if tr != nil {
@@ -803,15 +827,27 @@ func (r *Resolver) iterate(qname dnswire.Name, qtype dnswire.Type, res *Result, 
 			if done {
 				return k, nil
 			}
-			tr.Eventf("referral", "local zone -> %s (%d servers)", next.zone, len(next.hosts))
-			cur = next
+			if tr != nil {
+				tr.Eventf("referral", "local zone -> %s (%d servers)", next.zone, len(next.hosts))
+			}
+			cur, floor = next, next.zone
 			continue
 		}
 
-		resp, err := r.queryZoneServers(cur, qname, qtype, res, budget, retries, tr, tok)
+		sentName, sentType := qname, qtype
+		if r.cfg.QNameMinimisation {
+			sentName, sentType = minimise(floor, qname, qtype)
+		}
+		if len(cur.addrs) == 0 {
+			// No glue anywhere: chase one nameserver's address out of band.
+			cur = r.chaseGlue(cur, res, budget, tr, tok)
+		}
+		resp, err := r.queryZoneServers(cur, sentName, sentType, res, budget, retries, tr, tok)
 		if err != nil {
 			if rrs, ok := r.staleAnswer(qname, qtype); ok {
-				tr.Eventf("stale", "served %s %s from expired cache", qname, qtype)
+				if tr != nil {
+					tr.Eventf("stale", "served %s %s from expired cache", qname, qtype)
+				}
 				return known{src: counted, rrs: rrs}, nil
 			}
 			return known{}, err
@@ -820,7 +856,7 @@ func (r *Resolver) iterate(qname dnswire.Name, qtype dnswire.Type, res *Result, 
 		secure := false
 		if r.validator != nil {
 			vsp := tr.StartSpan(obs.PhaseValidate, "validate")
-			outcome, verr := r.validateResponse(cur, qname, qtype, resp, res, budget, retries, tr, tok)
+			outcome, verr := r.validateResponse(cur, sentName, sentType, resp, res, budget, retries, tr, tok)
 			vsp.End()
 			if outcome == validator.Bogus && r.cfg.Validate == validator.PolicyStrict {
 				// Strict policy: the answer is discarded before any of it
@@ -831,12 +867,17 @@ func (r *Resolver) iterate(qname dnswire.Name, qtype dnswire.Type, res *Result, 
 			secure = outcome == validator.Secure
 		}
 
-		rcode, rrs, next, done := r.processResponse(cur, qname, qtype, resp)
-		if done {
-			return known{src: counted, rcode: rcode, rrs: rrs, secure: secure}, nil
+		st := r.processResponse(cur, sentName, sentType, sentName == qname && sentType == qtype, resp, tr)
+		if st.done {
+			return known{src: counted, rcode: st.rcode, rrs: st.rrs, secure: secure}, nil
 		}
-		tr.Eventf("referral", "hop=%d %s -> %s (%d servers)", hop+1, cur.zone, next.zone, len(next.hosts))
-		cur = next
+		if tr != nil && st.next != cur {
+			tr.Eventf("referral", "hop=%d %s -> %s (%d servers)", hop+1, cur.zone, st.next.zone, len(st.next.hosts))
+		}
+		cur, floor = st.next, st.floor
+		if floor == "" {
+			floor = qname // the next query goes out unminimised
+		}
 	}
 	return known{}, ErrLame
 }
@@ -857,179 +898,42 @@ func (r *Resolver) staleAnswer(qname dnswire.Name, qtype dnswire.Type) ([]dnswir
 	return nil, false
 }
 
-// closestNameservers finds the deepest delegation the resolver already
-// knows that encloses qname, falling back to the root per the configured
-// mode.
-func (r *Resolver) closestNameservers(qname dnswire.Name) nsSet {
-	if cut, rrs, ok := r.closestCut(qname); ok {
-		set := nsSet{zone: cut}
-		for _, rr := range rrs {
-			if ns, ok := rr.Data.(dnswire.NS); ok {
-				set.hosts = append(set.hosts, ns.Host)
-			}
-		}
-		return set
-	}
-	return r.rootSet()
-}
-
-// closestCut finds the deepest name enclosing qname, below the root,
-// whose NS set the cache holds.
-func (r *Resolver) closestCut(qname dnswire.Name) (dnswire.Name, []dnswire.RR, bool) {
-	for n := qname; !n.IsRoot(); n = n.Parent() {
-		if hit, ok := r.cache.Get(n, dnswire.TypeNS); ok && !hit.Negative {
-			for _, rr := range hit.RRs {
-				if _, ok := rr.Data.(dnswire.NS); ok {
-					return n, hit.RRs, true
-				}
-			}
-		}
-	}
-	return "", nil, false
-}
-
-// rootSet returns the starting point for a resolution that must begin at
-// the root, per the configured mode.
-func (r *Resolver) rootSet() nsSet {
-	switch r.cfg.Mode {
-	case RootModeLookaside:
-		return nsSet{zone: dnswire.Root, local: true}
-	case RootModeLocalAuth:
-		return nsSet{zone: dnswire.Root, hosts: []dnswire.Name{"localroot."}}
-	case RootModePreload:
-		// Preload pins TLD NS sets in the cache, so reaching here means
-		// the name's TLD does not exist in the local zone — consult it
-		// directly so NXDOMAIN is answered without any network traffic.
-		if r.local.Load() != nil {
-			return nsSet{zone: dnswire.Root, local: true}
-		}
-	}
-	// Classic: the hints file.
-	set := nsSet{zone: dnswire.Root}
-	for _, rr := range r.cfg.Hints {
-		if ns, ok := rr.Data.(dnswire.NS); ok {
-			set.hosts = append(set.hosts, ns.Host)
-		}
-	}
-	return set
-}
-
-// serverAddrs resolves a delegation's nameserver hosts to addresses using
-// hints, cached glue, and (if allowed) glue-chasing sub-resolutions.
-func (r *Resolver) serverAddrs(set nsSet, res *Result, budget *int, chase bool, tr *obs.Trace, tok *gateToken) []netip.Addr {
-	var addrs []netip.Addr
-	seen := make(map[netip.Addr]bool)
-	add := func(a netip.Addr) {
-		if a.IsValid() && !seen[a] {
-			seen[a] = true
-			addrs = append(addrs, a)
-		}
-	}
-	if r.cfg.Mode == RootModeLocalAuth && set.zone.IsRoot() && !set.local {
-		add(r.cfg.LocalAuthAddr)
-		return addrs
-	}
-	for _, host := range set.hosts {
-		if set.zone.IsRoot() {
-			for _, rr := range r.cfg.Hints {
-				if rr.Name != host {
-					continue
-				}
-				if a, ok := rr.Data.(dnswire.A); ok {
-					add(a.Addr)
-				}
-			}
-		}
-		if hit, ok := r.cache.Get(host, dnswire.TypeA); ok && !hit.Negative {
-			for _, rr := range hit.RRs {
-				if a, ok := rr.Data.(dnswire.A); ok {
-					add(a.Addr)
-				}
-			}
-		}
-	}
-	if len(addrs) > 0 || !chase {
-		return addrs
-	}
-	// No glue anywhere: chase one nameserver's address out of band.
-	for _, host := range set.hosts {
-		if *budget <= 0 {
-			break
-		}
-		r.mu.Lock()
-		busy := r.inflight[host]
-		if !busy {
-			r.inflight[host] = true
-		}
-		r.mu.Unlock()
-		if busy {
-			continue // a chase for this host encloses us; avoid the loop
-		}
-		r.count(func(s *Stats) { inc(&s.GlueChases, 1) })
-		tr.Eventf("glue-chase", "resolving %s A out of band", host)
-		gsp := tr.StartSpan(obs.PhaseOther, "glue-chase")
-		if gsp != nil {
-			gsp.SetDetail(string(host))
-		}
-		tr.Push()
-		sub, err := r.resolve(host, dnswire.TypeA, tr, tok)
-		tr.Pop()
-		gsp.End()
-		r.mu.Lock()
-		delete(r.inflight, host)
-		r.mu.Unlock()
-		res.Queries += sub.Queries
-		res.Latency += sub.Latency
-		*budget -= sub.Queries
-		if err != nil || sub.Rcode != dnswire.RcodeSuccess {
-			continue
-		}
-		for _, rr := range sub.Answers {
-			if a, ok := rr.Data.(dnswire.A); ok {
-				add(a.Addr)
-			}
-		}
-		if len(addrs) > 0 {
-			break
-		}
-	}
-	return addrs
-}
-
 // queryZoneServers sends the (possibly minimised) query to the best
 // servers of the current delegation until one answers. Server order is
 // SRTT with health overlaid: backing-off servers are demoted, held-down
 // servers are skipped (or probed, once the hold-down expires). Each
 // timeout or lame answer consumes one unit of the resolution's retry
 // budget and feeds the server's backoff/hold-down state.
-func (r *Resolver) queryZoneServers(set nsSet, qname dnswire.Name, qtype dnswire.Type, res *Result, budget, retries *int, tr *obs.Trace, tok *gateToken) (*dnswire.Message, error) {
+//
+// The trace calls here are guarded, not just nil-safe: with tracing off
+// an unguarded Eventf still boxes every argument, and did so eight times
+// per cold miss.
+func (r *Resolver) queryZoneServers(cur *delegation, sendName dnswire.Name, sendType dnswire.Type, res *Result, budget, retries *int, tr *obs.Trace, tok *gateToken) (*dnswire.Message, error) {
 	// Everything past this point is upstream work: claim the admission
 	// slot first (held for the rest of the resolution), shed if refused.
 	if err := r.admit(tok, tr); err != nil {
 		return nil, err
 	}
-	sendName, sendType := qname, qtype
-	if r.cfg.QNameMinimisation {
-		sendName, sendType = minimise(set.zone, qname, qtype)
-	}
-
-	addrs := r.serverAddrs(set, res, budget, true, tr, tok)
-	if len(addrs) == 0 {
+	if len(cur.addrs) == 0 {
 		return nil, ErrAllServersFail
 	}
+	// The delegation is shared; ordering works on a copy, on the stack
+	// for any delegation of ordinary width.
+	var buf [16]netip.Addr
+	addrs := append(buf[:0], cur.addrs...)
 	r.orderBySRTT(addrs)
 	candidates, heldCount, probes := r.planAttempts(addrs, r.cfg.Clock())
 	if heldCount > 0 {
 		r.count(func(s *Stats) { inc(&s.HeldDownSkips, int64(heldCount)) })
 		if tr != nil {
-			tr.Eventf("hold-down", "zone=%s skipping %d held-down servers", set.zone, heldCount)
+			tr.Eventf("hold-down", "zone=%s skipping %d held-down servers", cur.zone, heldCount)
 		}
 	}
 	if len(candidates) > 1 {
 		r.count(func(s *Stats) { inc(&s.ServerSelections, 1) })
 		if tr != nil { // srttFor takes the lock; skip entirely when not tracing
 			tr.Eventf("select", "zone=%s picked %s by SRTT (%v) of %d servers",
-				set.zone, candidates[0], r.srttFor(candidates[0]), len(candidates))
+				cur.zone, candidates[0], r.srttFor(candidates[0]), len(candidates))
 		}
 	}
 
@@ -1042,36 +946,40 @@ func (r *Resolver) queryZoneServers(set nsSet, qname dnswire.Name, qtype dnswire
 		q := dnswire.NewQuery(randID(), sendName, sendType)
 		q.RecursionDesired = false
 		q.SetEDNS(dnswire.DefaultEDNSSize, true)
-		if attempt > 0 {
+		if attempt > 0 && tr != nil {
 			tr.Eventf("retry", "attempt=%d trying %s", attempt+1, addr)
 		}
 		if probes[addr] {
 			r.count(func(s *Stats) { inc(&s.Probes, 1) })
-			tr.Eventf("probe", "re-admitting %s after hold-down", addr)
+			if tr != nil {
+				tr.Eventf("probe", "re-admitting %s after hold-down", addr)
+			}
 		}
 
 		r.count(func(s *Stats) {
 			inc(&s.TotalQueries, 1)
 			switch {
-			case r.rootAddrs[addr] || (set.zone.IsRoot() && r.cfg.Mode == RootModeHints):
+			case r.rootAddrs[addr] || (cur.zone.IsRoot() && r.cfg.Mode == RootModeHints):
 				inc(&s.RootQueries, 1)
 			case addr == r.cfg.LocalAuthAddr && r.cfg.Mode == RootModeLocalAuth:
 				inc(&s.LocalRootConsults, 1)
-			case set.zone.LabelCount() == 1:
+			case cur.zone.LabelCount() == 1:
 				inc(&s.TLDQueries, 1)
 			default:
 				inc(&s.OtherQueries, 1)
 			}
 		})
 
-		tr.Eventf("send", "%s %s -> %s (zone %s)", sendName, sendType, addr, set.zone)
+		if tr != nil {
+			tr.Eventf("send", "%s %s -> %s (zone %s)", sendName, sendType, addr, cur.zone)
+		}
 		// The attempt span is charged the (possibly virtual) RTT rather
 		// than wall time, and reclassified as backoff when the attempt
 		// turns out to be wasted — a timeout or a lame answer is retry
 		// cost, not productive network time.
 		xsp := tr.StartSpan(obs.PhaseNet, "attempt")
 		if xsp != nil {
-			xsp.SetDetail(addr.String() + " zone " + string(set.zone))
+			xsp.SetDetail(addr.String() + " zone " + string(cur.zone))
 			if r.cfg.TracePropagate {
 				q.SetTraceOption(dnswire.TraceContext{
 					TraceID: tr.ID(), SpanID: xsp.SpanID(), Sampled: true,
@@ -1086,7 +994,9 @@ func (r *Resolver) queryZoneServers(set nsSet, qname dnswire.Name, qtype dnswire
 			xsp.EndWithDuration(rtt)
 			r.count(func(s *Stats) { inc(&s.Timeouts, 1) })
 			r.updateSRTT(addr, rtt, true)
-			tr.Eventf("timeout", "%s after %v: %v", addr, rtt, err)
+			if tr != nil {
+				tr.Eventf("timeout", "%s after %v: %v", addr, rtt, err)
+			}
 			lastErr = fmt.Errorf("%w: %v", ErrTimeout, err)
 			if err := r.recordFailure(addr, retries, tr); err != nil {
 				return nil, fmt.Errorf("%w: %w", err, lastErr)
@@ -1098,20 +1008,24 @@ func (r *Resolver) queryZoneServers(set nsSet, qname dnswire.Name, qtype dnswire
 			xsp.SetPhase(obs.PhaseBackoff)
 			xsp.EndWithDuration(rtt)
 			r.count(func(s *Stats) { inc(&s.LameResponses, 1) })
-			tr.Eventf("lame", "%s from %s", resp.Rcode, addr)
+			if tr != nil {
+				tr.Eventf("lame", "%s from %s", resp.Rcode, addr)
+			}
 			lastErr = fmt.Errorf("%w: %s from %s", ErrLame, resp.Rcode, addr)
 			if err := r.recordFailure(addr, retries, tr); err != nil {
 				return nil, fmt.Errorf("%w: %w", err, lastErr)
 			}
 			continue
 		}
-		if nonDescendingReferral(set.zone, resp) {
+		if nonDescendingReferral(cur.zone, resp) {
 			// A lame referral burns the server, not the resolution: fail
 			// over to the next candidate like any other lame answer.
 			xsp.SetPhase(obs.PhaseBackoff)
 			xsp.EndWithDuration(rtt)
 			r.count(func(s *Stats) { inc(&s.LameResponses, 1) })
-			tr.Eventf("lame", "non-descending referral from %s", addr)
+			if tr != nil {
+				tr.Eventf("lame", "non-descending referral from %s", addr)
+			}
 			lastErr = fmt.Errorf("%w: non-descending referral from %s", ErrLame, addr)
 			if err := r.recordFailure(addr, retries, tr); err != nil {
 				return nil, fmt.Errorf("%w: %w", err, lastErr)
@@ -1120,8 +1034,10 @@ func (r *Resolver) queryZoneServers(set nsSet, qname dnswire.Name, qtype dnswire
 		}
 		r.noteSuccess(addr)
 		xsp.EndWithDuration(rtt)
-		tr.Eventf("recv", "%s rtt=%v rcode=%s ans=%d auth=%d",
-			addr, rtt, resp.Rcode, len(resp.Answers), len(resp.Authority))
+		if tr != nil {
+			tr.Eventf("recv", "%s rtt=%v rcode=%s ans=%d auth=%d",
+				addr, rtt, resp.Rcode, len(resp.Answers), len(resp.Authority))
+		}
 		return resp, nil
 	}
 	if lastErr == nil {
@@ -1158,7 +1074,9 @@ func (r *Resolver) recordFailure(addr netip.Addr, retries *int, tr *obs.Trace) e
 	backoff, hold := r.noteFailure(addr, r.cfg.Clock())
 	if hold > 0 {
 		r.count(func(s *Stats) { inc(&s.HoldDowns, 1) })
-		tr.Eventf("hold-down", "tripped %s for %v", addr, hold)
+		if tr != nil {
+			tr.Eventf("hold-down", "tripped %s for %v", addr, hold)
+		}
 	} else if backoff > 0 && tr != nil {
 		tr.Eventf("backoff", "%s backing off %v", addr, backoff)
 	}
@@ -1167,7 +1085,9 @@ func (r *Resolver) recordFailure(addr netip.Addr, retries *int, tr *obs.Trace) e
 		return nil
 	}
 	r.count(func(s *Stats) { inc(&s.RetryBudgetStops, 1) })
-	tr.Eventf("retry-budget", "exhausted at %s", addr)
+	if tr != nil {
+		tr.Eventf("retry-budget", "exhausted at %s", addr)
+	}
 	return ErrRetryBudget
 }
 
@@ -1176,17 +1096,23 @@ func (r *Resolver) recordFailure(addr netip.Addr, retries *int, tr *obs.Trace) e
 // misconfigured-secondary answer. Mirrors processResponse's terminal
 // check, but detecting it per-server lets queryZoneServers fail over.
 func nonDescendingReferral(zoneName dnswire.Name, resp *dnswire.Message) bool {
-	if !isReferral(resp) {
-		return false
-	}
-	var next dnswire.Name
-	for _, rr := range resp.Authority {
-		if rr.Type == dnswire.TypeNS {
-			next = rr.Name
-			break
+	return isReferral(resp) && !descends(referralCut(resp), zoneName)
+}
+
+// referralCut is the cut a referral announces: the owner of the first NS
+// record in its Authority section ("" when there is none).
+func referralCut(resp *dnswire.Message) dnswire.Name {
+	for i := range resp.Authority {
+		if resp.Authority[i].Type == dnswire.TypeNS {
+			return resp.Authority[i].Name
 		}
 	}
-	return next == "" || next == zoneName || !next.IsSubdomainOf(zoneName)
+	return ""
+}
+
+// descends reports whether cut lies properly below zoneName.
+func descends(cut, zoneName dnswire.Name) bool {
+	return cut != "" && cut != zoneName && cut.IsSubdomainOf(zoneName)
 }
 
 // minimise computes the QNAME-minimised (name, type) to send to servers
@@ -1210,19 +1136,32 @@ func minimise(zoneName, qname dnswire.Name, qtype dnswire.Type) (dnswire.Name, d
 	return name, dnswire.TypeNS
 }
 
-// processResponse classifies a response and updates the cache. It returns
-// either a terminal (rcode, rrs) or the next delegation to chase.
-func (r *Resolver) processResponse(cur nsSet, qname dnswire.Name, qtype dnswire.Type, resp *dnswire.Message) (dnswire.Rcode, []dnswire.RR, nsSet, bool) {
-	sentName := qname
-	sentType := qtype
-	if r.cfg.QNameMinimisation {
-		sentName, sentType = minimise(cur.zone, qname, qtype)
-	}
+// step is what one upstream response means for the iteration: an end
+// (rcode and records), or whose servers to ask next.
+type step struct {
+	done  bool
+	rcode dnswire.Rcode
+	rrs   []dnswire.RR
+	next  *delegation
+	// floor is the name QNAME minimisation counts labels from at next's
+	// servers; "" asks for the full name to be sent.
+	floor dnswire.Name
+}
 
+func terminal(rcode dnswire.Rcode, rrs []dnswire.RR) step {
+	return step{done: true, rcode: rcode, rrs: rrs}
+}
+
+// processResponse classifies the response of one of cur's servers to
+// (sentName, sentType) and takes from it what the bailiwick rule lets
+// those servers say: the cache and the delegation table see nothing else.
+// final reports that the question sent was the one being resolved, not a
+// minimised step toward it.
+func (r *Resolver) processResponse(cur *delegation, sentName dnswire.Name, sentType dnswire.Type, final bool, resp *dnswire.Message, tr *obs.Trace) step {
+	rule := bailiwick{zone: cur.zone}
 	switch {
 	case resp.Rcode == dnswire.RcodeNXDomain:
-		soa := findSOA(resp.Authority)
-		if soa != nil {
+		if soa := r.zoneSOA(cur, resp, tr); soa != nil {
 			r.cache.PutNegative(sentName, sentType, *soa, true)
 			// An NXDOMAIN whose SOA is the root zone's proves the TLD is
 			// not delegated at all (the root would have referred
@@ -1232,81 +1171,78 @@ func (r *Resolver) processResponse(cur nsSet, qname dnswire.Name, qtype dnswire.
 			}
 		}
 		// NXDOMAIN for an ancestor name dooms the full qname too.
-		return dnswire.RcodeNXDomain, nil, nsSet{}, true
+		return terminal(dnswire.RcodeNXDomain, nil)
 
 	case len(resp.Answers) > 0:
-		r.cacheSets(resp.Answers, false)
-		if sentName != qname || sentType != qtype {
-			// Minimised intermediate answer (e.g. NS at a cut we asked
-			// about): descend within the same or delegated servers.
-			next := nsSet{zone: sentName}
+		// A minimised intermediate answer may be the NS set of a cut we
+		// asked about: descend to the servers it names. Its glue is
+		// learned before the answer is cached — see learn.
+		var next *delegation
+		dropped := 0
+		if !final {
+			next, dropped = r.learn(sentName, cur.zone, resp.Answers, resp.Additional)
+		}
+		answers := resp.Answers
+		if out := r.cacheSets(answers, rule.answer); out > 0 {
+			dropped += out
+			// What may not be cached may not be served either: a CNAME's
+			// out-of-zone target is resolved where it lives.
+			answers = make([]dnswire.RR, 0, len(resp.Answers)-out)
 			for _, rr := range resp.Answers {
-				if rr.Name == sentName && rr.Type == dnswire.TypeNS {
-					next.hosts = append(next.hosts, rr.Data.(dnswire.NS).Host)
+				if rr.Name.IsSubdomainOf(cur.zone) {
+					answers = append(answers, rr)
 				}
 			}
-			if len(next.hosts) > 0 {
-				r.cacheSets(resp.Additional, false)
-				return 0, nil, next, false
-			}
-			// CNAME at an intermediate minimised name: rare; restart from
-			// the full name against the same servers.
-			return 0, nil, cur, false
 		}
-		return dnswire.RcodeSuccess, resp.Answers, nsSet{}, true
+		r.countDropped(dropped, tr)
+		switch {
+		case final:
+			return terminal(dnswire.RcodeSuccess, answers)
+		case next != nil:
+			return step{next: next, floor: next.zone}
+		}
+		// CNAME at an intermediate minimised name: rare; restart from
+		// the full name against the same servers.
+		return step{next: cur}
 
 	case isReferral(resp):
-		r.cacheSets(referralNS(resp), false)
-		r.cacheSets(resp.Additional, false)
-		next := nsSet{}
-		for _, rr := range resp.Authority {
-			if rr.Type == dnswire.TypeNS {
-				if next.zone == "" {
-					next.zone = rr.Name
-				}
-				if rr.Name == next.zone {
-					next.hosts = append(next.hosts, rr.Data.(dnswire.NS).Host)
-				}
-			}
-		}
+		cut := referralCut(resp)
 		// A referral that does not descend is lame; stop.
-		if next.zone == "" || next.zone == cur.zone || !next.zone.IsSubdomainOf(cur.zone) {
-			return dnswire.RcodeServFail, nil, nsSet{}, true
+		if !descends(cut, cur.zone) {
+			return terminal(dnswire.RcodeServFail, nil)
 		}
-		return 0, nil, next, false
+		next, dropped := r.learn(cut, cur.zone, resp.Authority, resp.Additional)
+		dropped += r.cacheSets(resp.Authority, rule.authority)
+		r.countDropped(dropped, tr)
+		if next == nil {
+			return terminal(dnswire.RcodeServFail, nil)
+		}
+		return step{next: next, floor: next.zone}
 
 	default:
 		// NODATA. For a minimised intermediate name this means an empty
-		// non-terminal: descend one more label against the same servers.
-		if sentName != qname || sentType != qtype {
-			deeper := cur
-			deeper.zone = sentName
-			// The zone does not actually cut here, but using sentName as
-			// the floor makes minimise() reveal one more label while we
-			// keep asking the same servers.
-			deeper.hosts = cur.hosts
-			return 0, nil, deeper, false
+		// non-terminal: reveal one more label to the same servers.
+		if !final {
+			return step{next: cur, floor: sentName}
 		}
-		soa := findSOA(resp.Authority)
-		if soa != nil {
+		if soa := r.zoneSOA(cur, resp, tr); soa != nil {
 			r.cache.PutNegative(sentName, sentType, *soa, false)
 		}
-		return dnswire.RcodeSuccess, nil, nsSet{}, true
+		return terminal(dnswire.RcodeSuccess, nil)
 	}
 }
 
-// cacheSets groups records into RRsets and caches each.
-func (r *Resolver) cacheSets(rrs []dnswire.RR, pinned bool) {
-	if len(rrs) == 0 {
-		return
+// zoneSOA is the SOA a negative answer from cur's servers carries, if it
+// is one those servers may speak for: its negative TTL bounds the cache
+// entry, and a root SOA records an NXDOMAIN cut, so a server below the
+// root must not be able to supply either.
+func (r *Resolver) zoneSOA(cur *delegation, resp *dnswire.Message, tr *obs.Trace) *dnswire.RR {
+	soa := findSOA(resp.Authority)
+	if soa != nil && !soa.Name.IsSubdomainOf(cur.zone) {
+		r.countDropped(1, tr)
+		return nil
 	}
-	_, sets := dnswire.GroupRRsets(rrs)
-	for key, set := range sets {
-		if key.Type == dnswire.TypeOPT {
-			continue
-		}
-		r.cache.Put(set, pinned)
-	}
+	return soa
 }
 
 func findSOA(rrs []dnswire.RR) *dnswire.RR {
@@ -1328,16 +1264,6 @@ func isReferral(resp *dnswire.Message) bool {
 		}
 	}
 	return false
-}
-
-func referralNS(resp *dnswire.Message) []dnswire.RR {
-	var out []dnswire.RR
-	for _, rr := range resp.Authority {
-		if rr.Type == dnswire.TypeNS || rr.Type == dnswire.TypeDS {
-			out = append(out, rr)
-		}
-	}
-	return out
 }
 
 // orderBySRTT sorts candidate servers by smoothed RTT, unknown servers

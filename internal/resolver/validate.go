@@ -13,17 +13,14 @@ import (
 	"rootless/internal/obs"
 )
 
-// validateResponse judges one upstream response from cur.zone's servers.
-// It may issue a DNSKEY sub-query (sharing the resolution's budget,
-// retry allowance, admission token, and trace) to establish the zone's
-// keys first. The returned error explains a Bogus outcome.
-func (r *Resolver) validateResponse(cur nsSet, qname dnswire.Name, qtype dnswire.Type, resp *dnswire.Message, res *Result, budget, retries *int, tr *obs.Trace, tok *gateToken) (validator.Outcome, error) {
+// validateResponse judges one upstream response from cur.zone's servers
+// to (sentName, sentType). It may issue a DNSKEY sub-query (sharing the
+// resolution's budget, retry allowance, admission token, and trace) to
+// establish the zone's keys first. The returned error explains a Bogus
+// outcome.
+func (r *Resolver) validateResponse(cur *delegation, sentName dnswire.Name, sentType dnswire.Type, resp *dnswire.Message, res *Result, budget, retries *int, tr *obs.Trace, tok *gateToken) (validator.Outcome, error) {
 	v := r.validator
 	zone := cur.zone
-	sentName, sentType := qname, qtype
-	if r.cfg.QNameMinimisation {
-		sentName, sentType = minimise(zone, qname, qtype)
-	}
 
 	// A signed zone's data cannot be judged without its keys.
 	if v.ZoneStatus(zone) == validator.ChainSecure && !v.HasKeys(zone) {
@@ -53,9 +50,11 @@ func (r *Resolver) validateResponse(cur nsSet, qname dnswire.Name, qtype dnswire
 
 // fetchKeys issues the DNSKEY sub-query to the zone's servers and chains
 // the answer to the trust anchor via the validator.
-func (r *Resolver) fetchKeys(cur nsSet, res *Result, budget, retries *int, tr *obs.Trace, tok *gateToken) error {
+func (r *Resolver) fetchKeys(cur *delegation, res *Result, budget, retries *int, tr *obs.Trace, tok *gateToken) error {
 	r.count(func(s *Stats) { inc(&s.DNSKEYFetches, 1) })
-	tr.Eventf("dnskey", "fetching %s DNSKEY to build the chain", cur.zone)
+	if tr != nil {
+		tr.Eventf("dnskey", "fetching %s DNSKEY to build the chain", cur.zone)
+	}
 	resp, err := r.queryZoneServers(cur, cur.zone, dnswire.TypeDNSKEY, res, budget, retries, tr, tok)
 	if err != nil {
 		return fmt.Errorf("DNSKEY fetch for %s: %w", cur.zone, err)
@@ -73,7 +72,9 @@ func (r *Resolver) countOutcome(o validator.Outcome, zone dnswire.Name, tr *obs.
 		r.count(func(s *Stats) { inc(&s.InsecureAnswers, 1) })
 	case validator.Bogus:
 		r.count(func(s *Stats) { inc(&s.BogusAnswers, 1) })
-		tr.Eventf("bogus", "zone=%s: %v", zone, cause)
+		if tr != nil {
+			tr.Eventf("bogus", "zone=%s: %v", zone, cause)
+		}
 	default:
 		r.count(func(s *Stats) { inc(&s.IndeterminateAnswers, 1) })
 	}
