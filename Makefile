@@ -86,13 +86,15 @@ bench-full:
 	go test -bench=. -benchmem ./...
 
 # Short coverage-guided fuzz pass over the wire codec, canonical name
-# ordering against its label-parsing reference, the delta bundle decoder,
-# the two UDP front doors and the resolver's upstream-response path
-# (~10s per target).
+# ordering against its label-parsing reference, the master-file parser,
+# the delta bundle decoder, the two UDP front doors (authd's against the
+# route it replaced) and the resolver's upstream-response path (~10s per
+# target).
 fuzz-short:
 	go test ./internal/dnswire -run='^$$' -fuzz=FuzzMessageUnpack -fuzztime=10s
 	go test ./internal/dnswire -run='^$$' -fuzz=FuzzNameParse -fuzztime=10s
 	go test ./internal/dnswire -run='^$$' -fuzz=FuzzNameCompare -fuzztime=10s
+	go test ./internal/zone -run='^$$' -fuzz=FuzzZoneParse -fuzztime=10s
 	go test ./internal/dist -run='^$$' -fuzz=FuzzDecodeDeltaBundle -fuzztime=10s
 	go test ./internal/resolver -run='^$$' -fuzz=FuzzResolverDatagram -fuzztime=10s
 	go test ./internal/resolver -run='^$$' -fuzz=FuzzUpstreamResponse -fuzztime=10s

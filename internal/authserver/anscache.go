@@ -3,6 +3,7 @@ package authserver
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"rootless/internal/dnswire"
 )
@@ -52,20 +53,21 @@ const (
 func (c statClass) bump(st *Stats) {
 	switch c {
 	case ansAnswer:
-		st.Answers++
+		atomic.AddInt64(&st.Answers, 1)
 	case ansReferral:
-		st.Referrals++
+		atomic.AddInt64(&st.Referrals, 1)
 	case ansNXDomain:
-		st.NXDomain++
+		atomic.AddInt64(&st.NXDomain, 1)
 	case ansNoData:
-		st.NoData++
+		atomic.AddInt64(&st.NoData, 1)
 	case ansRefused:
-		st.Refused++
+		atomic.AddInt64(&st.Refused, 1)
 	}
 }
 
 // ansEntry is one precompiled answer. template (ID 0, RD clear) and wire
-// are immutable after insertion; hits copy the struct and patch the copy.
+// are immutable after insertion: a hit hands the entry itself to the UDP
+// transport, which patch-copies wire, and Handle copies the template.
 type ansEntry struct {
 	template dnswire.Message
 	wire     []byte

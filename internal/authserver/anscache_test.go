@@ -58,12 +58,13 @@ func TestPackedAnswerWireIsPatchedTemplate(t *testing.T) {
 	q := query("com.", dnswire.TypeNS)
 	s.Handle(q, netip.Addr{}) // prime
 
-	q2 := query("com.", dnswire.TypeNS)
+	q2, _ := query("com.", dnswire.TypeNS).Query()
 	q2.ID = 777
-	resp, wire := s.handle(nil, q2, netip.Addr{})
-	if wire == nil {
-		t.Fatal("second identical query did not return cached wire")
+	r := s.handle(nil, &q2, netip.Addr{})
+	if r.hit == nil || r.msg != nil {
+		t.Fatal("second identical query did not hand back the cache entry")
 	}
+	wire, resp := r.wire, r.message(&q2)
 	// The stored wire is the neutral template: ID zero, RD clear.
 	var tmpl dnswire.Message
 	if err := tmpl.Unpack(wire); err != nil {

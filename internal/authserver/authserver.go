@@ -7,6 +7,7 @@ package authserver
 
 import (
 	"net/netip"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,7 +20,8 @@ import (
 )
 
 // Stats counts server activity, broken down the way the paper's root
-// traffic analysis needs.
+// traffic analysis needs. The server's own copy is moved only by atomic
+// adds (TestStatsWritesAreAtomic) and read by the Stats snapshot.
 type Stats struct {
 	Queries   int64
 	Answers   int64
@@ -53,28 +55,27 @@ type Stats struct {
 // Server answers queries for one zone. The zone may be swapped atomically
 // while serving (SetZone), which is how a local root instance refreshes.
 type Server struct {
+	// stats is moved only by atomic adds. First in the struct, so its
+	// words are 64-bit aligned on 32-bit platforms too.
+	stats Stats
+
 	// TCPTimeout bounds each individual TCP read and write (default
 	// 30 s), so a stalled peer can never park a connection goroutine —
 	// or an AXFR/IXFR stream — forever. Set before serving.
 	TCPTimeout time.Duration
 
-	mu      sync.RWMutex
-	zone    *zone.Zone
-	stats   Stats
+	// What a query reads, each with one atomic load and no lock: the
+	// zone, the overload protection SetOverload installed, and the
+	// precompiled answers (nil = disabled).
+	zone     atomic.Pointer[zone.Zone]
+	guard    atomic.Pointer[protection]
+	anscache atomic.Pointer[answerCache]
+
+	// mu guards what only zone changes touch.
+	mu      sync.Mutex
 	journal *ixfrJournal // non-nil once EnableIXFR is called
 	// secondaries receive a NOTIFY on every zone change.
 	secondaries []string
-	// Overload protection, installed by SetOverload (all nil-tolerant:
-	// a nil gate/limiter/RRL admits everything).
-	gate    *overload.Gate
-	clients *overload.ClientLimiter
-	rrl     *overload.RRL
-	clock   func() time.Time
-
-	// anscache holds precompiled answers (nil = disabled); packs counts
-	// Pack calls outside the mutex so the truncation loop stays cheap.
-	anscache atomic.Pointer[answerCache]
-	packs    atomic.Int64
 
 	// traffic, when installed with SetTraffic, classifies every arriving
 	// query — including ones the limiters drop, which is the point of a
@@ -102,7 +103,9 @@ const DefaultAnswerCacheSize = 4096
 // New creates a server for z with the packed-answer cache enabled at
 // DefaultAnswerCacheSize. Use SetAnswerCache to resize or disable it.
 func New(z *zone.Zone) *Server {
-	s := &Server{zone: z}
+	s := &Server{}
+	s.zone.Store(z)
+	s.guard.Store(&protection{})
 	s.SetAnswerCache(DefaultAnswerCacheSize)
 	return s
 }
@@ -155,16 +158,12 @@ func (s *Server) SetAnswerCache(capacity int) {
 // the packed-answer hit path never serializes a message and a miss
 // serializes it once.
 func (s *Server) pack(m *dnswire.Message) ([]byte, error) {
-	s.packs.Add(1)
+	atomic.AddInt64(&s.stats.WirePacks, 1)
 	return m.Pack()
 }
 
 // Zone returns the currently served zone.
-func (s *Server) Zone() *zone.Zone {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.zone
-}
+func (s *Server) Zone() *zone.Zone { return s.zone.Load() }
 
 // SetZone atomically replaces the served zone. With IXFR enabled the
 // version is journaled for incremental transfer service. Every
@@ -172,28 +171,28 @@ func (s *Server) Zone() *zone.Zone {
 // for an empty one of the same capacity.
 func (s *Server) SetZone(z *zone.Zone) {
 	s.mu.Lock()
-	s.zone = z
+	s.zone.Store(z)
+	journal := s.journal
 	s.mu.Unlock()
 	if old := s.anscache.Load(); old != nil {
 		s.anscache.Store(newAnswerCache(old.capacity))
 	}
-	s.recordVersion(z)
+	if journal != nil {
+		journal.push(z)
+	}
 	s.notifySecondaries(z)
 }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters. Each is read atomically; a
+// snapshot taken while queries run may show one counter a query ahead
+// of another.
 func (s *Server) Stats() Stats {
-	s.mu.RLock()
-	st := s.stats
-	s.mu.RUnlock()
-	st.WirePacks = s.packs.Load()
-	return st
-}
-
-func (s *Server) count(f func(*Stats)) {
-	s.mu.Lock()
-	f(&s.stats)
-	s.mu.Unlock()
+	var out Stats
+	src, dst := reflect.ValueOf(&s.stats).Elem(), reflect.ValueOf(&out).Elem()
+	for i := 0; i < dst.NumField(); i++ {
+		dst.Field(i).SetInt(atomic.LoadInt64(src.Field(i).Addr().Interface().(*int64)))
+	}
+	return out
 }
 
 // Collect implements obs.Collector: the Stats counters plus gauges for
@@ -209,20 +208,20 @@ func (s *Server) Collect(reg *obs.Registry) {
 		reg.Gauge("rootless_authserver_packed_answers", "precompiled answers resident in the packed-answer cache", nil).
 			Set(float64(ac.len()))
 	}
-	gate, clients, rrl := s.overloadState()
-	if gate != nil {
+	p := s.guard.Load()
+	if p.gate != nil {
 		reg.Gauge("rootless_authserver_gate_in_use", "admission slots currently held", nil).
-			Set(float64(gate.InUse()))
+			Set(float64(p.gate.InUse()))
 		reg.Gauge("rootless_authserver_gate_capacity", "admission slot capacity", nil).
-			Set(float64(gate.Capacity()))
+			Set(float64(p.gate.Capacity()))
 	}
-	if clients != nil {
+	if p.clients != nil {
 		reg.Gauge("rootless_authserver_limited_clients", "client token buckets resident", nil).
-			Set(float64(clients.Tracked()))
+			Set(float64(p.clients.Tracked()))
 	}
-	if rrl != nil {
+	if p.rrl != nil {
 		reg.Gauge("rootless_authserver_rrl_states", "RRL response-class states resident", nil).
-			Set(float64(rrl.Tracked()))
+			Set(float64(p.rrl.Tracked()))
 	}
 	if an := s.traffic.Load(); an != nil {
 		an.Collect(reg)
@@ -244,102 +243,138 @@ func (s *Server) Handle(q *dnswire.Message, from netip.Addr) *dnswire.Message {
 // TracedHandler): the auth span covers admission, zone lookup, and RRL,
 // and overload verdicts become trace events so a client-side trace shows
 // *why* a query died server-side. A nil trace costs nothing.
-func (s *Server) HandleTraced(tr *obs.Trace, q *dnswire.Message, from netip.Addr) *dnswire.Message {
-	resp, _ := s.handle(tr, q, from)
-	return resp
+func (s *Server) HandleTraced(tr *obs.Trace, m *dnswire.Message, from netip.Addr) *dnswire.Message {
+	q, _ := m.Query() // a question count other than one is answered FORMERR
+	return s.handle(tr, &q, from).message(&q)
 }
 
-// handle runs the full admission/answer/RRL pipeline. The second return
-// is the precompiled wire image for the response — ID zero and RD clear,
-// valid only when non-nil and only for unslipped responses — which lets
-// the UDP transport answer with a byte copy instead of a Pack call.
-func (s *Server) handle(tr *obs.Trace, q *dnswire.Message, from netip.Addr) (*dnswire.Message, []byte) {
+// reply is what the pipeline made of one query. A hit hands back the
+// cache entry, whose template and wire are shared and read-only; any
+// other reply is a message built for this query. wire, when set, is the
+// reply's image with ID zero and RD clear — the hit's, or the one pack a
+// miss made — for the UDP transport to patch-copy. The zero reply is a
+// drop.
+type reply struct {
+	hit  *ansEntry
+	msg  *dnswire.Message
+	wire []byte
+}
+
+func (r reply) dropped() bool { return r.hit == nil && r.msg == nil }
+
+func (r reply) rcode() dnswire.Rcode {
+	if r.hit != nil {
+		return r.hit.template.Rcode
+	}
+	return r.msg.Rcode
+}
+
+// message returns the reply as a Message of its own: on a hit, a copy of
+// the template with q's ID and RD patched in. Nil for a drop.
+func (r reply) message(q *dnswire.Query) *dnswire.Message {
+	if r.hit == nil {
+		return r.msg
+	}
+	m := r.hit.template // struct copy; sections shared and read-only
+	m.ID, m.RecursionDesired = q.ID, q.Flags&dnswire.FlagRD != 0
+	return &m
+}
+
+// handle runs the full admission/answer/RRL pipeline.
+func (s *Server) handle(tr *obs.Trace, q *dnswire.Query, from netip.Addr) reply {
 	if h := s.latency.Load(); h != nil {
 		start := time.Now()
 		defer func() { h.RecordDuration(time.Since(start)) }()
 	}
 	sp := tr.StartSpan(obs.PhaseAuth, "auth")
 	defer sp.End()
-	s.count(func(st *Stats) { st.Queries++ })
+	atomic.AddInt64(&s.stats.Queries, 1)
 	if an := s.traffic.Load(); an != nil {
-		if len(q.Questions) == 1 {
-			class := an.Observe(q.Questions[0].Name, q.Questions[0].Type)
+		if q.Question.Name != "" {
+			class := an.Observe(q.Question.Name, q.Question.Type)
 			tr.SetClass(class.String())
 		}
 		if from.IsValid() {
 			an.ObserveClient(from)
 		}
 	}
-	gate, clients, rrl := s.overloadState()
+	p := s.guard.Load()
 	var now time.Time
-	if clients != nil || rrl != nil {
-		now = s.now() // one clock read shared by both limiters
+	if p.clients != nil || p.rrl != nil {
+		now = p.now() // one clock read shared by both limiters
 	}
-	if !clients.Allow(from, now) {
-		s.count(func(st *Stats) { st.RateLimited++ })
+	if !p.clients.Allow(from, now) {
+		atomic.AddInt64(&s.stats.RateLimited, 1)
 		sp.SetDetail("rate-limited")
 		tr.Eventf("auth-drop", "per-client limit exceeded")
-		return nil, nil
+		return reply{}
 	}
-	if !gate.Acquire() {
-		s.count(func(st *Stats) { st.Shed++ })
+	if !p.gate.Acquire() {
+		atomic.AddInt64(&s.stats.Shed, 1)
 		sp.SetDetail("shed")
 		tr.Eventf("auth-drop", "server admission gate full")
-		return nil, nil
+		return reply{}
 	}
-	defer gate.Release()
-	resp, wire := s.answer(q)
-	switch rrl.Decide(from, responseToken(resp), now) {
+	defer p.gate.Release()
+	r := s.answer(q)
+	if p.rrl == nil || !from.IsValid() {
+		return r // RRL would send it: no token to build
+	}
+	switch p.rrl.Decide(from, responseToken(r.rcode(), q.Question.Name), now) {
 	case overload.RRLDrop:
-		s.count(func(st *Stats) { st.RRLDropped++ })
+		atomic.AddInt64(&s.stats.RRLDropped, 1)
 		sp.SetDetail("rrl-dropped")
 		tr.Eventf("auth-drop", "response rate-limited (dropped)")
-		return nil, nil
+		return reply{}
 	case overload.RRLSlip:
-		s.count(func(st *Stats) { st.RRLSlipped++ })
+		atomic.AddInt64(&s.stats.RRLSlipped, 1)
 		sp.SetDetail("rrl-slipped")
 		tr.Eventf("auth-slip", "response rate-limited (slipped truncated)")
-		return slipResponse(resp), nil // precompiled wire no longer matches
+		return reply{msg: slipResponse(r.message(q))} // the wire no longer matches
 	}
-	return resp, wire
+	return r
 }
 
-// answer builds the response for one already-admitted query, consulting
-// the packed-answer cache first. The second return is the response's
-// wire image with ID zero and RD clear (see handle): the cached one on a
-// hit, the one pack a miss makes otherwise. It is nil only for the
-// malformed and refused questions answered before the cache is consulted.
-func (s *Server) answer(q *dnswire.Message) (*dnswire.Message, []byte) {
-	resp := &dnswire.Message{
-		ID:               q.ID,
-		Response:         true,
-		Opcode:           q.Opcode,
-		RecursionDesired: q.RecursionDesired,
-		Questions:        q.Questions,
+// response is a reply message allocated with its question's backing
+// array, so a reply costs one allocation whether or not it echoes one.
+type response struct {
+	msg      dnswire.Message
+	question [1]dnswire.Question
+}
+
+// newResponse starts the reply to q: header and question, ID zero and RD
+// clear — the neutral form a packed answer is cached in.
+func newResponse(q *dnswire.Query) *dnswire.Message {
+	r := &response{msg: dnswire.Message{Response: true, Opcode: q.Opcode()}}
+	if q.Question.Name != "" {
+		r.question[0] = q.Question
+		r.msg.Questions = r.question[:]
 	}
-	if q.Opcode != dnswire.OpcodeQuery || len(q.Questions) != 1 {
-		s.count(func(st *Stats) { st.FormErr++ })
-		resp.Rcode = dnswire.RcodeFormat
-		if q.Opcode != dnswire.OpcodeQuery {
-			resp.Rcode = dnswire.RcodeNotImpl
-		}
-		return resp, nil
-	}
-	question := q.Questions[0]
-	if question.Class != dnswire.ClassINET ||
-		question.Type == dnswire.TypeAXFR || question.Type == dnswire.TypeIXFR {
-		s.count(func(st *Stats) { st.Refused++ })
-		resp.Rcode = dnswire.RcodeRefused
-		return resp, nil
+	return &r.msg
+}
+
+// answer builds the reply for one already-admitted query, consulting the
+// packed-answer cache first: nothing is allocated for a hit.
+func (s *Server) answer(q *dnswire.Query) reply {
+	question := q.Question
+	switch {
+	case q.Opcode() != dnswire.OpcodeQuery:
+		atomic.AddInt64(&s.stats.FormErr, 1)
+		return refuse(q, dnswire.RcodeNotImpl)
+	case question.Name == "": // not exactly one question
+		atomic.AddInt64(&s.stats.FormErr, 1)
+		return refuse(q, dnswire.RcodeFormat)
+	case question.Class != dnswire.ClassINET ||
+		question.Type == dnswire.TypeAXFR || question.Type == dnswire.TypeIXFR:
+		atomic.AddInt64(&s.stats.Refused, 1)
+		return refuse(q, dnswire.RcodeRefused)
 	}
 
 	// The response depends on the question plus two EDNS attributes: the
 	// advertised size (truncation limit) and the DO bit (DNSSEC records).
-	_, size, do := q.EDNS()
-	limit := dnswire.MaxUDPSize
-	if int(size) > limit {
-		limit = int(size)
-	}
+	// An OPT advertising size zero is read as no OPT at all.
+	size, do := q.UDPSize, q.DO
+	limit := max(dnswire.MaxUDPSize, int(size))
 	var ednsMode uint8
 	if size > 0 {
 		ednsMode = 1
@@ -356,22 +391,17 @@ func (s *Server) answer(q *dnswire.Message) (*dnswire.Message, []byte) {
 		// client advertising a smaller size falls through to a fresh
 		// (possibly truncated) build without polluting the cache.
 		if e := ac.get(key); e != nil && len(e.wire) <= limit {
-			s.count(func(st *Stats) {
-				st.PackedHits++
-				e.class.bump(st)
-			})
-			m := e.template // struct copy; sections shared and read-only
-			m.ID = q.ID
-			m.RecursionDesired = q.RecursionDesired
-			return &m, e.wire
+			atomic.AddInt64(&s.stats.PackedHits, 1)
+			e.class.bump(&s.stats)
+			return reply{hit: e, wire: e.wire}
 		}
-		s.count(func(st *Stats) { st.PackedMisses++ })
+		atomic.AddInt64(&s.stats.PackedMisses, 1)
 	}
 
 	// From here to the pack resp is the neutral template, ID zero and RD
 	// clear: its one wire image is the size check, the cache entry and
 	// what the UDP transport patch-copies into the reply.
-	resp.ID, resp.RecursionDesired = 0, false
+	resp := newResponse(q)
 	z := s.Zone()
 	ans := z.Query(question.Name, question.Type)
 	resp.Rcode = ans.Rcode
@@ -404,12 +434,10 @@ func (s *Server) answer(q *dnswire.Message) (*dnswire.Message, []byte) {
 		resp.SetEDNS(dnswire.DefaultEDNSSize, do)
 	}
 	wire := s.packWithin(resp, limit)
-	s.count(func(st *Stats) {
-		class.bump(st)
-		if resp.Truncated {
-			st.Truncated++
-		}
-	})
+	class.bump(&s.stats)
+	if resp.Truncated {
+		atomic.AddInt64(&s.stats.Truncated, 1)
+	}
 
 	// NXDOMAIN is never cached: the names that do not exist are without
 	// number, and one entry per junk qname would push the finite set of
@@ -418,8 +446,17 @@ func (s *Server) answer(q *dnswire.Message) (*dnswire.Message, []byte) {
 	if ac != nil && wire != nil && !resp.Truncated && class != ansNXDomain {
 		ac.put(key, &ansEntry{template: *resp, wire: wire, class: class})
 	}
-	resp.ID, resp.RecursionDesired = q.ID, q.RecursionDesired
-	return resp, wire
+	resp.ID, resp.RecursionDesired = q.ID, q.Flags&dnswire.FlagRD != 0
+	return reply{msg: resp, wire: wire}
+}
+
+// refuse answers q with rcode alone: header, and the question if it had
+// exactly one.
+func refuse(q *dnswire.Query, rcode dnswire.Rcode) reply {
+	resp := newResponse(q)
+	resp.Rcode = rcode
+	resp.ID, resp.RecursionDesired = q.ID, q.Flags&dnswire.FlagRD != 0
+	return reply{msg: resp}
 }
 
 // packWithin packs m, and while the image exceeds limit marks m truncated,

@@ -62,14 +62,7 @@ func (s *Server) EnableIXFR(window int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.journal = newIXFRJournal(window)
-	if s.zone != nil {
-		s.journal.push(s.zone)
-	}
-}
-
-// recordVersion is called by SetZone when journaling is enabled.
-func (s *Server) recordVersion(z *zone.Zone) {
-	if s.journal != nil {
+	if z := s.zone.Load(); z != nil {
 		s.journal.push(z)
 	}
 }
@@ -130,9 +123,9 @@ func (s *Server) streamIXFR(w io.Writer, q *dnswire.Message) error {
 			Questions: q.Questions, Answers: []dnswire.RR{curSOA}})
 	}
 
-	s.mu.RLock()
+	s.mu.Lock()
 	journal := s.journal
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	var oldZone *zone.Zone
 	if haveSerial && journal != nil {
 		oldZone = journal.find(clientSerial)

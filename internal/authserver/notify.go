@@ -28,9 +28,9 @@ func (s *Server) AddSecondary(addr string) {
 // notifySecondaries fires one NOTIFY datagram per registered secondary.
 // Failures are ignored: NOTIFY is advisory and secondaries still poll.
 func (s *Server) notifySecondaries(z *zone.Zone) {
-	s.mu.RLock()
+	s.mu.Lock()
 	targets := append([]string(nil), s.secondaries...)
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	if len(targets) == 0 {
 		return
 	}

@@ -1,7 +1,6 @@
 package authserver
 
 import (
-	"strings"
 	"time"
 
 	"rootless/internal/dnswire"
@@ -32,31 +31,31 @@ type OverloadConfig struct {
 	Clock func() time.Time
 }
 
-// SetOverload installs overload protection. Call before serving; the
-// zero config removes all protection.
-func (s *Server) SetOverload(cfg OverloadConfig) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gate = overload.NewGate(cfg.MaxInflight, cfg.QueueDeadline)
-	s.clients = overload.NewClientLimiter(cfg.PerClientQPS, cfg.PerClientBurst, 0)
-	s.rrl = overload.NewRRL(cfg.RRLRate, cfg.RRLSlip, 0)
-	s.clock = cfg.Clock
+// protection is the installed overload protection, swapped whole by
+// SetOverload so that a query reads all of it with one atomic load. A
+// nil gate, limiter or RRL admits everything.
+type protection struct {
+	gate    *overload.Gate
+	clients *overload.ClientLimiter
+	rrl     *overload.RRL
+	clock   func() time.Time
 }
 
-// overloadState snapshots the protection pointers; all are nil-tolerant.
-func (s *Server) overloadState() (*overload.Gate, *overload.ClientLimiter, *overload.RRL) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.gate, s.clients, s.rrl
+// SetOverload installs overload protection; the zero config removes all
+// of it. Queries already admitted finish under the protection they met.
+func (s *Server) SetOverload(cfg OverloadConfig) {
+	s.guard.Store(&protection{
+		gate:    overload.NewGate(cfg.MaxInflight, cfg.QueueDeadline),
+		clients: overload.NewClientLimiter(cfg.PerClientQPS, cfg.PerClientBurst, 0),
+		rrl:     overload.NewRRL(cfg.RRLRate, cfg.RRLSlip, 0),
+		clock:   cfg.Clock,
+	})
 }
 
 // now reads the configured clock.
-func (s *Server) now() time.Time {
-	s.mu.RLock()
-	clock := s.clock
-	s.mu.RUnlock()
-	if clock != nil {
-		return clock()
+func (p *protection) now() time.Time {
+	if p.clock != nil {
+		return p.clock()
 	}
 	return time.Now()
 }
@@ -64,14 +63,11 @@ func (s *Server) now() time.Time {
 // responseToken classifies a response for RRL accounting: rcode plus
 // query name, so a flood of one spoofed question rate-limits without
 // touching answers for other names.
-func responseToken(resp *dnswire.Message) string {
-	var sb strings.Builder
-	sb.WriteString(resp.Rcode.String())
-	if len(resp.Questions) > 0 {
-		sb.WriteByte('/')
-		sb.WriteString(string(resp.Questions[0].Name))
+func responseToken(rcode dnswire.Rcode, qname dnswire.Name) string {
+	if qname == "" {
+		return rcode.String()
 	}
-	return sb.String()
+	return rcode.String() + "/" + string(qname)
 }
 
 // slipResponse turns a response into the RRL "slip": truncated, with

@@ -129,7 +129,7 @@ func TestGateShedsWhenSaturated(t *testing.T) {
 	s.SetOverload(OverloadConfig{MaxInflight: 2})
 
 	// Saturate the gate from outside Handle: grab its slots directly.
-	gate, _, _ := s.overloadState()
+	gate := s.guard.Load().gate
 	if gate == nil {
 		t.Fatal("gate not installed")
 	}

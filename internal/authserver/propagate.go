@@ -15,43 +15,39 @@ import (
 
 // joinRemoteTrace begins a trace joined to the querier's trace when the
 // arriving query carries a sampled trace option and a tracer is
-// installed. Returns (nil, zero) otherwise.
-func (s *Server) joinRemoteTrace(q *dnswire.Message) (*obs.Trace, dnswire.TraceContext) {
+// installed. Returns nil otherwise.
+func (s *Server) joinRemoteTrace(q *dnswire.Query) *obs.Trace {
 	t := s.tracer.Load()
-	if t == nil {
-		return nil, dnswire.TraceContext{}
-	}
-	tc, _, ok := q.TraceOption()
-	if !ok || !tc.Sampled {
-		return nil, dnswire.TraceContext{}
+	if t == nil || !q.Trace.Sampled {
+		return nil
 	}
 	var qname, qtype string
-	if len(q.Questions) == 1 {
-		qname = string(q.Questions[0].Name)
-		qtype = q.Questions[0].Type.String()
+	if q.Question.Name != "" {
+		qname = string(q.Question.Name)
+		qtype = q.Question.Type.String()
 	}
-	return t.BeginRemote(qname, qtype, tc.TraceID, tc.SpanID), tc
+	return t.BeginRemote(qname, qtype, q.Trace.TraceID, q.Trace.SpanID)
 }
 
 // attachTrace finishes a joined trace (recording it on this daemon's
 // ring) and ships its span tree back in the response's trace option.
-// Returns the precompiled wire image to use for the reply: attaching a
-// payload invalidates it (the response must be re-packed), and the
-// response's Additional section is deep-copied first so the packed-answer
-// template's shared slices are never mutated. Dropped queries (nil resp)
-// still finish the trace — the drop verdict is exactly what the far side
-// wants to see on this daemon's /tracez.
-func (s *Server) attachTrace(tr *obs.Trace, tc dnswire.TraceContext, resp *dnswire.Message, wire []byte) []byte {
-	if resp == nil {
+// Attaching a payload turns the reply into a message of its own to be
+// re-packed, its Additional section deep-copied first so the
+// packed-answer template's shared slices are never mutated. Dropped
+// queries still finish the trace — the drop verdict is exactly what the
+// far side wants to see on this daemon's /tracez.
+func (s *Server) attachTrace(tr *obs.Trace, q *dnswire.Query, r reply) reply {
+	if r.dropped() {
 		tr.Finish("DROPPED", 0, 1, nil)
-		return nil
+		return r
 	}
 	payload := tr.SpanPayload()
-	tr.Finish(resp.Rcode.String(), 0, 1, nil)
+	tr.Finish(r.rcode().String(), 0, 1, nil)
 	if payload == nil {
-		return wire
+		return r
 	}
+	resp := r.message(q)
 	resp.Additional = append([]dnswire.RR(nil), resp.Additional...)
-	resp.SetTraceOption(dnswire.TraceContext{TraceID: tc.TraceID, SpanID: tc.SpanID}, payload)
-	return nil
+	resp.SetTraceOption(dnswire.TraceContext{TraceID: q.Trace.TraceID, SpanID: q.Trace.SpanID}, payload)
+	return reply{msg: resp}
 }

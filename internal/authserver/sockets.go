@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/netip"
+	"sync/atomic"
 	"time"
 
 	"rootless/internal/dnswire"
@@ -18,45 +19,45 @@ import (
 // ServeWire answers one raw query datagram: parse, run the overload
 // pipeline and lookup, and append the response wire format to out.
 // Returns nil when the datagram is malformed, is itself a response, or
-// is dropped by rate limiting or admission control. req is only read during the call (UnpackShared
-// aliases it, which is safe: the server retains only Name strings and
-// Question values from the query, never rdata byte slices), matching
-// the udpengine buffer-ownership contract.
+// is dropped by rate limiting or admission control. A datagram without
+// exactly one question is answered FORMERR, header only. req is only
+// read during the call — Query.Parse copies out the question name and
+// aliases nothing — matching the udpengine buffer-ownership contract.
 func (s *Server) ServeWire(req []byte, from netip.Addr, out []byte) []byte {
 	// A response is never a query. Answering one would let a single
 	// spoofed packet set two servers replying to each other for good.
 	if len(req) > 2 && req[2]&(dnswire.FlagQR>>8) != 0 {
-		s.count(func(st *Stats) { st.ResponsesDropped++ })
+		atomic.AddInt64(&s.stats.ResponsesDropped, 1)
 		return nil
 	}
-	var q dnswire.Message
-	if err := q.UnpackShared(req); err != nil {
+	var q dnswire.Query
+	if err := q.Parse(req); err != nil && !errors.Is(err, dnswire.ErrQuestionCount) {
 		return nil
 	}
-	tr, tc := s.joinRemoteTrace(&q)
-	resp, wire := s.handle(tr, &q, from)
+	tr := s.joinRemoteTrace(&q)
+	r := s.handle(tr, &q, from)
 	if tr != nil {
-		wire = s.attachTrace(tr, tc, resp, wire)
+		r = s.attachTrace(tr, &q, r)
 	}
-	if resp == nil {
-		return nil // dropped by rate limiting or admission control
-	}
-	start := len(out)
-	if wire != nil {
+	if r.wire != nil {
 		// Precompiled answer, from the cache or from the one pack a miss
 		// makes: copy the wire (ID 0, RD clear) and patch the two
 		// query-specific header bits in place.
-		out = append(out, wire...)
+		start := len(out)
+		out = append(out, r.wire...)
 		binary.BigEndian.PutUint16(out[start:start+2], q.ID)
-		if q.RecursionDesired {
+		if q.Flags&dnswire.FlagRD != 0 {
 			out[start+2] |= 0x01
 		}
 		return out
 	}
+	if r.dropped() {
+		return nil // dropped by rate limiting or admission control
+	}
 	// No precompiled image: a question refused before the cache, an RRL
 	// slip, or a reply carrying a trace payload.
-	s.packs.Add(1)
-	out, err := resp.AppendPack(out)
+	atomic.AddInt64(&s.stats.WirePacks, 1)
+	out, err := r.msg.AppendPack(out)
 	if err != nil {
 		return nil
 	}
@@ -138,14 +139,16 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 			return
 		}
 		if len(q.Questions) == 1 && q.Questions[0].Type == dnswire.TypeAXFR {
-			s.count(func(st *Stats) { st.AXFRs++; st.Queries++ })
+			atomic.AddInt64(&s.stats.AXFRs, 1)
+			atomic.AddInt64(&s.stats.Queries, 1)
 			if err := s.streamAXFR(w, q); err != nil {
 				return
 			}
 			continue
 		}
 		if len(q.Questions) == 1 && q.Questions[0].Type == dnswire.TypeIXFR {
-			s.count(func(st *Stats) { st.IXFRs++; st.Queries++ })
+			atomic.AddInt64(&s.stats.IXFRs, 1)
+			atomic.AddInt64(&s.stats.Queries, 1)
 			if err := s.streamIXFR(w, q); err != nil {
 				return
 			}

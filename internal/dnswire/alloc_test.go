@@ -1,6 +1,11 @@
 package dnswire
 
-import "testing"
+import (
+	"bytes"
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 // The alloc budgets below are the contract behind the pooled codec: the
 // referral-shaped message from bench_test.go must pack in a single
@@ -69,6 +74,76 @@ func TestUnpackAllocs(t *testing.T) {
 		})
 		if got > tc.max {
 			t.Errorf("%s: %v allocs/op, want <= %v", tc.name, got, tc.max)
+		}
+	}
+}
+
+// sortingTypeBitmap is the encoder appendTypeBitmap replaced: sort a copy,
+// then write each run of one window. The reference for byte identity.
+func sortingTypeBitmap(b []byte, types []Type) []byte {
+	sorted := slices.Clone(types)
+	slices.Sort(sorted)
+	for i := 0; i < len(sorted); {
+		window := byte(sorted[i] >> 8)
+		var bitmap [32]byte
+		maxOctet := 0
+		for ; i < len(sorted) && byte(sorted[i]>>8) == window; i++ {
+			lo := byte(sorted[i])
+			bitmap[lo/8] |= 0x80 >> (lo % 8)
+			maxOctet = max(maxOctet, int(lo/8)+1)
+		}
+		b = append(b, window, byte(maxOctet))
+		b = append(b, bitmap[:maxOctet]...)
+	}
+	return b
+}
+
+// TestTypeBitmapMatchesSortingEncoder: random type lists spanning several
+// windows, in any order and with duplicates, encode to the bytes the
+// sorting encoder wrote, and decode back to the sorted, deduplicated set.
+func TestTypeBitmapMatchesSortingEncoder(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	windows := []Type{0, 1, 2, 0x7F, 0xFF}
+	for i := 0; i < 2000; i++ {
+		types := make([]Type, r.Intn(12))
+		for k := range types {
+			types[k] = windows[r.Intn(len(windows))]<<8 | Type(r.Intn(256))
+			if k > 0 && r.Intn(5) == 0 {
+				types[k] = types[r.Intn(k)] // a duplicate
+			}
+		}
+		if i%3 == 0 {
+			slices.Sort(types)
+		}
+		got, _ := appendTypeBitmap([]byte{0xAA}, types)
+		if want := sortingTypeBitmap([]byte{0xAA}, types); !bytes.Equal(got, want) {
+			t.Fatalf("%v:\n got %x\nwant %x", types, got, want)
+		}
+		back, err := parseTypeBitmap(got[1:])
+		if err != nil {
+			t.Fatalf("%v: %v", types, err)
+		}
+		want := slices.Clone(types)
+		slices.Sort(want)
+		if want = slices.Compact(want); !slices.Equal(back, want) {
+			t.Fatalf("%v decoded as %v", types, back)
+		}
+	}
+}
+
+// An NSEC's type bitmap is written without allocating, sorted or not.
+func TestTypeBitmapAllocs(t *testing.T) {
+	skipUnderRace(t)
+	buf := make([]byte, 0, 128)
+	for _, types := range [][]Type{
+		{TypeA, TypeNS, TypeSOA, TypeRRSIG, TypeNSEC, TypeDNSKEY, TypeCAA},
+		{TypeNS, TypeNSEC, TypeRRSIG, TypeDS}, // the signer's delegation order
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			buf, _ = appendTypeBitmap(buf[:0], types)
+		})
+		if got != 0 {
+			t.Errorf("%v: %v allocs/op, want 0", types, got)
 		}
 	}
 }

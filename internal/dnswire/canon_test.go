@@ -182,6 +182,7 @@ func FuzzNameCompare(f *testing.F) {
 	}
 	f.Add(`a\.b.com.`, `A\.B.COM`)
 	f.Add(`\065bc.`, "ABC.")
+	f.Add(`0".`, `a(b);c.`) // master-file specials: escaped in canonical form
 	f.Fuzz(func(t *testing.T, a, b string) {
 		checkAgainstReference(t, a, b)
 	})

@@ -6,8 +6,10 @@ import "rootless/internal/dnswire"
 
 // DatagramSeeds is a fuzz corpus for anything handed raw query datagrams:
 // well-formed queries in each EDNS mode, the EDNS0 trace-option shapes
-// and compressed-name pathologies FuzzMessageUnpack starts from, and
-// datagrams that are not queries at all.
+// and compressed-name pathologies FuzzMessageUnpack starts from, the
+// question counts and OPT shapes where Query.Parse and Unpack may part
+// (no question, two, an OPT of size zero, two OPTs, rdata only Unpack
+// reads), and datagrams that are not queries at all.
 func DatagramSeeds() [][]byte {
 	pack := func(m *dnswire.Message) []byte {
 		w, err := m.Pack()
@@ -32,10 +34,25 @@ func DatagramSeeds() [][]byte {
 	chaos.Questions[0].Class = 3
 	response := dnswire.NewQuery(7, "www.example.com.", dnswire.TypeA)
 	response.Response = true
+	sizeZero := dnswire.NewQuery(17, "com.", dnswire.TypeNS)
+	sizeZero.SetEDNS(0, true) // an OPT that advertises nothing: read as none
+	twoOPT := dnswire.NewQuery(18, "com.", dnswire.TypeNS)
+	twoOPT.SetEDNS(4096, false)
+	twoOPT.Additional = append(twoOPT.Additional, traced.Additional[0]) // a second OPT, DO and trace
+	none := dnswire.NewQuery(19, "com.", dnswire.TypeNS)
+	none.Questions = nil
+	none.SetEDNS(dnswire.DefaultEDNSSize, true)
+	two := dnswire.NewQuery(20, "a.", dnswire.TypeA)
+	two.Questions = append(two.Questions, dnswire.Question{Name: "b.", Type: dnswire.TypeNS, Class: dnswire.ClassINET})
+	two.Opcode = dnswire.OpcodeNotify
 
 	return [][]byte{
 		pack(plain), pack(edns), pack(do), pack(tiny), pack(traced),
 		pack(notify), pack(chaos), pack(response),
+		pack(sizeZero), pack(twoOPT), pack(none), pack(two),
+		{0, 21, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, // an additional A record with 3 octets of rdata
+			0x03, 'c', 'o', 'm', 0x00, 0, 2, 0, 1,
+			0xC0, 0x0C, 0, 1, 0, 1, 0, 0, 0, 60, 0, 3, 192, 0, 2},
 		{},                        // empty
 		make([]byte, 12),          // bare header, no question
 		append(pack(plain), 0xFF), // trailing garbage

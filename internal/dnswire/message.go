@@ -79,31 +79,7 @@ func (m *Message) AppendPack(b []byte) ([]byte, error) {
 		return nil, errors.New("dnswire: section exceeds 65535 records")
 	}
 	b = binary.BigEndian.AppendUint16(b, m.ID)
-	var flags uint16
-	if m.Response {
-		flags |= FlagQR
-	}
-	flags |= uint16(m.Opcode&0xF) << 11
-	if m.Authoritative {
-		flags |= FlagAA
-	}
-	if m.Truncated {
-		flags |= FlagTC
-	}
-	if m.RecursionDesired {
-		flags |= FlagRD
-	}
-	if m.RecursionAvailable {
-		flags |= FlagRA
-	}
-	if m.AuthenticData {
-		flags |= FlagAD
-	}
-	if m.CheckingDisabled {
-		flags |= FlagCD
-	}
-	flags |= uint16(m.Rcode & 0xF)
-	b = binary.BigEndian.AppendUint16(b, flags)
+	b = binary.BigEndian.AppendUint16(b, m.flags())
 	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Questions)))
 	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Answers)))
 	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Authority)))
@@ -127,6 +103,33 @@ func (m *Message) AppendPack(b []byte) ([]byte, error) {
 		}
 	}
 	return b, nil
+}
+
+// flags assembles the header's flags word.
+func (m *Message) flags() uint16 {
+	flags := uint16(m.Opcode&0xF)<<11 | uint16(m.Rcode&0xF)
+	if m.Response {
+		flags |= FlagQR
+	}
+	if m.Authoritative {
+		flags |= FlagAA
+	}
+	if m.Truncated {
+		flags |= FlagTC
+	}
+	if m.RecursionDesired {
+		flags |= FlagRD
+	}
+	if m.RecursionAvailable {
+		flags |= FlagRA
+	}
+	if m.AuthenticData {
+		flags |= FlagAD
+	}
+	if m.CheckingDisabled {
+		flags |= FlagCD
+	}
+	return flags
 }
 
 // Unpack parses a complete DNS message. Trailing bytes are an error.

@@ -19,6 +19,9 @@ type Query struct {
 	EDNS    bool
 	UDPSize uint16
 	DO      bool
+	// Trace is that OPT's trace option as Message.TraceOption reads it;
+	// zero when there is none or it is malformed.
+	Trace TraceContext
 }
 
 // ErrQuestionCount is returned by Query.Parse for a datagram whose header
@@ -31,9 +34,9 @@ func (q *Query) Opcode() Opcode { return Opcode(q.Flags >> 11 & 0xF) }
 
 // Parse decodes req. Records other than an OPT are stepped over by their
 // length fields, not decoded, so a query is not refused for rdata the
-// server would never read; a record that runs past the datagram, or
-// bytes left after the last one, are errors as they are for Unpack.
-// Nothing in q aliases req.
+// server would never read; a record that runs past the datagram, an OPT
+// whose options overrun its rdata, or bytes left after the last record
+// are errors as they are for Unpack. Nothing in q aliases req.
 func (q *Query) Parse(req []byte) error {
 	if len(req) < 12 {
 		return ErrMessageTruncated
@@ -67,19 +70,65 @@ func (q *Query) Parse(req []byte) error {
 			return errRDataTruncated
 		}
 		fixed := req[off : off+10] // type, class, TTL, rdlength
-		if off += 10 + int(binary.BigEndian.Uint16(fixed[8:])); off > len(req) {
+		rdata := off + 10
+		if off = rdata + int(binary.BigEndian.Uint16(fixed[8:])); off > len(req) {
 			return errRDataTruncated
 		}
-		if i >= skipped && !q.EDNS && Type(binary.BigEndian.Uint16(fixed)) == TypeOPT {
+		if Type(binary.BigEndian.Uint16(fixed)) != TypeOPT {
+			continue
+		}
+		trace, err := optTrace(req[rdata:off])
+		if err != nil {
+			return err
+		}
+		if i >= skipped && !q.EDNS {
 			q.EDNS = true
 			q.UDPSize = binary.BigEndian.Uint16(fixed[2:])
 			q.DO = fixed[6]&0x80 != 0 // high bit of the TTL's low word
+			q.Trace = trace
 		}
 	}
 	if off != len(req) {
 		return ErrTrailingBytes
 	}
 	return nil
+}
+
+// optTrace walks the options of an OPT's rdata, which must tile it
+// exactly as Unpack requires, and decodes the first trace option.
+func optTrace(rdata []byte) (TraceContext, error) {
+	var tc TraceContext
+	found := false
+	for len(rdata) > 0 {
+		if len(rdata) < 4 {
+			return TraceContext{}, errRDataTruncated
+		}
+		code, n := binary.BigEndian.Uint16(rdata), int(binary.BigEndian.Uint16(rdata[2:]))
+		if 4+n > len(rdata) {
+			return TraceContext{}, errRDataTruncated
+		}
+		if code == OptionCodeTrace && !found {
+			tc, _, _ = DecodeTraceContext(rdata[4 : 4+n])
+			found = true
+		}
+		rdata = rdata[4+n:]
+	}
+	return tc, nil
+}
+
+// Query reads m as Parse reads its wire image, for callers that hold a
+// Message: ErrQuestionCount unless it has exactly one question.
+func (m *Message) Query() (Query, error) {
+	q := Query{ID: m.ID, Flags: m.flags()}
+	if len(m.Questions) != 1 {
+		return q, ErrQuestionCount
+	}
+	q.Question = m.Questions[0]
+	if opt, size, do := m.EDNS(); opt != nil {
+		q.EDNS, q.UDPSize, q.DO = true, size, do
+		q.Trace, _, _ = m.TraceOption()
+	}
+	return q, nil
 }
 
 // skipName returns the offset just past the name encoded at off, without

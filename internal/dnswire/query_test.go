@@ -29,6 +29,17 @@ func agreesWithUnpack(t *testing.T, wire []byte) {
 	if q.EDNS != (opt != nil) || q.UDPSize != size || q.DO != do {
 		t.Errorf("EDNS: Query %v/%d/%v, Message %v/%d/%v", q.EDNS, q.UDPSize, q.DO, opt != nil, size, do)
 	}
+	if tc, _, _ := m.TraceOption(); q.Trace != tc {
+		t.Errorf("trace: Query %+v, Message %+v", q.Trace, tc)
+	}
+	// A Message reads as its wire image does, but for the header's Z bit,
+	// which a Message does not carry.
+	const z = 0x0040
+	fromMessage, err := m.Query()
+	fromMessage.Flags |= q.Flags & z
+	if err != nil || fromMessage != q {
+		t.Errorf("Message.Query: %+v, %v; Parse: %+v", fromMessage, err, q)
+	}
 }
 
 func TestQueryParseAgreesWithUnpack(t *testing.T) {
@@ -48,11 +59,22 @@ func TestQueryParseAgreesWithUnpack(t *testing.T) {
 	busy.Authority = []RR{NewRR("example.", 60, NS{Host: "ns.example."})}
 	busy.SetEDNS(512, true)
 	busy.Additional = append(busy.Additional, NewRR("ns.example.", 60, A{Addr: netip.MustParseAddr("192.0.2.1")}))
-	for _, m := range []*Message{plain, edns, do, traced, busy} {
+	// Two OPTs, the trace option on the second: only the first is read.
+	twoOPT := NewQuery(6, "example.net.", TypeNS)
+	twoOPT.SetEDNS(4096, false)
+	twoOPT.Additional = append(twoOPT.Additional, RR{Name: Root, Type: TypeOPT, Class: 1232, TTL: 1 << 15,
+		Data: OPT{Options: []EDNSOption{{Code: OptionCodeTrace, Data: TraceContext{TraceID: 3, Sampled: true}.Encode(nil)}}}})
+	// A short trace option beside others: malformed, so no trace.
+	badTrace := NewQuery(7, "example.net.", TypeNS)
+	badTrace.SetEDNS(1232, false)
+	badTrace.Additional[0].Data = OPT{Options: []EDNSOption{{Code: 10, Data: []byte{1, 2}}, {Code: OptionCodeTrace, Data: []byte{1}}}}
+	for _, m := range []*Message{plain, edns, do, traced, busy, twoOPT, badTrace} {
 		wire, err := m.Pack()
 		if err != nil {
 			t.Fatal(err)
 		}
+		agreesWithUnpack(t, wire)
+		wire[3] |= 0x40 // the Z bit, which only Query.Flags keeps
 		agreesWithUnpack(t, wire)
 	}
 }
@@ -94,6 +116,30 @@ func TestQueryParseErrors(t *testing.T) {
 	runaway = append(runaway, 0x3F, 'a')
 	if err := q.Parse(runaway); err == nil {
 		t.Error("runaway name was accepted")
+	}
+	// An option that overruns its OPT's rdata is refused as Unpack refuses
+	// it, whichever OPT carries it.
+	for _, section := range []int{7, 9, 11} { // ancount, nscount, arcount low bytes
+		bad := append([]byte{}, wire...)
+		bad[section] = 1
+		bad = append(bad, 0, 0, 41, 4, 0xD0, 0, 0, 0, 0, 0, 6, 0xFF, 0x20, 0, 9, 1, 2)
+		var m Message
+		if err := m.Unpack(bad); err == nil {
+			t.Fatalf("section %d: Unpack accepts the overrun option", section)
+		}
+		if err := q.Parse(bad); err == nil {
+			t.Errorf("section %d: option overrunning its OPT was accepted", section)
+		}
+	}
+}
+
+func TestMessageQuery(t *testing.T) {
+	m := NewQuery(3, "a.example.", TypeA)
+	m.Questions = append(m.Questions, m.Questions[0])
+	m.Opcode = OpcodeNotify
+	q, err := m.Query()
+	if err != ErrQuestionCount || q.ID != 3 || q.Opcode() != OpcodeNotify || q.Flags&FlagRD == 0 || q.Question != (Question{}) {
+		t.Errorf("two questions: %+v, %v", q, err)
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -199,9 +197,28 @@ func (t TXT) appendWire(b []byte, _ *compressor) ([]byte, error) {
 func (t TXT) String() string {
 	parts := make([]string, len(t.Strings))
 	for i, s := range t.Strings {
-		parts[i] = strconv.Quote(s)
+		parts[i] = quote(s)
 	}
 	return strings.Join(parts, " ")
+}
+
+// quote renders a character-string in master-file form (RFC 1035 §5.1):
+// double-quoted, with the quote and the backslash escaped by a backslash
+// and any octet outside printable ASCII as \DDD.
+func quote(s string) string {
+	b := make([]byte, 0, len(s)+2)
+	b = append(b, '"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"' || c == '\\':
+			b = append(b, '\\', c)
+		case c < ' ' || c > '~':
+			b = append(b, '\\', '0'+c/100, '0'+c/10%10, '0'+c%10)
+		default:
+			b = append(b, c)
+		}
+	}
+	return string(append(b, '"'))
 }
 
 // ---- SRV ----
@@ -374,28 +391,34 @@ func (n NSEC) String() string {
 }
 
 // appendTypeBitmap encodes the NSEC windowed type bitmap (RFC 4034 §4.1.2).
+// Types may come in any order — the signer lists a delegation's as NS,
+// NSEC, RRSIG, DS — so each window, lowest first, is gathered by a scan of
+// the list rather than by sorting a copy: nothing is allocated, and a
+// list almost always spans one window.
 func appendTypeBitmap(b []byte, types []Type) ([]byte, error) {
-	if len(types) == 0 {
-		return b, nil
-	}
-	sorted := make([]Type, len(types))
-	copy(sorted, types)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for i := 0; i < len(sorted); {
-		window := byte(sorted[i] >> 8)
-		var bitmap [32]byte
-		maxOctet := 0
-		for ; i < len(sorted) && byte(sorted[i]>>8) == window; i++ {
-			lo := byte(sorted[i])
-			bitmap[lo/8] |= 0x80 >> (lo % 8)
-			if int(lo/8)+1 > maxOctet {
-				maxOctet = int(lo/8) + 1
+	for last := -1; ; {
+		window := 256
+		for _, t := range types {
+			if w := int(t >> 8); w > last && w < window {
+				window = w
 			}
 		}
-		b = append(b, window, byte(maxOctet))
+		if window == 256 {
+			return b, nil
+		}
+		var bitmap [32]byte
+		maxOctet := 0
+		for _, t := range types {
+			if int(t>>8) == window {
+				lo := byte(t)
+				bitmap[lo/8] |= 0x80 >> (lo % 8)
+				maxOctet = max(maxOctet, int(lo/8)+1)
+			}
+		}
+		b = append(b, byte(window), byte(maxOctet))
 		b = append(b, bitmap[:maxOctet]...)
+		last = window
 	}
-	return b, nil
 }
 
 // parseTypeBitmap decodes the NSEC windowed type bitmap.
@@ -475,7 +498,7 @@ func (c CAA) appendWire(b []byte, _ *compressor) ([]byte, error) {
 }
 
 func (c CAA) String() string {
-	return fmt.Sprintf("%d %s %q", c.Flags, c.Tag, c.Value)
+	return fmt.Sprintf("%d %s %s", c.Flags, c.Tag, quote(c.Value))
 }
 
 // ---- OPT (EDNS0) ----
