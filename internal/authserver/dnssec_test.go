@@ -86,45 +86,69 @@ func TestDNSSECReferralCarriesDSSignature(t *testing.T) {
 	}
 }
 
+// TestDNSSECNXDomainCarriesNSEC: a signed NXDOMAIN proves two things
+// (RFC 4035 §3.1.3.2) — that no name sits where the query name would,
+// by the NSEC covering it, and that no wildcard at its closest encloser
+// (here the root) could have answered, by the NSEC covering *. — each
+// with a valid signature.
 func TestDNSSECNXDomainCarriesNSEC(t *testing.T) {
 	s, signer, now := signedTestServer(t)
 	resp := s.Handle(doQuery("zzz-nonexistent.", dnswire.TypeA), netip.Addr{})
 	if resp.Rcode != dnswire.RcodeNXDomain {
 		t.Fatalf("rcode = %v", resp.Rcode)
 	}
-	var nsecSet []dnswire.RR
-	var nsecSig *dnswire.RR
+	nsecs := map[dnswire.Name]dnswire.RR{}
+	sigs := map[dnswire.Name]dnswire.RR{}
 	var soaSig bool
-	for i, rr := range resp.Authority {
+	for _, rr := range resp.Authority {
 		switch d := rr.Data.(type) {
 		case dnswire.NSEC:
-			nsecSet = append(nsecSet, rr)
+			nsecs[rr.Name] = rr
 		case dnswire.RRSIG:
 			if d.TypeCovered == dnswire.TypeNSEC {
-				nsecSig = &resp.Authority[i]
+				sigs[rr.Name] = rr
 			}
 			if d.TypeCovered == dnswire.TypeSOA {
 				soaSig = true
 			}
 		}
 	}
-	if len(nsecSet) != 1 || nsecSig == nil {
-		t.Fatalf("NXDOMAIN lacks NSEC proof: %+v", resp.Authority)
-	}
 	if !soaSig {
 		t.Error("negative answer SOA is unsigned")
 	}
-	// The NSEC must actually cover the query name: owner < qname < next
-	// in canonical order (or wrap).
-	owner := nsecSet[0].Name
-	next := nsecSet[0].Data.(dnswire.NSEC).NextName
-	q := dnswire.Name("zzz-nonexistent.")
-	covers := owner.Compare(q) < 0 && (q.Compare(next) < 0 || next.Compare(owner) <= 0)
-	if !covers {
-		t.Errorf("NSEC %s -> %s does not cover %s", owner, next, q)
+	if len(nsecs) != 2 {
+		t.Fatalf("NXDOMAIN carries %d NSECs, want the name's and the wildcard's: %+v", len(nsecs), resp.Authority)
 	}
-	if err := dnssec.VerifyRRset(nsecSet, *nsecSig, []dnswire.DNSKEY{signer.ZSK.DNSKEY}, now); err != nil {
-		t.Fatalf("NSEC signature invalid: %v", err)
+	// Each proof must cover its name: owner < name < next in canonical
+	// order (or wrap).
+	covers := func(nsec dnswire.RR, q dnswire.Name) bool {
+		next := nsec.Data.(dnswire.NSEC).NextName
+		return nsec.Name.Compare(q) < 0 && (q.Compare(next) < 0 || next.Compare(nsec.Name) <= 0)
+	}
+	for _, q := range []dnswire.Name{"zzz-nonexistent.", "*."} {
+		var proof *dnswire.RR
+		for _, nsec := range nsecs {
+			if covers(nsec, q) {
+				proof = &nsec
+			}
+		}
+		if proof == nil {
+			t.Fatalf("no NSEC covers %s: %+v", q, resp.Authority)
+		}
+		sig, ok := sigs[proof.Name]
+		if !ok {
+			t.Fatalf("the NSEC at %s is unsigned", proof.Name)
+		}
+		if err := dnssec.VerifyRRset([]dnswire.RR{*proof}, sig, []dnswire.DNSKEY{signer.ZSK.DNSKEY}, now); err != nil {
+			t.Fatalf("NSEC signature at %s invalid: %v", proof.Name, err)
+		}
+	}
+
+	// A name the apex's own span covers is proved by that one NSEC, sent
+	// once.
+	resp = s.Handle(doQuery("aa.", dnswire.TypeA), netip.Addr{})
+	if n := len(resp.Authority); resp.Rcode != dnswire.RcodeNXDomain || n != 4 || resp.Authority[2].Name != dnswire.Root {
+		t.Fatalf("aa.: rcode %v, authority %+v; want SOA, its RRSIG, the apex NSEC and its RRSIG", resp.Rcode, resp.Authority)
 	}
 }
 

@@ -220,16 +220,33 @@ func TestValidatePositiveAnswer(t *testing.T) {
 func TestValidateNXDomain(t *testing.T) {
 	w := newWorld(t)
 	w.establishRootKeys(t)
+	nsecAt := func(owner dnswire.Name) []dnswire.RR {
+		return append(w.root.Lookup(owner, dnswire.TypeNSEC), sigsFor(w.root, owner, dnswire.TypeNSEC)...)
+	}
 	// org. holds the chain's last link (next wraps to the apex), so it
-	// covers everything canonically after org.
-	denial := append(w.root.Lookup("org.", dnswire.TypeNSEC), sigsFor(w.root, "org.", dnswire.TypeNSEC)...)
+	// covers everything canonically after org.; the apex's own link
+	// covers *., the wildcard at zz.'s closest encloser.
+	denial := append(nsecAt("org."), nsecAt(dnswire.Root)...)
 	resp := &dnswire.Message{Response: true, Rcode: dnswire.RcodeNXDomain, Authority: denial}
 	res := w.validator.Validate(dnswire.Root, "zz.", dnswire.TypeA, resp)
 	if res.Outcome != Secure {
 		t.Fatalf("proven NXDOMAIN: outcome %v (%v), want Secure", res.Outcome, res.Err)
 	}
-	if len(res.NSECs) != 1 || res.NSECs[0].Owner != "org." || res.NSECs[0].Zone != dnswire.Root {
-		t.Fatalf("validated NSECs = %+v, want the org. range attributed to the root", res.NSECs)
+	if len(res.NSECs) != 2 || res.NSECs[0].Zone != dnswire.Root {
+		t.Fatalf("validated NSECs = %+v, want the org. and apex ranges attributed to the root", res.NSECs)
+	}
+
+	// The name's own NSEC alone: a wildcard at the root could still have
+	// answered for it (RFC 4035 §3.1.3.2).
+	half := &dnswire.Message{Response: true, Rcode: dnswire.RcodeNXDomain, Authority: nsecAt("org.")}
+	if res := w.validator.Validate(dnswire.Root, "zz.", dnswire.TypeA, half); res.Outcome != Bogus {
+		t.Fatalf("NXDOMAIN without the wildcard proof: outcome %v, want Bogus", res.Outcome)
+	}
+
+	// A name inside the apex's span: one NSEC covers it and *. both.
+	one := &dnswire.Message{Response: true, Rcode: dnswire.RcodeNXDomain, Authority: nsecAt(dnswire.Root)}
+	if res := w.validator.Validate(dnswire.Root, "b.", dnswire.TypeA, one); res.Outcome != Secure {
+		t.Fatalf("NXDOMAIN proved by one NSEC: outcome %v (%v), want Secure", res.Outcome, res.Err)
 	}
 
 	// NXDOMAIN with no proof at all.
@@ -240,8 +257,7 @@ func TestValidateNXDomain(t *testing.T) {
 
 	// NXDOMAIN whose NSEC does not cover the denied name (com. -> org.
 	// range cannot deny aa.).
-	wrong := append(w.root.Lookup("com.", dnswire.TypeNSEC), sigsFor(w.root, "com.", dnswire.TypeNSEC)...)
-	miss := &dnswire.Message{Response: true, Rcode: dnswire.RcodeNXDomain, Authority: wrong}
+	miss := &dnswire.Message{Response: true, Rcode: dnswire.RcodeNXDomain, Authority: nsecAt("com.")}
 	if res := w.validator.Validate(dnswire.Root, "aa.", dnswire.TypeA, miss); res.Outcome != Bogus {
 		t.Fatalf("non-covering NSEC: outcome %v, want Bogus", res.Outcome)
 	}
