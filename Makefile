@@ -34,7 +34,7 @@ bench:
 	  go test -run='^$$' -bench=. -benchtime=1000000x -count=1 -benchmem ./internal/obs/traffic; \
 	  go test -run='^$$' -bench=. -benchtime=100000x -count=1 -benchmem \
 	    ./internal/overload ./internal/dnswire ./internal/authserver; \
-	  go test -run='^$$' -bench='^(BenchmarkZoneQuery|BenchmarkNSECCovering)$$' -benchtime=100000x -count=1 -benchmem ./internal/zone; \
+	  go test -run='^$$' -bench='^(BenchmarkZoneQuery|BenchmarkNSECCovering|BenchmarkDeny)$$' -benchtime=100000x -count=1 -benchmem ./internal/zone; \
 	  go test -run='^$$' -bench='^(BenchmarkZoneNames|BenchmarkIndexBuild|BenchmarkZoneClone)$$' -benchtime=500x -count=1 -benchmem ./internal/zone; \
 	  go test -run='^$$' -bench='^BenchmarkCache$$/^(Get|Put)$$' -benchtime=1000000x -count=1 -benchmem ./internal/cache; \
 	  go test -run='^$$' -bench='^BenchmarkCache$$/^GetParallel' -benchtime=100000x -count=1 -benchmem -cpu=8 ./internal/cache; \
@@ -86,15 +86,17 @@ bench-full:
 	go test -bench=. -benchmem ./...
 
 # Short coverage-guided fuzz pass over the wire codec, canonical name
-# ordering against its label-parsing reference, the master-file parser,
-# the delta bundle decoder, the two UDP front doors (authd's against the
-# route it replaced) and the resolver's upstream-response path (~10s per
-# target).
+# ordering and sort keys against their label-parsing reference, the
+# master-file parser, the zone's denial lookups against their scans, the
+# delta bundle decoder, the two UDP front doors (authd's against the
+# route it replaced, on a root and on a zone below it) and the resolver's
+# upstream-response path (~10s per target).
 fuzz-short:
 	go test ./internal/dnswire -run='^$$' -fuzz=FuzzMessageUnpack -fuzztime=10s
 	go test ./internal/dnswire -run='^$$' -fuzz=FuzzNameParse -fuzztime=10s
 	go test ./internal/dnswire -run='^$$' -fuzz=FuzzNameCompare -fuzztime=10s
 	go test ./internal/zone -run='^$$' -fuzz=FuzzZoneParse -fuzztime=10s
+	go test ./internal/zone -run='^$$' -fuzz=FuzzDeny -fuzztime=10s
 	go test ./internal/dist -run='^$$' -fuzz=FuzzDecodeDeltaBundle -fuzztime=10s
 	go test ./internal/resolver -run='^$$' -fuzz=FuzzResolverDatagram -fuzztime=10s
 	go test ./internal/resolver -run='^$$' -fuzz=FuzzUpstreamResponse -fuzztime=10s

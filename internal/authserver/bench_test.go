@@ -66,8 +66,10 @@ func junkDOWires(tb testing.TB, n int) [][]byte {
 func BenchmarkServeWire(b *testing.B) {
 	run := func(b *testing.B, s *Server, wires [][]byte) {
 		out := make([]byte, 0, 4096)
-		if s.ServeWire(wires[0], netip.Addr{}, out) == nil { // warm
-			b.Fatal("no response")
+		for _, w := range wires { // warm: every answer and denial precompiled
+			if s.ServeWire(w, netip.Addr{}, out) == nil {
+				b.Fatal("no response")
+			}
 		}
 		packs0 := s.Stats().WirePacks
 		b.ReportAllocs()

@@ -65,8 +65,10 @@ func essentials(data []byte) []byte {
 
 // FuzzServeWire drives the UDP front door with arbitrary datagrams and
 // holds it to the route it replaced (referenceServeWire) on a twin
-// server fed the same stream. It must never panic, never answer a
-// response datagram, and never write more than the query advertised.
+// server fed the same stream — two twin pairs, one serving a small root
+// and one nonRootZone, whose NXDOMAINs are written from denial images
+// that a question may or may not fit. It must never panic, never answer
+// a response datagram, and never write more than the query advertised.
 // Every datagram the reference answers that has one question gets the
 // same bytes from both. Anything else ServeWire answers is one of two
 // kinds: a datagram whose header does not announce exactly one question,
@@ -78,11 +80,24 @@ func FuzzServeWire(f *testing.F) {
 	for _, seed := range dnswiretest.DatagramSeeds() {
 		f.Add(seed)
 	}
-	s, ref := testServer(f), testServer(f)
+	for i, name := range nonRootQNames {
+		for _, q := range ednsModes(name, dnswire.TypeA, uint16(i), uint16(512+720*(i%2))) {
+			wire, err := q.Pack()
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(wire)
+		}
+	}
+	below := nonRootZone(f, false) // one zone: the signer adds RRSIGs in map order
+	pairs := [][2]*Server{
+		{testServer(f), testServer(f)},
+		{New(below), New(below)},
+	}
 	from := netip.MustParseAddr("192.0.2.1")
 	var buf []byte
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	serve := func(t *testing.T, s, ref *Server, data []byte) {
 		out := s.ServeWire(data, from, buf[:0])
 		want, questions := referenceServeWire(ref, data, from)
 		if len(out) > 0 {
@@ -135,6 +150,11 @@ func FuzzServeWire(f *testing.F) {
 			if want, _ := referenceServeWire(ref, core, from); !bytes.Equal(out, want) {
 				t.Fatalf("%x (as %x):\n got %x\nwant %x", data, core, out, want)
 			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, p := range pairs {
+			serve(t, p[0], p[1], data)
 		}
 	})
 }

@@ -39,6 +39,12 @@ func (s *Server) ServeWire(req []byte, from netip.Addr, out []byte) []byte {
 	if tr != nil {
 		r = s.attachTrace(tr, &q, r)
 	}
+	if r.denial != nil {
+		// A precompiled NXDOMAIN: header, question and the denial's image,
+		// its pointers moved past this question, written straight into
+		// out. No Message, no pack.
+		return r.denial.image.Append(out, q.ID, q.Flags&dnswire.FlagRD != 0, q.Question)
+	}
 	if r.wire != nil {
 		// Precompiled answer, from the cache or from the one pack a miss
 		// makes: copy the wire (ID 0, RD clear) and patch the two

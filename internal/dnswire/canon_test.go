@@ -75,6 +75,16 @@ func refIsSubdomainOf(n, parent Name) bool {
 	return true
 }
 
+// refCommonAncestor is the name made of the labels a and b end with.
+func refCommonAncestor(n, m Name) Name {
+	a, b := n.Labels(), m.Labels()
+	k := 0
+	for k < len(a) && k < len(b) && bytes.Equal(a[len(a)-1-k], b[len(b)-1-k]) {
+		k++
+	}
+	return nameFromLabels(a[len(a)-k:])
+}
+
 // checkAgainstReference compares every name.go fast path with its
 // reference on the raw strings a and b, which need not be valid names.
 func checkAgainstReference(t *testing.T, a, b string) {
@@ -83,6 +93,16 @@ func checkAgainstReference(t *testing.T, a, b string) {
 	got, back := n.Compare(m), m.Compare(n)
 	if got != -back {
 		t.Fatalf("Compare(%q,%q) = %d but reversed = %d", a, b, got, back)
+	}
+	// Sort keys exist for exactly the plain names, and order them as
+	// Compare does.
+	ka, okA := AppendSortKey([]byte("x"), n)
+	kb, okB := AppendSortKey(nil, m)
+	if okA != plain(a) || okB != plain(b) || !okA && string(ka) != "x" {
+		t.Fatalf("AppendSortKey(%q) = %q, %v; (%q) = %v", a, ka, okA, b, okB)
+	}
+	if okA && okB && bytes.Compare(ka[1:], kb) != got {
+		t.Fatalf("keys %q, %q order %d; Compare(%q,%q) = %d", ka[1:], kb, bytes.Compare(ka[1:], kb), a, b, got)
 	}
 	// Accessors agree with the label parser on any string at all: plain
 	// admits only what the parser splits at the same dots.
@@ -114,6 +134,9 @@ func checkAgainstReference(t *testing.T, a, b string) {
 	}
 	if g, w := cn.IsSubdomainOf(cm), refIsSubdomainOf(cn, cm); g != w {
 		t.Fatalf("%q.IsSubdomainOf(%q) = %v, reference %v", cn, cm, g, w)
+	}
+	if g, w := cn.CommonAncestor(cm), refCommonAncestor(cn, cm); g != w {
+		t.Fatalf("%q.CommonAncestor(%q) = %q, reference %q", cn, cm, g, w)
 	}
 }
 
@@ -207,8 +230,9 @@ func TestNameFastPathAllocs(t *testing.T) {
 	_ = sink
 }
 
-// SortNames must order exactly as Compare does, on the keyed route
-// (plain names only) and on the fallback (any other name present).
+// SortNames and SortKeys must order exactly as Compare does, on the
+// keyed route (plain names only) and on the fallback (any other name
+// present), and SortKeys keeps each name's key.
 func TestSortNamesMatchesCompare(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	label := func() string {
@@ -233,7 +257,20 @@ func TestSortNamesMatchesCompare(t *testing.T) {
 		}
 		want := slices.Clone(names)
 		slices.SortStableFunc(want, Name.Compare)
-		SortNames(names)
+		sorted := slices.Clone(names)
+		SortNames(sorted)
+		keys, offs := SortKeys(names)
+		if !slices.Equal(sorted, names) {
+			t.Fatalf("extra %q: SortKeys and SortNames order differently", extra)
+		}
+		if (keys == nil) != (extra != nil) {
+			t.Fatalf("extra %q: SortKeys returned keys %v", extra, keys != nil)
+		}
+		for i := 0; keys != nil && i < len(names); i++ {
+			if k, _ := AppendSortKey(nil, names[i]); string(k) != string(keys[offs[i]:offs[i+1]]) {
+				t.Fatalf("key of %q kept as %q, is %q", names[i], keys[offs[i]:offs[i+1]], k)
+			}
+		}
 		for i := range names {
 			// Distinct names may compare equal only on the fallback
 			// ("Ab." and "ab."); everywhere else the order is total.

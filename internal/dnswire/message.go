@@ -74,6 +74,12 @@ func (m *Message) Pack() ([]byte, error) {
 // Compression offsets assume the message starts at b's current beginning,
 // so b must be empty or used only for this message.
 func (m *Message) AppendPack(b []byte) ([]byte, error) {
+	cmp := newCompressor()
+	defer cmp.release()
+	return m.appendPack(b, cmp)
+}
+
+func (m *Message) appendPack(b []byte, cmp *compressor) ([]byte, error) {
 	if len(m.Questions) > 0xFFFF || len(m.Answers) > 0xFFFF ||
 		len(m.Authority) > 0xFFFF || len(m.Additional) > 0xFFFF {
 		return nil, errors.New("dnswire: section exceeds 65535 records")
@@ -85,8 +91,6 @@ func (m *Message) AppendPack(b []byte) ([]byte, error) {
 	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Authority)))
 	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Additional)))
 
-	cmp := newCompressor()
-	defer cmp.release()
 	var err error
 	for _, q := range m.Questions {
 		if b, err = appendName(b, q.Name, cmp); err != nil {

@@ -262,6 +262,15 @@ func (n Name) IsSubdomainOf(parent Name) bool {
 	return esc%2 == 0
 }
 
+// CommonAncestor returns the longest name that n and m are both at or
+// below: the root for names with no label in common.
+func (n Name) CommonAncestor(m Name) Name {
+	for !m.IsSubdomainOf(n) {
+		n = n.Parent()
+	}
+	return n
+}
+
 // Child returns the label-prefixed child of n: Child("www", "example.com.")
 // is "www.example.com.".
 func (n Name) Child(label string) (Name, error) {
@@ -308,23 +317,51 @@ func (n Name) Compare(m Name) int {
 	return cmp.Compare(len(a), len(b))
 }
 
+// AppendSortKey appends n's canonical sort key to dst: its labels right
+// to left, each followed by a zero octet (which sorts below every octet
+// of a plain label, so an ancestor precedes its descendants and "com"
+// precedes "coma"). For plain names the byte order of keys is canonical
+// order, and a name's key starts with the keys of all its ancestors; for
+// any other name it returns dst unchanged and false. A key is as long as
+// its name, less the root's dot.
+func AppendSortKey(dst []byte, n Name) ([]byte, bool) {
+	if !plain(string(n)) {
+		return dst, false
+	}
+	return appendKey(dst, n), true
+}
+
+func appendKey(dst []byte, n Name) []byte {
+	for s := string(n[:len(n)-1]); s != ""; {
+		dot := strings.LastIndexByte(s, '.')
+		dst = append(append(dst, s[dot+1:]...), 0)
+		s = s[:max(dot, 0)]
+	}
+	return dst
+}
+
 // SortNames sorts names into canonical order, as slices.SortFunc with
-// Name.Compare does, several times faster on a zone's worth of names.
-// For plain names canonical order is the byte order of a key made of the
-// labels right to left, each followed by a zero octet (which sorts below
-// every octet of a plain label, so an ancestor precedes its descendants
-// and "com" precedes "coma"). The keys live for this call only.
-func SortNames(names []Name) {
+// Name.Compare does, several times faster on a zone's worth of names:
+// plain names are sorted by their keys (AppendSortKey), which live for
+// this call only.
+func SortNames(names []Name) { sortNames(names, false) }
+
+// SortKeys is SortNames keeping the keys: when every name is plain it
+// returns them back to back in sorted order, names[i]'s at
+// keys[offs[i]:offs[i+1]]. Both are nil when some name is not plain.
+func SortKeys(names []Name) (keys []byte, offs []uint32) { return sortNames(names, true) }
+
+func sortNames(names []Name, keep bool) ([]byte, []uint32) {
 	size := 0
 	for _, n := range names {
 		if !plain(string(n)) {
 			slices.SortFunc(names, Name.Compare)
-			return
+			return nil, nil
 		}
 		size += len(n)
 	}
-	// A key is exactly as long as its name less the root's dot. The
-	// sort moves pointer-free spans of buf, not names: no write barriers.
+	// The sort moves pointer-free spans of buf, not names: no write
+	// barriers.
 	type span struct {
 		head             uint64 // the key's first eight octets, big-endian
 		start, end, name uint32
@@ -333,11 +370,7 @@ func SortNames(names []Name) {
 	spans := make([]span, len(names))
 	for i, n := range names {
 		start := len(buf)
-		for s := string(n[:len(n)-1]); s != ""; {
-			dot := strings.LastIndexByte(s, '.')
-			buf = append(append(buf, s[dot+1:]...), 0)
-			s = s[:max(dot, 0)]
-		}
+		buf = appendKey(buf, n)
 		var head [8]byte
 		copy(head[:], buf[start:])
 		spans[i] = span{binary.BigEndian.Uint64(head[:]), uint32(start), uint32(len(buf)), uint32(i)}
@@ -349,9 +382,19 @@ func SortNames(names []Name) {
 		return bytes.Compare(buf[a.start:a.end], buf[b.start:b.end])
 	})
 	unsorted := slices.Clone(names)
+	var keys []byte
+	var offs []uint32
+	if keep {
+		keys, offs = make([]byte, 0, len(buf)), make([]uint32, 1, len(names)+1)
+	}
 	for i, sp := range spans {
 		names[i] = unsorted[sp.name]
+		if keep {
+			keys = append(keys, buf[sp.start:sp.end]...)
+			offs = append(offs, uint32(len(keys)))
+		}
 	}
+	return keys, offs
 }
 
 // compareParsed is Compare over parsed raw labels.
@@ -381,6 +424,11 @@ func compareLabels(a, b string) int {
 // allocations at all.
 type compressor struct {
 	offsets map[string]int
+	// log is set only on the compressor NewImage packs with: appendName
+	// then records every name it looks up and where it wrote a pointer.
+	log      bool
+	names    []Name
+	pointers []int
 }
 
 var compressorPool = sync.Pool{
@@ -413,6 +461,9 @@ func appendName(b []byte, n Name, cmp *compressor) ([]byte, error) {
 	if s == "" || s == "." {
 		return append(b, 0), nil
 	}
+	if cmp != nil && cmp.log {
+		cmp.names = append(cmp.names, n)
+	}
 	if s[len(s)-1] != '.' {
 		return appendNameSlow(b, n, cmp)
 	}
@@ -435,7 +486,7 @@ func appendName(b []byte, n Name, cmp *compressor) ([]byte, error) {
 		}
 		if cmp != nil {
 			if off, ok := cmp.offsets[s[i:]]; ok {
-				return append(b, byte(0xC0|off>>8), byte(off)), nil
+				return cmp.pointer(b, off), nil
 			}
 			if len(b) < 0x4000 {
 				cmp.offsets[s[i:]] = len(b)
@@ -448,6 +499,14 @@ func appendName(b []byte, n Name, cmp *compressor) ([]byte, error) {
 	return append(b, 0), nil
 }
 
+// pointer appends a compression pointer to off.
+func (c *compressor) pointer(b []byte, off int) []byte {
+	if c.log {
+		c.pointers = append(c.pointers, len(b))
+	}
+	return append(b, byte(0xC0|off>>8), byte(off))
+}
+
 // appendNameSlow is the label-parsing encoder for non-canonical input.
 func appendNameSlow(b []byte, n Name, cmp *compressor) ([]byte, error) {
 	labels, err := parseLabels(string(n))
@@ -458,7 +517,7 @@ func appendNameSlow(b []byte, n Name, cmp *compressor) ([]byte, error) {
 		suffix := string(nameFromLabels(labels[i:]))
 		if cmp != nil {
 			if off, ok := cmp.offsets[suffix]; ok {
-				return append(b, byte(0xC0|off>>8), byte(off)), nil
+				return cmp.pointer(b, off), nil
 			}
 			if len(b) < 0x4000 {
 				cmp.offsets[suffix] = len(b)

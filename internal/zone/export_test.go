@@ -13,6 +13,13 @@ func (z *Zone) HasDescendants(name dnswire.Name) bool {
 // Indexed reports whether the zone currently holds a built index.
 func (z *Zone) Indexed() bool { return z.idx.Load() != nil }
 
+// Keyed reports whether the zone's index holds sort keys: whether its
+// searches compare bytes rather than names.
+func (z *Zone) Keyed() bool {
+	ix := z.idx.Load()
+	return ix != nil && ix.offs != nil
+}
+
 // OwnerNames returns the owner names in map order, for the references
 // to sort on their own.
 func (z *Zone) OwnerNames() []dnswire.Name {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -81,6 +82,40 @@ func refHasDescendants(names []dnswire.Name, name dnswire.Name) bool {
 	return false
 }
 
+// refDeny is Deny by scans: a name outside the zone, owning records or
+// below a cut is not denied; one with a descendant is an empty
+// non-terminal; otherwise its closest encloser is found by walking up to
+// the first ancestor that is an owner or has a descendant, and the NSECs
+// covering the name and *.<encloser> by walking the chain.
+func refDeny(z *zone.Zone, names []dnswire.Name, chain []dnswire.RR, p dnswire.Name) (zone.Denial, bool) {
+	if !p.IsSubdomainOf(z.Origin) || z.HasName(p) {
+		return zone.Denial{}, false
+	}
+	for a := p.Parent(); a != z.Origin && a.IsSubdomainOf(z.Origin); a = a.Parent() {
+		if len(z.Lookup(a, dnswire.TypeNS)) > 0 {
+			return zone.Denial{}, false
+		}
+	}
+	var d zone.Denial
+	d.Cover, _ = refNSECCovering(chain, p)
+	if refHasDescendants(names, p) {
+		return d, true
+	}
+	d.NXDomain = true
+	d.Encloser = p.Parent()
+	for d.Encloser != z.Origin && !z.HasName(d.Encloser) && !refHasDescendants(names, d.Encloser) {
+		d.Encloser = d.Encloser.Parent()
+	}
+	if d.Cover.Data != nil {
+		wildcard, err := d.Encloser.Child("*")
+		if err != nil {
+			panic(err)
+		}
+		d.Wildcard, _ = refNSECCovering(chain, wildcard)
+	}
+	return d, true
+}
+
 // checkIndexed holds the indexed lookups to the references for each
 // probe name.
 func checkIndexed(t *testing.T, z *zone.Zone, probes []dnswire.Name) {
@@ -104,6 +139,12 @@ func checkIndexed(t *testing.T, z *zone.Zone, probes []dnswire.Name) {
 		if g, w := z.HasDescendants(p), refHasDescendants(names, p); g != w {
 			t.Fatalf("hasDescendants(%q) = %v, reference %v", p, g, w)
 		}
+		g, gok := z.Deny(p)
+		w, wok := refDeny(z, names, chain, p)
+		if gok != wok || g.NXDomain != w.NXDomain || g.Encloser != w.Encloser ||
+			!reflect.DeepEqual(g.Cover, w.Cover) || !reflect.DeepEqual(g.Wildcard, w.Wildcard) {
+			t.Fatalf("Deny(%q) = %+v, %v; reference %+v, %v", p, g, gok, w, wok)
+		}
 	}
 }
 
@@ -121,7 +162,8 @@ func junkProbes(z *zone.Zone, r *rand.Rand, n int) []dnswire.Name {
 	probes := []dnswire.Name{
 		dnswire.Root, "-.", "0.", "a.", "aaa.", "zzzzzzzzzzzz.", "~.", "net.", "root-servers.net.",
 		"servers.net.", "nic.", "gtld-servers.net.", "x.gtld-servers.net.", "www.example.com.",
-		`a\.b.com.`, `\000.`, `\255.`, "COM.", "Xn--Zzzz.",
+		`a\.b.com.`, `\000.`, `\255.`, "COM.", "Xn--Zzzz.", "*.", "!.", "!x.*.", `esc\.aped.`, `x.esc\.aped.`,
+		`esc.`, `aped.`, `\000\001.`, `x.\000.`, `com\..`, `q\.x.nosuchtld.`,
 	}
 	for i := 0; i < n; i++ {
 		switch r.Intn(10) {
@@ -134,16 +176,29 @@ func junkProbes(z *zone.Zone, r *rand.Rand, n int) []dnswire.Name {
 	return probes
 }
 
+// TestIndexedLookupsMatchLinearScans holds every indexed lookup to its
+// scan, on the root (every name plain: the searches compare sort keys,
+// save for the escaped probes) and on the root with one owner whose
+// label holds an escaped dot (the index then has no keys, and every
+// search compares names).
 func TestIndexedLookupsMatchLinearScans(t *testing.T) {
-	z := rootZone(t)
-	r := rand.New(rand.NewSource(2))
-	probes := append(z.Names(), junkProbes(z, r, 3000)...)
-	// Every owner's parent too: glue hosts make nic.<tld>. style empty
-	// non-terminals.
-	for _, n := range z.Names() {
-		probes = append(probes, n.Parent())
+	escaped := rootZone(t).Clone()
+	if err := escaped.Add(dnswire.NewRR(`esc\.aped.`, 60, dnswire.TXT{Strings: []string{"x"}})); err != nil {
+		t.Fatal(err)
 	}
-	checkIndexed(t, z, probes)
+	for _, z := range []*zone.Zone{rootZone(t), escaped} {
+		r := rand.New(rand.NewSource(2))
+		probes := append(z.Names(), junkProbes(z, r, 3000)...)
+		// Every owner's parent too: glue hosts make nic.<tld>. style empty
+		// non-terminals.
+		for _, n := range z.Names() {
+			probes = append(probes, n.Parent())
+		}
+		if want := z != escaped; z.Keyed() != want {
+			t.Fatalf("Keyed() = %v, want %v", z.Keyed(), want)
+		}
+		checkIndexed(t, z, probes)
+	}
 }
 
 func TestIndexUnsignedZone(t *testing.T) {
@@ -158,34 +213,44 @@ func TestIndexUnsignedZone(t *testing.T) {
 }
 
 func TestIndexEmptyNonTerminals(t *testing.T) {
-	z := zone.New("example.")
-	add := func(name dnswire.Name) {
-		if err := z.Add(dnswire.NewRR(name, 60, dnswire.A{Addr: netip.MustParseAddr("192.0.2.1")})); err != nil {
-			t.Fatal(err)
+	for _, escaped := range []bool{false, true} {
+		z := zone.New("example.")
+		add := func(name dnswire.Name) {
+			if err := z.Add(dnswire.NewRR(name, 60, dnswire.A{Addr: netip.MustParseAddr("192.0.2.1")})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_ = z.Add(dnswire.NewRR("example.", 60, dnswire.SOA{MName: "m.", RName: "r.", Serial: 1}))
+		add("a.b.c.example.")
+		add("z.example.")
+		add("bb.example.") // sorts next to b.example. without being below it
+		if escaped {
+			add(`x\.y.example.`) // one label "x.y": no descendant of y.example.
+		}
+		for name, want := range map[dnswire.Name]bool{
+			"c.example.": true, "b.c.example.": true, "a.b.c.example.": false,
+			"b.example.": false, "y.example.": false, "example.": true, "d.example.": false,
+			"zz.example.": false, "0.example.": false,
+		} {
+			if got := z.HasDescendants(name); got != want {
+				t.Errorf("hasDescendants(%q) = %v, want %v", name, got, want)
+			}
+			wantRcode := dnswire.RcodeNXDomain
+			if want || z.HasName(name) {
+				wantRcode = dnswire.RcodeSuccess
+			}
+			if ans := z.Query(name, dnswire.TypeTXT); ans.Rcode != wantRcode {
+				t.Errorf("Query(%q) rcode = %v, want %v", name, ans.Rcode, wantRcode)
+			}
+		}
+		// Names whose closest encloser is an empty non-terminal, found from
+		// the name after them (0.c. sorts before a.b.c.) or before them.
+		checkIndexed(t, z, append(z.Names(), "c.example.", "b.example.", "y.example.", "0.example.", "zz.example.",
+			"0.c.example.", "0.b.c.example.", "z.b.c.example.", "z.c.example.", "b.a.b.c.example.", "0.bb.example."))
+		if z.Keyed() == escaped {
+			t.Errorf("escaped owner %v: Keyed() = %v", escaped, z.Keyed())
 		}
 	}
-	_ = z.Add(dnswire.NewRR("example.", 60, dnswire.SOA{MName: "m.", RName: "r.", Serial: 1}))
-	add("a.b.c.example.")
-	add("z.example.")
-	add(`x\.y.example.`) // one label "x.y": no descendant of y.example.
-	add("bb.example.")   // sorts next to b.example. without being below it
-	for name, want := range map[dnswire.Name]bool{
-		"c.example.": true, "b.c.example.": true, "a.b.c.example.": false,
-		"b.example.": false, "y.example.": false, "example.": true, "d.example.": false,
-		"zz.example.": false, "0.example.": false,
-	} {
-		if got := z.HasDescendants(name); got != want {
-			t.Errorf("hasDescendants(%q) = %v, want %v", name, got, want)
-		}
-		wantRcode := dnswire.RcodeNXDomain
-		if want || z.HasName(name) {
-			wantRcode = dnswire.RcodeSuccess
-		}
-		if ans := z.Query(name, dnswire.TypeTXT); ans.Rcode != wantRcode {
-			t.Errorf("Query(%q) rcode = %v, want %v", name, ans.Rcode, wantRcode)
-		}
-	}
-	checkIndexed(t, z, append(z.Names(), "c.example.", "b.example.", "y.example.", "0.example.", "zz.example."))
 }
 
 // Every Add and Remove that changes the owner set or the NSEC chain
@@ -382,4 +447,51 @@ func TestConcurrentQueryAndMutation(t *testing.T) {
 	if z.HasName("cloner0.") || len(z.Lookup("t07.", dnswire.TypeNS)) != 1 {
 		t.Error("a write to a clone reached the zone it was cloned from")
 	}
+}
+
+// chainZone is a small zone below the root with an NSEC at every name
+// that is not glue, as an ordinary signed zone has: empty non-terminals
+// one and two labels deep, a delegation with glue, labels sorting before
+// and after the wildcard's "*" — and, with escaped, owners whose labels
+// hold \. and \000, so that its index has no sort keys.
+func chainZone(tb testing.TB, escaped bool) *zone.Zone {
+	tb.Helper()
+	z := zone.New("example.")
+	add := func(rr dnswire.RR) {
+		if err := z.Add(rr); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	owners := []dnswire.Name{"example.", "!x.example.", "a.b.c.example.", "bb.example.", "d.example.", "z.example."}
+	if escaped {
+		owners = append(owners, `x\.y.example.`, `\000.c.example.`)
+	}
+	dnswire.SortNames(owners)
+	add(dnswire.NewRR("example.", 60, dnswire.SOA{MName: "m.", RName: "r.", Serial: 1}))
+	add(dnswire.NewRR("d.example.", 60, dnswire.NS{Host: "ns.d.example."}))
+	add(dnswire.NewRR("ns.d.example.", 60, dnswire.A{Addr: netip.MustParseAddr("192.0.2.1")}))
+	for i, n := range owners {
+		add(dnswire.NewRR(n, 60, dnswire.NSEC{NextName: owners[(i+1)%len(owners)], Types: []dnswire.Type{dnswire.TypeNSEC}}))
+	}
+	return z
+}
+
+// FuzzDeny holds the indexed lookups — Deny above all — to their scans
+// for any name, on chainZone with and without sort keys.
+func FuzzDeny(f *testing.F) {
+	for _, p := range []string{"0.c.example.", "z.b.c.example.", "b.a.b.c.example.", `x\.y.example.`, `\000.c.example.`,
+		"*.example.", "!.example.", "!x.*.example.", "example.", "bb.example.", "b.example.", "q.z.example.",
+		"x.d.example.", "com.", "~.example.", `a\000.b.c.example.`} {
+		f.Add(p)
+	}
+	zones := []*zone.Zone{chainZone(f, false), chainZone(f, true)}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := dnswire.ParseName(s)
+		if err != nil {
+			return
+		}
+		for _, z := range zones {
+			checkIndexed(t, z, []dnswire.Name{p})
+		}
+	})
 }
