@@ -20,7 +20,6 @@ import (
 	"rootless/internal/dnssec"
 	"rootless/internal/dnswire"
 	"rootless/internal/experiments"
-	"rootless/internal/metrics"
 	"rootless/internal/rootzone"
 	"rootless/internal/zone"
 	"rootless/internal/zonediff"
@@ -411,43 +410,6 @@ func BenchmarkAblationCacheWindow(b *testing.B) {
 }
 
 // ---- Substrate micro-benchmarks ----
-
-// mutexCounter is the pre-atomic metrics.Counter implementation, kept
-// here so the benchmark records what the sync/atomic conversion bought.
-type mutexCounter struct {
-	mu sync.Mutex
-	n  int64
-}
-
-func (c *mutexCounter) Inc() {
-	c.mu.Lock()
-	c.n++
-	c.mu.Unlock()
-}
-
-// BenchmarkMetricsCounter compares the lock-free metrics.Counter against
-// the old mutex-guarded version under parallel increment load.
-func BenchmarkMetricsCounter(b *testing.B) {
-	b.Run("atomic", func(b *testing.B) {
-		var c metrics.Counter
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				c.Inc()
-			}
-		})
-		if c.Value() != int64(b.N) {
-			b.Fatalf("count = %d, want %d", c.Value(), b.N)
-		}
-	})
-	b.Run("mutex", func(b *testing.B) {
-		var c mutexCounter
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				c.Inc()
-			}
-		})
-	})
-}
 
 // BenchmarkWireRoundTrip packs and unpacks a referral-sized message.
 func BenchmarkWireRoundTrip(b *testing.B) {

@@ -1,7 +1,6 @@
 // Command loadgen drives a DNS server over real UDP sockets with an
 // open-loop query schedule and a B-Root-style query mix, and reports
-// response rate and latency tails (p50/p99/p999) as rootless-bench/v1
-// JSON — the measurement tool behind the t_serve scaling rows.
+// response rate and latency tails (p50/p99/p999) as one JSON object.
 //
 // Usage:
 //
@@ -30,7 +29,6 @@ import (
 	"syscall"
 	"time"
 
-	"rootless/internal/benchfmt"
 	"rootless/internal/loadgen"
 	"rootless/internal/rootzone"
 )
@@ -46,9 +44,7 @@ func main() {
 	edns := flag.Bool("edns", true, "advertise EDNS0 (4096, DO clear) on queries")
 	rootTLDs := flag.Bool("root-tlds", false, "draw valid TLDs from the modeled root zone corpus instead of com/net/org")
 	drain := flag.Duration("drain", 500*time.Millisecond, "wait for in-flight responses after the last send")
-	jsonPath := flag.String("json", "", "write rootless-bench JSON here (empty = stdout)")
-	label := flag.String("label", "loadgen", "report label")
-	benchName := flag.String("bench-name", "BenchmarkLoadgen", "benchmark entry name in the report")
+	jsonPath := flag.String("json", "", "write the run's figures as a JSON object here (empty = stdout)")
 	flag.Parse()
 
 	n := *queries
@@ -92,16 +88,7 @@ func main() {
 		res.Sent, res.Received, res.RespRate, res.AchievedQPS,
 		res.P50*1e3, res.P99*1e3, res.P999*1e3)
 
-	rep := &benchfmt.Report{
-		Schema:     benchfmt.Schema,
-		Label:      *label,
-		GoVersion:  runtime.Version(),
-		Benchmarks: []benchfmt.Entry{loadgen.BenchEntry(*benchName, res)},
-	}
-	if err := benchfmt.Validate(rep, 1); err != nil {
-		fatal("internal: emitted report invalid: %v", err)
-	}
-	blob, err := json.MarshalIndent(rep, "", "  ")
+	blob, err := json.MarshalIndent(res.Figures(), "", "  ")
 	if err != nil {
 		fatal("%v", err)
 	}

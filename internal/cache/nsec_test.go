@@ -164,10 +164,12 @@ func TestNSECZoneScoping(t *testing.T) {
 	}
 }
 
-func BenchmarkNSECSynthesize(b *testing.B) {
+// rootSizedChain is BenchmarkNSECSynthesize's fixture: a validated
+// NSEC chain of 1500 delegations, like the real root zone, and 64 junk
+// names it denies.
+func rootSizedChain() (*Cache, []dnswire.Name) {
 	clk := newClock()
 	c := New(1024, clk.now)
-	// A root-sized chain: 1500 delegations, like the real root zone.
 	for i := 0; i < 1500; i++ {
 		owner := dnswire.Name(fmt.Sprintf("tld%04d.", i))
 		next := dnswire.Name(fmt.Sprintf("tld%04d.", i+1))
@@ -183,11 +185,35 @@ func BenchmarkNSECSynthesize(b *testing.B) {
 	for i := range names {
 		names[i] = dnswire.Name(fmt.Sprintf("tld%04d-junk.", (i*97)%1499))
 	}
+	return c, names
+}
+
+func BenchmarkNSECSynthesize(b *testing.B) {
+	c, names := rootSizedChain()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if nx, ok := c.NSECSynthesize(names[i%len(names)], dnswire.TypeA); !ok || !nx {
 			b.Fatalf("miss for %s", names[i%len(names)])
 		}
+	}
+}
+
+// TestNSECSynthesizeAllocs: denying a name from the cached chain
+// allocates nothing.
+func TestNSECSynthesizeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts not meaningful under -race")
+	}
+	c, names := rootSizedChain()
+	i := 0
+	got := testing.AllocsPerRun(500, func() {
+		if nx, ok := c.NSECSynthesize(names[i%len(names)], dnswire.TypeA); !ok || !nx {
+			t.Fatalf("miss for %s", names[i%len(names)])
+		}
+		i++
+	})
+	if got != 0 {
+		t.Errorf("NSECSynthesize: %v allocs/op, want 0", got)
 	}
 }

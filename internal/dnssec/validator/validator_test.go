@@ -399,22 +399,45 @@ func TestNSECCovers(t *testing.T) {
 
 func mustAddr(s string) netip.Addr { return netip.MustParseAddr(s) }
 
-func BenchmarkValidate(b *testing.B) {
-	t := &testing.T{}
+// validateFixture is BenchmarkValidate's query: a signed A RRset at the
+// root, with the root keys already validated.
+func validateFixture(t *testing.T) (*Validator, dnswire.Name, *dnswire.Message) {
 	w := newWorld(t)
 	if err := w.validator.ValidateKeys(dnswire.Root, keyResponse(w.root)); err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	name := dnswire.Name("a.root-servers.net.")
 	resp := &dnswire.Message{
 		Response: true,
 		Answers:  append(w.root.Lookup(name, dnswire.TypeA), sigsFor(w.root, name, dnswire.TypeA)...),
 	}
+	return w.validator, name, resp
+}
+
+func BenchmarkValidate(b *testing.B) {
+	v, name, resp := validateFixture(&testing.T{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := w.validator.Validate(dnswire.Root, name, dnswire.TypeA, resp); res.Outcome != Secure {
+		if res := v.Validate(dnswire.Root, name, dnswire.TypeA, resp); res.Outcome != Secure {
 			b.Fatalf("outcome %v: %v", res.Outcome, res.Err)
 		}
+	}
+}
+
+// TestValidateAllocs pins what one validation of BenchmarkValidate's
+// fixture allocates.
+func TestValidateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts not meaningful under -race")
+	}
+	v, name, resp := validateFixture(t)
+	got := testing.AllocsPerRun(200, func() {
+		if res := v.Validate(dnswire.Root, name, dnswire.TypeA, resp); res.Outcome != Secure {
+			t.Fatalf("outcome %v: %v", res.Outcome, res.Err)
+		}
+	})
+	if got > 24 {
+		t.Errorf("Validate: %v allocs/op, want <= 24", got)
 	}
 }

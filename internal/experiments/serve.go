@@ -77,8 +77,7 @@ func serveRun(queries, workers, batch, anscache int, qps float64) (loadgen.Resul
 // test smoke less. Absolute qps is host-bound; the shape rows (scaling,
 // batch amortization, packed vs classic) are the findings. On a host
 // with fewer than four cores the scaling row reports the measured ratio
-// but cannot demand >= 2.5x — there is no second core to win — matching
-// the wall_clock_unreliable flag the committed bench snapshot carries.
+// but cannot demand >= 2.5x: there is no second core to win.
 func Serve(queries int) Result {
 	sat1, _, err1 := serveRun(queries, 1, 1, authserver.DefaultAnswerCacheSize, 0)
 	sat4, st4, err2 := serveRun(queries, 4, 8, authserver.DefaultAnswerCacheSize, 0)

@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rootless/internal/benchfmt"
 	"rootless/internal/dnswire"
 	"rootless/internal/obs"
 	"rootless/internal/obs/traffic"
@@ -90,8 +89,10 @@ type Result struct {
 	RespRate float64
 	// Elapsed covers first send to end of drain.
 	Elapsed time.Duration
-	// AchievedQPS is Sent/(send window) — what the open loop actually
-	// sustained, which under saturation is the serving capacity bound.
+	// AchievedQPS is Sent/(start to last departure) — what the open
+	// loop actually sustained, which under saturation is the serving
+	// capacity bound. The drain is not part of the window: it ends as
+	// soon as every reply is in, so its length is not known up front.
 	AchievedQPS float64
 	// Latency tails in seconds (p50, p99, p999, p9999) from the merged
 	// per-worker HDR histograms.
@@ -187,6 +188,7 @@ type worker struct {
 	sent     atomic.Int64
 	received atomic.Int64
 	hist     *obs.HDR
+	lastSend time.Time // departure of the last query sent; read after run returns
 
 	// sendNS[id] is the departure time (UnixNano) of the most recent
 	// query with that DNS message ID; 0 = no outstanding query.
@@ -244,6 +246,7 @@ func (w *worker) run(ctx context.Context, start time.Time, drain time.Duration) 
 			continue
 		}
 		w.sent.Add(1)
+		w.lastSend = time.Now()
 	}
 	// Drain: leave the receiver running for late responses.
 	deadline := time.Now().Add(drain)
@@ -316,43 +319,37 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	elapsed := time.Since(start)
 
 	res := Result{Elapsed: elapsed, Hist: obs.NewHDR()}
+	lastSend := start
 	for _, w := range ws {
 		res.Sent += w.sent.Load()
 		res.Received += w.received.Load()
 		res.Hist.Merge(w.hist)
+		if w.lastSend.After(lastSend) {
+			lastSend = w.lastSend
+		}
 	}
 	if res.Sent > 0 {
 		res.RespRate = float64(res.Received) / float64(res.Sent)
 	}
-	sendWindow := elapsed - drain
-	if sendWindow <= 0 {
-		sendWindow = elapsed
+	if window := lastSend.Sub(start); window > 0 {
+		res.AchievedQPS = float64(res.Sent) / window.Seconds()
 	}
-	res.AchievedQPS = float64(res.Sent) / sendWindow.Seconds()
 	tail := res.Hist.TailSeconds()
 	res.P50, res.P99, res.P999, res.P9999 = tail[0], tail[1], tail[2], tail[3]
 	return res, nil
 }
 
-// BenchEntry renders a result as one rootless-bench/v1 entry, so
-// loadgen measurements travel through the same snapshot/diff machinery
-// as go test benchmarks. Name must carry the standard Benchmark prefix.
-func BenchEntry(name string, res Result) benchfmt.Entry {
-	var nsPerOp float64
-	if res.Sent > 0 {
-		nsPerOp = float64(res.Elapsed.Nanoseconds()) / float64(res.Sent)
-	}
-	return benchfmt.Entry{
-		Name:       name,
-		Iterations: res.Sent,
-		NsPerOp:    nsPerOp,
-		Extra: map[string]float64{
-			"served-qps": res.AchievedQPS * res.RespRate,
-			"sent-qps":   res.AchievedQPS,
-			"resp-rate":  res.RespRate,
-			"p50-ms":     res.P50 * 1e3,
-			"p99-ms":     res.P99 * 1e3,
-			"p999-ms":    res.P999 * 1e3,
-		},
+// Figures is the run as a flat name → value map — what cmd/loadgen
+// writes as its JSON object. Latencies are in milliseconds.
+func (r Result) Figures() map[string]float64 {
+	return map[string]float64{
+		"sent":         float64(r.Sent),
+		"received":     float64(r.Received),
+		"resp-rate":    r.RespRate,
+		"achieved-qps": r.AchievedQPS,
+		"served-qps":   r.AchievedQPS * r.RespRate,
+		"p50-ms":       r.P50 * 1e3,
+		"p99-ms":       r.P99 * 1e3,
+		"p999-ms":      r.P999 * 1e3,
 	}
 }

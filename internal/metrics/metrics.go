@@ -1,6 +1,5 @@
 // Package metrics provides the small statistics toolkit the experiment
-// harness uses: counters, streaming histograms with percentiles, rates,
-// and time series.
+// harness uses: streaming histograms with percentiles and time series.
 package metrics
 
 import (
@@ -9,23 +8,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
-
-// Counter is a concurrency-safe monotonic counter (lock-free).
-type Counter struct {
-	n atomic.Int64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) { c.n.Add(d) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n.Load() }
 
 // Histogram collects float64 observations and reports order statistics.
 // It stores raw samples; experiments here are small enough that exact

@@ -3,38 +3,10 @@ package metrics
 import (
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 )
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(41)
-	if c.Value() != 42 {
-		t.Errorf("Value = %d", c.Value())
-	}
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Value() != 8000 {
-		t.Errorf("Value = %d, want 8000", c.Value())
-	}
-}
 
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram

@@ -10,7 +10,7 @@ import (
 
 // The hot-path cost budget: Classify and each sketch at ≤ ~20 ns/op and
 // zero allocations (the alloc half is pinned deterministically by
-// TestObserveAllocs; the ns/op travels through BENCH_PR6.json).
+// TestObserveAllocs; read the ns/op with go test -bench).
 
 func BenchmarkTrafficClassify(b *testing.B) {
 	tlds := testTLDs()
