@@ -41,7 +41,7 @@ bench-full:
 # Short coverage-guided fuzz pass over the wire codec, canonical name
 # ordering and sort keys against their label-parsing reference, the
 # master-file parser, the zone's denial lookups against their scans, the
-# delta bundle decoder, the two UDP front doors (authd's against the
+# delta bundle decoder and applier, the two UDP front doors (authd's against the
 # route it replaced, on a root and on a zone below it) and the resolver's
 # upstream-response path (~10s per target).
 fuzz-short:
@@ -51,6 +51,7 @@ fuzz-short:
 	go test ./internal/zone -run='^$$' -fuzz=FuzzZoneParse -fuzztime=10s
 	go test ./internal/zone -run='^$$' -fuzz=FuzzDeny -fuzztime=10s
 	go test ./internal/dist -run='^$$' -fuzz=FuzzDecodeDeltaBundle -fuzztime=10s
+	go test ./internal/dist -run='^$$' -fuzz=FuzzDeltaApply -fuzztime=10s
 	go test ./internal/resolver -run='^$$' -fuzz=FuzzResolverDatagram -fuzztime=10s
 	go test ./internal/resolver -run='^$$' -fuzz=FuzzUpstreamResponse -fuzztime=10s
 	go test ./internal/authserver -run='^$$' -fuzz=FuzzServeWire -fuzztime=10s

@@ -40,8 +40,7 @@ var fixtures struct {
 	zone2019   *zone.Zone // unsigned, 2019-06-07
 	signed2019 *zone.Zone
 	compressed []byte
-	textDay0   []byte
-	textDay1   []byte
+	day1       *zone.Zone // signed, 2019-06-08
 }
 
 func setup(b *testing.B) {
@@ -72,7 +71,6 @@ func setup(b *testing.B) {
 			panic(err)
 		}
 
-		day0 := signed
 		day1, err := rootzone.Build(ymd(2019, time.June, 8))
 		if err != nil {
 			panic(err)
@@ -80,8 +78,7 @@ func setup(b *testing.B) {
 		if err := s.SignZone(day1, ymd(2019, time.June, 8)); err != nil {
 			panic(err)
 		}
-		fixtures.textDay0 = []byte(zone.Text(day0))
-		fixtures.textDay1 = []byte(zone.Text(day1))
+		fixtures.day1 = day1
 	})
 	b.ResetTimer()
 }
@@ -241,14 +238,19 @@ func BenchmarkT5TLDExtractionIndexed(b *testing.B) {
 	}
 }
 
-// BenchmarkT5DistributionLoad measures the daily rsync delta between two
-// consecutive signed snapshots — §5.2's per-resolver transfer cost.
+// BenchmarkT5DistributionLoad builds the signed delta between two
+// consecutive signed snapshots — §5.2's per-resolver daily transfer — and
+// reports the encoded link's size as bytes per op.
 func BenchmarkT5DistributionLoad(b *testing.B) {
 	setup(b)
+	from := dist.ChainAnchor(fixtures.signed2019)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sig := dist.SignBlocks(fixtures.textDay0, dist.DefaultBlockSize)
-		ops := dist.ComputeDelta(sig, fixtures.textDay1)
-		b.SetBytes(int64(dist.DeltaSize(ops)))
+		db, err := dist.MakeDeltaBundle(fixtures.signed2019, fixtures.day1, from, fixtures.signer)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(db.Encode())))
 	}
 }
 
@@ -286,7 +288,8 @@ func BenchmarkT5TTLSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkT5AdditionsChannel runs the §5.3 recent-additions ablation.
+// BenchmarkT5AdditionsChannel runs the §5.3 new-TLD lag table: full
+// refreshes against a 6-hourly poll of the signed delta chain.
 func BenchmarkT5AdditionsChannel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		reportMatches(b, experiments.AdditionsChannel())
@@ -301,20 +304,6 @@ func BenchmarkT4Infrastructure(b *testing.B) {
 }
 
 // ---- Ablations (DESIGN.md §5) ----
-
-// BenchmarkAblationRsyncBlockSize sweeps the delta block size.
-func BenchmarkAblationRsyncBlockSize(b *testing.B) {
-	for _, bs := range []int{128, 256, 704, 2048, 8192} {
-		b.Run(fmt.Sprintf("block%d", bs), func(b *testing.B) {
-			setup(b)
-			for i := 0; i < b.N; i++ {
-				sig := dist.SignBlocks(fixtures.textDay0, bs)
-				ops := dist.ComputeDelta(sig, fixtures.textDay1)
-				b.ReportMetric(float64(dist.DeltaSize(ops)), "delta-bytes")
-			}
-		})
-	}
-}
 
 // BenchmarkAblationVerify compares the paper's whole-file signature
 // shortcut against full per-RRset DNSSEC validation.

@@ -1,5 +1,5 @@
 // Command zonedist distributes root zones: it can serve an HTTP mirror
-// (with rsync-style delta endpoints) or act as the resolver-side client
+// (full signed bundles and a signed delta chain) or act as the resolver-side client
 // that fetches, verifies and stores a zone copy.
 //
 // Serve (publisher side):
@@ -131,7 +131,6 @@ func serve(args []string) {
 					"component":      "zonedist",
 					"requests":       st.Requests,
 					"bundle_bytes":   st.BundleBytes,
-					"delta_bytes":    st.DeltaBytes,
 					"uptime_seconds": time.Since(start).Seconds(),
 				}
 				if b := mirror.Current(); b != nil {
@@ -179,7 +178,7 @@ func serve(args []string) {
 	}
 	st := mirror.Stats()
 	logger.Info("shutdown", "requests", st.Requests,
-		"bundle_bytes", st.BundleBytes, "delta_bytes", st.DeltaBytes)
+		"bundle_bytes", st.BundleBytes, "chain_bytes", st.ChainBytes)
 }
 
 func fetch(args []string) {

@@ -2,9 +2,10 @@
 // publishes daily root zone snapshots to an HTTP mirror; a resolver-side
 // LocalRoot fetches, verifies and installs each one on the paper's
 // TTL-derived schedule (refresh at X+42h, hourly retries through hour
-// 48); an rsync-style delta client shows what the daily sync actually
-// costs; and a gossip mesh shows the peer-to-peer variant reaching a
-// thousand resolvers in a handful of rounds.
+// 48), taking each new serial as a signed delta once it holds a copy; a
+// second client prices one day as a full bundle against a delta chain;
+// and a gossip mesh shows the peer-to-peer variant reaching a thousand
+// resolvers in a handful of rounds.
 //
 // Run: go run ./examples/distribution
 package main
@@ -102,21 +103,23 @@ func main() {
 		clk.t = clk.t.Add(6 * time.Hour)
 	}
 
-	// What the dailies cost with rsync deltas vs full fetches.
+	// What a day costs: the full bundle against one signed delta link.
 	fmt.Println()
-	deltaClient := dist.NewHTTPClient(srv.URL)
-	_, _, fullBytes, err := deltaClient.SyncText(context.Background())
-	if err != nil {
+	client := dist.NewHTTPClient(srv.URL)
+	if _, err := client.Fetch(context.Background()); err != nil {
 		panic(err)
 	}
+	fullBytes := client.BytesFetched()
+	from := mirror.Current().Serial
 	publish(day.AddDate(0, 0, 1))
-	_, serial, deltaBytes, err := deltaClient.SyncText(context.Background())
+	chain, err := client.FetchDeltaChain(context.Background(), from)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("first sync (full):  %8d bytes\n", fullBytes)
-	fmt.Printf("daily sync (delta): %8d bytes to serial %d (%.0fx smaller)\n\n",
-		deltaBytes, serial, float64(fullBytes)/float64(deltaBytes))
+	deltaBytes := client.BytesFetched() - fullBytes
+	fmt.Printf("full bundle:        %8d bytes\n", fullBytes)
+	fmt.Printf("daily delta chain:  %8d bytes to serial %d (%d link, %.0fx smaller)\n\n",
+		deltaBytes, chain[len(chain)-1].ToSerial, len(chain), float64(fullBytes)/float64(deltaBytes))
 
 	// Peer-to-peer alternative: epidemic spread over 1000 resolvers.
 	bundle := mirror.Current()

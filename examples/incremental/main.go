@@ -1,8 +1,8 @@
 // Incremental: DNS-native zone maintenance over real TCP sockets. A
 // resolver-side replica bootstraps with AXFR, then rides daily root-zone
-// serials with IXFR (RFC 1995) — moving O(change) instead of O(zone) —
-// and picks up a brand-new TLD between full refreshes through the signed
-// "recent additions" supplement (§5.3).
+// serials with IXFR (RFC 1995) — moving O(change) instead of O(zone).
+// The day .llc entered the root (§5.3's new TLD) arrives as one more
+// incremental transfer, with no full transfer after the bootstrap.
 //
 // Run: go run ./examples/incremental
 package main

@@ -10,8 +10,8 @@ import (
 	"rootless/internal/zone"
 )
 
-// IXFR (RFC 1995) gives the DNS-native counterpart of the rsync-delta
-// distribution path: a client holding serial N asks the server for just
+// IXFR (RFC 1995) gives the DNS-native counterpart of the signed delta
+// chain (dist.DeltaBundle): a client holding serial N asks the server for just
 // the changes up to the current serial. The server keeps a bounded
 // journal of recent zone versions to serve deltas from; requests older
 // than the journal fall back to a full AXFR-style response, exactly as

@@ -3,8 +3,8 @@
 // the root zone.
 //
 // LocalRoot is the orchestrator a resolver operator runs. It obtains the
-// root zone out of band through any dist.Source (HTTP mirror, AXFR,
-// rsync-delta, peer-to-peer), verifies it cryptographically (the detached
+// root zone out of band through any dist.Source (HTTP mirror with signed
+// delta chains, AXFR, peer-to-peer), verifies it cryptographically (the detached
 // whole-file signature by default, or the full DNSSEC per-RRset chain),
 // installs it into the serving path for the chosen root mode (cache
 // preload, per-transaction lookaside, or an RFC 7706-style loopback
@@ -71,29 +71,19 @@ type Config struct {
 	// Refresh/Retry/Expiry tune the schedule; zero values take the
 	// paper's defaults (42 h / 1 h / 48 h). Failed refreshes back off
 	// with decorrelated jitter up to RetryCap (default Expiry); Seed
-	// makes that jitter deterministic in experiments.
+	// makes that jitter deterministic in experiments. Against a source
+	// that serves signed delta chains (dist.HTTPClient) a Refresh far
+	// below Expiry is cheap — each poll moves and verifies only what
+	// changed — and is how a TLD added to the root (§5.3) reaches the
+	// resolver long before the copy would expire.
 	Refresh  time.Duration
 	Retry    time.Duration
 	RetryCap time.Duration
 	Expiry   time.Duration
 	Seed     int64
 
-	// AdditionsSource, when set, is polled between full refreshes for
-	// the §5.3 "recent additions" supplement, so TLDs added to the root
-	// after our last fetch become resolvable without waiting for the
-	// next full refresh (or for a longer TTL to run out).
-	AdditionsSource AdditionsSource
-	// AdditionsInterval is the poll cadence (default 6 h).
-	AdditionsInterval time.Duration
-
 	// Clock supplies time; nil means time.Now.
 	Clock func() time.Time
-}
-
-// AdditionsSource serves recent-additions supplements; implemented by
-// dist.HTTPClient.
-type AdditionsSource interface {
-	FetchAdditions(ctx context.Context, fromSerial uint32) (*dist.AdditionsBundle, error)
 }
 
 // LocalRoot keeps one resolver's local root zone fetched, verified,
@@ -103,12 +93,6 @@ type LocalRoot struct {
 	refresher *dist.Refresher
 	installed int64
 	current   *zone.Zone
-
-	// Additions state.
-	baseSerial    uint32 // serial of the last full fetch
-	lastAdditions time.Time
-	additionsOK   int64
-	additionsErr  int64
 }
 
 // Errors.
@@ -203,69 +187,9 @@ func (lr *LocalRoot) install(z *zone.Zone) error {
 }
 
 // Tick attempts a fetch if one is due; returns true if a new zone was
-// installed (by full refresh or by an applied additions supplement).
-// Experiments drive this on a virtual clock; daemons use Run.
-func (lr *LocalRoot) Tick(ctx context.Context) bool {
-	if lr.refresher.Tick(ctx) {
-		lr.baseSerial = lr.refresher.State().Serial
-		lr.lastAdditions = lr.cfg.Clock()
-		return true
-	}
-	return lr.tickAdditions(ctx)
-}
-
-// tickAdditions polls the recent-additions channel when due and applies
-// any new-TLD records on top of the installed zone.
-func (lr *LocalRoot) tickAdditions(ctx context.Context) bool {
-	if lr.cfg.AdditionsSource == nil || lr.current == nil {
-		return false
-	}
-	interval := lr.cfg.AdditionsInterval
-	if interval == 0 {
-		interval = 6 * time.Hour
-	}
-	now := lr.cfg.Clock()
-	if now.Sub(lr.lastAdditions) < interval {
-		return false
-	}
-	lr.lastAdditions = now
-	bundle, err := lr.cfg.AdditionsSource.FetchAdditions(ctx, lr.baseSerial)
-	if err != nil {
-		lr.additionsErr++
-		return false
-	}
-	if bundle.FromSerial != lr.baseSerial {
-		lr.additionsErr++
-		return false
-	}
-	rrs, err := bundle.Verify(lr.cfg.KSK)
-	if err != nil {
-		lr.additionsErr++
-		return false
-	}
-	if len(rrs) == 0 {
-		return false // nothing new; not an install
-	}
-	patched := lr.current.Clone()
-	for _, rr := range rrs {
-		if err := patched.Add(rr); err != nil {
-			lr.additionsErr++
-			return false
-		}
-	}
-	if err := lr.install(patched); err != nil {
-		lr.additionsErr++
-		return false
-	}
-	lr.additionsOK++
-	return true
-}
-
-// AdditionsApplied returns how many additions supplements were installed,
-// and how many attempts failed.
-func (lr *LocalRoot) AdditionsApplied() (ok, failed int64) {
-	return lr.additionsOK, lr.additionsErr
-}
+// installed, from a full bundle or a delta chain. Experiments drive this
+// on a virtual clock; daemons use Run.
+func (lr *LocalRoot) Tick(ctx context.Context) bool { return lr.refresher.Tick(ctx) }
 
 // Run drives the refresh loop on wall-clock time until ctx ends.
 func (lr *LocalRoot) Run(ctx context.Context) { lr.refresher.Run(ctx) }

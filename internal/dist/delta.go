@@ -365,3 +365,47 @@ func isGlueRRset(z *zone.Zone, name dnswire.Name, typ dnswire.Type) bool {
 	}
 	return false
 }
+
+// encodeDeltaChain frames encoded links the way a mirror serves them: a
+// uint32 link count, then each link prefixed with its uint32 length.
+func encodeDeltaChain(links [][]byte) []byte {
+	n := 4
+	for _, link := range links {
+		n += 4 + len(link)
+	}
+	out := binary.BigEndian.AppendUint32(make([]byte, 0, n), uint32(len(links)))
+	for _, link := range links {
+		out = binary.BigEndian.AppendUint32(out, uint32(len(link)))
+		out = append(out, link...)
+	}
+	return out
+}
+
+// decodeDeltaChain parses a framed chain and decodes each of its links.
+func decodeDeltaChain(data []byte) ([]*DeltaBundle, error) {
+	if len(data) < 4 {
+		return nil, errors.New("dist: short delta chain")
+	}
+	n := int(binary.BigEndian.Uint32(data))
+	data = data[4:]
+	if n < 0 || n > 1<<16 {
+		return nil, errors.New("dist: bad delta chain length")
+	}
+	chain := make([]*DeltaBundle, 0, n)
+	for i := 0; i < n; i++ {
+		if len(data) < 4 {
+			return nil, errors.New("dist: truncated delta chain")
+		}
+		linkLen := int(binary.BigEndian.Uint32(data))
+		if linkLen < 0 || 4+linkLen > len(data) {
+			return nil, errors.New("dist: truncated delta chain link")
+		}
+		db, err := DecodeDeltaBundle(data[4 : 4+linkLen])
+		if err != nil {
+			return nil, err
+		}
+		chain = append(chain, db)
+		data = data[4+linkLen:]
+	}
+	return chain, nil
+}

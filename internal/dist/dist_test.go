@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"rootless/internal/dnssec"
@@ -21,7 +19,7 @@ type detRand struct{ r *rand.Rand }
 
 func (d detRand) Read(p []byte) (int, error) { return d.r.Read(p) }
 
-func testSigner(t *testing.T) *dnssec.Signer {
+func testSigner(t testing.TB) *dnssec.Signer {
 	t.Helper()
 	s, err := dnssec.NewSigner(dnswire.Root, detRand{rand.New(rand.NewSource(5))})
 	if err != nil {
@@ -30,7 +28,7 @@ func testSigner(t *testing.T) *dnssec.Signer {
 	return s
 }
 
-func testZone(t *testing.T, serial uint32, extra string) *zone.Zone {
+func testZone(t testing.TB, serial uint32, extra string) *zone.Zone {
 	t.Helper()
 	src := `
 . 86400 IN SOA a.root-servers.net. nstld.verisign-grs.com. ` +
@@ -65,115 +63,6 @@ func uitoa(v uint32) string {
 		v /= 10
 	}
 	return string(b)
-}
-
-// ---- rsync algorithm ----
-
-func TestRsyncIdentical(t *testing.T) {
-	data := []byte(strings.Repeat("the quick brown fox\n", 200))
-	sig := SignBlocks(data, 64)
-	ops := ComputeDelta(sig, data)
-	for _, op := range ops {
-		if op.Block < 0 {
-			t.Fatalf("identical data produced literal of %d bytes", len(op.Literal))
-		}
-	}
-	out, err := ApplyDelta(data, sig, ops)
-	if err != nil || !bytes.Equal(out, data) {
-		t.Fatalf("reconstruction failed: %v", err)
-	}
-	if DeltaSize(ops) >= len(data)/4 {
-		t.Errorf("identical-data delta too large: %d vs %d", DeltaSize(ops), len(data))
-	}
-}
-
-func TestRsyncSmallChange(t *testing.T) {
-	old := []byte(strings.Repeat("record line with some content here\n", 500))
-	new := append([]byte{}, old...)
-	// Change one byte in the middle and insert a line near the end.
-	new[len(new)/2] = 'X'
-	insert := []byte("a brand new TLD line appears\n")
-	pos := len(new) - 100
-	new = append(new[:pos], append(insert, new[pos:]...)...)
-
-	sig := SignBlocks(old, DefaultBlockSize)
-	ops := ComputeDelta(sig, new)
-	out, err := ApplyDelta(old, sig, ops)
-	if err != nil || !bytes.Equal(out, new) {
-		t.Fatalf("reconstruction failed: %v", err)
-	}
-	if ds := DeltaSize(ops); ds > len(new)/3 {
-		t.Errorf("delta %d bytes for small change to %d-byte file", ds, len(new))
-	}
-}
-
-func TestRsyncFromEmpty(t *testing.T) {
-	sig := SignBlocks(nil, 64)
-	data := []byte("fresh content never seen before")
-	ops := ComputeDelta(sig, data)
-	out, err := ApplyDelta(nil, sig, ops)
-	if err != nil || !bytes.Equal(out, data) {
-		t.Fatalf("from-empty failed: %v", err)
-	}
-}
-
-func TestRsyncEncodeDecode(t *testing.T) {
-	ops := []Op{{Block: 3}, {Block: -1, Literal: []byte("abc")}, {Block: 0}, {Block: -1, Literal: []byte{}}}
-	enc := EncodeDelta(ops)
-	dec, err := DecodeDelta(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dec) != 4 || dec[0].Block != 3 || string(dec[1].Literal) != "abc" || dec[2].Block != 0 {
-		t.Fatalf("decode mismatch: %+v", dec)
-	}
-	if _, err := DecodeDelta(enc[:3]); err == nil {
-		t.Error("truncated tag accepted")
-	}
-	bad := EncodeDelta([]Op{{Block: -1, Literal: []byte("xyz")}})
-	if _, err := DecodeDelta(bad[:5]); err == nil {
-		t.Error("truncated literal accepted")
-	}
-}
-
-func TestRsyncRoundTripProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		old := make([]byte, r.Intn(5000))
-		r.Read(old)
-		// Mutate: random splices.
-		new := append([]byte{}, old...)
-		for k := 0; k < r.Intn(5); k++ {
-			if len(new) == 0 {
-				break
-			}
-			pos := r.Intn(len(new))
-			switch r.Intn(3) {
-			case 0: // flip
-				new[pos] ^= 0xFF
-			case 1: // insert
-				ins := make([]byte, 1+r.Intn(100))
-				r.Read(ins)
-				new = append(new[:pos], append(ins, new[pos:]...)...)
-			default: // delete
-				end := pos + r.Intn(len(new)-pos)
-				new = append(new[:pos], new[end:]...)
-			}
-		}
-		bs := 16 << r.Intn(5)
-		sig := SignBlocks(old, bs)
-		ops := ComputeDelta(sig, new)
-		enc := EncodeDelta(ops)
-		dec, err := DecodeDelta(enc)
-		if err != nil {
-			return false
-		}
-		out, err := ApplyDelta(old, sig, dec)
-		return err == nil && bytes.Equal(out, new)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
 }
 
 // ---- bundles ----
@@ -265,10 +154,19 @@ func TestMirrorHTTPFull(t *testing.T) {
 	if c.BytesFetched() == 0 {
 		t.Error("no bytes accounted")
 	}
+	// The bundle, the serial and the delta chain are all a mirror serves.
+	if _, err := c.get(context.Background(), "/serial"); err != nil {
+		t.Error(err)
+	}
+	for _, path := range []string{"/root.zone.text", "/delta?from=100", "/additions?from=100"} {
+		if _, err := c.get(context.Background(), path); err == nil {
+			t.Errorf("%s is served", path)
+		}
+	}
 }
 
-// bulkTLDs generates n synthetic TLD delegation lines so the zone text is
-// large enough for delta syncs to pay off, as the real root zone is.
+// bulkTLDs generates n synthetic TLD delegation lines so the zone is large
+// enough for delta syncs to pay off, as the real root zone is.
 func bulkTLDs(n int) string {
 	var sb strings.Builder
 	for i := 0; i < n; i++ {
@@ -279,9 +177,11 @@ func bulkTLDs(n int) string {
 }
 
 func TestMirrorDeltaSync(t *testing.T) {
-	s := testSigner(t)
+	s := quantizedSigner(t)
+	now := time.Unix(1555000000, 0)
+	z1 := signedTestZone(t, s, 100, bulkTLDs(400), now)
 	m := NewMirror(s, 4)
-	if err := m.Publish(testZone(t, 100, bulkTLDs(400))); err != nil {
+	if err := m.Publish(z1); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(m)
@@ -289,42 +189,40 @@ func TestMirrorDeltaSync(t *testing.T) {
 	c := NewHTTPClient(srv.URL)
 
 	// First sync is a full fetch.
-	text1, serial1, bytes1, err := c.SyncText(context.Background())
-	if err != nil {
+	if _, err := c.Fetch(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if serial1 != 100 || len(text1) == 0 {
-		t.Fatalf("sync1: serial=%d len=%d", serial1, len(text1))
-	}
+	fullBytes := c.BytesFetched()
 
-	// Publish a slightly changed zone; second sync must be a small delta.
-	if err := m.Publish(testZone(t, 101, bulkTLDs(400)+"newtld. 172800 IN NS ns0.nic.newtld.\nns0.nic.newtld. 172800 IN A 100.1.2.3\n")); err != nil {
+	// Publish a slightly changed zone; the second sync must be a small
+	// delta that lands exactly on it.
+	z2 := signedTestZone(t, s, 101, bulkTLDs(400)+"newtld. 172800 IN NS ns0.nic.newtld.\nns0.nic.newtld. 172800 IN A 100.1.2.3\n", now)
+	if err := m.Publish(z2); err != nil {
 		t.Fatal(err)
 	}
-	text2, serial2, bytes2, err := c.SyncText(context.Background())
+	chain, err := c.FetchDeltaChain(context.Background(), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial2 != 101 {
-		t.Fatalf("sync2 serial = %d", serial2)
+	deltaBytes := c.BytesFetched() - fullBytes
+	if deltaBytes >= fullBytes {
+		t.Errorf("delta sync (%d B) not smaller than full fetch (%d B)", deltaBytes, fullBytes)
 	}
-	if !strings.Contains(string(text2), "newtld.") {
-		t.Error("delta-synced text missing new TLD")
-	}
-	if bytes2 >= bytes1 {
-		t.Errorf("delta sync (%d B) not smaller than full fetch (%d B)", bytes2, bytes1)
-	}
-	full, delta := c.Fetches()
-	if full != 1 || delta != 1 {
+	if full, delta := c.Fetches(); full != 1 || delta != 1 {
 		t.Errorf("fetches: full=%d delta=%d", full, delta)
 	}
-	// The delta-synced text must reparse into the published zone.
-	z2, err := zone.Parse(strings.NewReader(string(text2)), dnswire.Root)
+	if st := m.Stats(); st.BundleBytes != fullBytes || st.ChainBytes != deltaBytes {
+		t.Errorf("mirror stats %+v, client fetched %d bundle and %d chain bytes", st, fullBytes, deltaBytes)
+	}
+	if len(chain) != 1 {
+		t.Fatalf("%d links from one serial behind", len(chain))
+	}
+	got, _, err := chain[0].Apply(z1, ChainAnchor(z1), []dnswire.DNSKEY{s.KSK.DNSKEY}, now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if z2.Serial() != 101 {
-		t.Errorf("reparsed serial = %d", z2.Serial())
+	if zone.Text(got) != zone.Text(z2) {
+		t.Error("the delta-synced zone differs from the published one")
 	}
 }
 
@@ -339,21 +237,22 @@ func TestMirrorDeltaWindowEviction(t *testing.T) {
 	srv := httptest.NewServer(m)
 	defer srv.Close()
 	c := NewHTTPClient(srv.URL)
-	// Pretend we hold serial 1 (evicted): delta must 404 and the client
-	// must transparently fall back to a full fetch.
-	c.mu.Lock()
-	c.serial, c.text = 1, []byte("stale")
-	c.mu.Unlock()
-	_, serial, _, err := c.SyncText(context.Background())
+	// Serial 1 fell out of the two-snapshot window: the chain request must
+	// fail, which sends a refresher to the full bundle.
+	if _, err := c.FetchDeltaChain(context.Background(), 1); err == nil {
+		t.Error("chain served from an evicted serial")
+	}
+	// Serial 4 is retained: one link to the current serial.
+	chain, err := c.FetchDeltaChain(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial != 5 {
-		t.Errorf("fallback sync serial = %d", serial)
+	if len(chain) != 1 || chain[0].FromSerial != 4 || chain[0].ToSerial != 5 {
+		t.Errorf("chain from 4: %d links", len(chain))
 	}
-	full, _ := c.Fetches()
-	if full != 1 {
-		t.Errorf("full fetches = %d", full)
+	// The current serial: an empty chain says "already current".
+	if chain, err := c.FetchDeltaChain(context.Background(), 5); err != nil || len(chain) != 0 {
+		t.Errorf("chain from the current serial: %d links, %v", len(chain), err)
 	}
 }
 

@@ -1,10 +1,17 @@
+// Package dist distributes root zone files — the replacement the paper
+// proposes for the root nameserver service (§3 "Root Zone
+// Distribution"): an HTTP mirror serving signed full bundles and a signed
+// delta chain, DNS AXFR/IXFR (via the authserver package), and a
+// gossip/peer-to-peer simulation. A Refresher drives the fetch → verify →
+// install loop on the paper's TTL-derived schedule (refresh at X+42 h,
+// retry through hour 48) and takes the delta chain whenever its source
+// serves one, so a short refresh interval moves only what changed — which
+// is also how a TLD added to the root (§5.3) reaches a resolver between
+// full refreshes.
 package dist
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,23 +31,18 @@ import (
 //
 //	GET /root.zone.bundle        current bundle (binary)
 //	GET /serial                  current serial (text)
-//	GET /root.zone.text          current uncompressed master file
-//	GET /delta?from=SERIAL       rsync-style delta from an old serial
 //	GET /deltachain?from=SERIAL  signed delta-bundle chain from an old serial
 type Mirror struct {
-	mu        sync.RWMutex
-	current   *Bundle
-	signer    *dnssec.Signer
-	text      map[uint32][]byte // serial -> master file text
-	zones     map[uint32]*zone.Zone
-	deltas    map[uint32]deltaLink // fromSerial -> signed delta to the next serial
-	order     []uint32
-	window    int
-	blockSize int
+	mu      sync.RWMutex
+	current *Bundle
+	signer  *dnssec.Signer
+	zones   map[uint32]*zone.Zone
+	deltas  map[uint32]deltaLink // fromSerial -> signed delta to the next serial
+	order   []uint32
+	window  int
 
 	// Stats.
 	bundleBytes int64
-	deltaBytes  int64
 	chainBytes  int64
 	requests    int64
 }
@@ -58,12 +60,10 @@ func NewMirror(signer *dnssec.Signer, window int) *Mirror {
 		window = 8
 	}
 	return &Mirror{
-		signer:    signer,
-		text:      make(map[uint32][]byte),
-		zones:     make(map[uint32]*zone.Zone),
-		deltas:    make(map[uint32]deltaLink),
-		window:    window,
-		blockSize: DefaultBlockSize,
+		signer: signer,
+		zones:  make(map[uint32]*zone.Zone),
+		deltas: make(map[uint32]deltaLink),
+		window: window,
 	}
 }
 
@@ -75,7 +75,6 @@ func (m *Mirror) Publish(z *zone.Zone) error {
 	if err != nil {
 		return err
 	}
-	text := []byte(zone.Text(z))
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if prev := m.current; prev != nil && prev.Serial != b.Serial {
@@ -88,13 +87,11 @@ func (m *Mirror) Publish(z *zone.Zone) error {
 		}
 	}
 	m.current = b
-	if _, ok := m.text[b.Serial]; !ok {
+	if _, ok := m.zones[b.Serial]; !ok {
 		m.order = append(m.order, b.Serial)
 	}
-	m.text[b.Serial] = text
 	m.zones[b.Serial] = z
 	for len(m.order) > m.window {
-		delete(m.text, m.order[0])
 		delete(m.zones, m.order[0])
 		delete(m.deltas, m.order[0])
 		m.order = m.order[1:]
@@ -113,7 +110,6 @@ func (m *Mirror) Current() *Bundle {
 type MirrorStats struct {
 	Requests    int64
 	BundleBytes int64
-	DeltaBytes  int64
 	// ChainBytes counts signed delta-chain transfer volume — the O(delta)
 	// distribution path.
 	ChainBytes int64
@@ -126,7 +122,6 @@ func (m *Mirror) Stats() MirrorStats {
 	return MirrorStats{
 		Requests:    m.requests,
 		BundleBytes: m.bundleBytes,
-		DeltaBytes:  m.deltaBytes,
 		ChainBytes:  m.chainBytes,
 	}
 }
@@ -172,66 +167,15 @@ func (m *Mirror) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		fmt.Fprintf(w, "%d\n", b.Serial)
-	case "/root.zone.text":
-		m.mu.RLock()
-		var text []byte
-		if m.current != nil {
-			text = m.text[m.current.Serial]
-		}
-		m.mu.RUnlock()
-		if text == nil {
-			http.Error(w, "no zone published", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain")
-		_, _ = w.Write(text)
-	case "/delta":
-		m.serveDelta(w, r)
 	case "/deltachain":
 		m.serveDeltaChain(w, r)
-	case "/additions":
-		m.serveAdditions(w, r)
 	default:
 		http.NotFound(w, r)
 	}
 }
 
-// serveDelta returns an encoded delta from the client's serial to the
-// current snapshot, prefixed with the current serial. 404 when the old
-// serial fell out of the retention window (client must full-fetch).
-func (m *Mirror) serveDelta(w http.ResponseWriter, r *http.Request) {
-	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 32)
-	if err != nil {
-		http.Error(w, "bad from serial", http.StatusBadRequest)
-		return
-	}
-	m.mu.RLock()
-	oldText, okOld := m.text[uint32(from)]
-	var curSerial uint32
-	var curText []byte
-	if m.current != nil {
-		curSerial = m.current.Serial
-		curText = m.text[curSerial]
-	}
-	m.mu.RUnlock()
-	if !okOld || curText == nil {
-		http.Error(w, "serial not in window", http.StatusNotFound)
-		return
-	}
-	sig := SignBlocks(oldText, m.blockSize)
-	ops := ComputeDelta(sig, curText)
-	payload := EncodeDelta(ops)
-	m.mu.Lock()
-	m.deltaBytes += int64(len(payload))
-	m.mu.Unlock()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Zone-Serial", strconv.FormatUint(uint64(curSerial), 10))
-	_, _ = w.Write(payload)
-}
-
 // serveDeltaChain returns the signed delta links from the client's serial
-// to the current snapshot: a uint32 link count, then each encoded
-// DeltaBundle length-prefixed with a uint32. An empty chain (count 0)
+// to the current snapshot, framed by encodeDeltaChain. An empty chain
 // means the client is already current. 404 when the client's serial fell
 // out of the retention window — the client must full-fetch.
 func (m *Mirror) serveDeltaChain(w http.ResponseWriter, r *http.Request) {
@@ -262,33 +206,21 @@ func (m *Mirror) serveDeltaChain(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "serial not in window", http.StatusNotFound)
 		return
 	}
-	var buf bytes.Buffer
-	var u32 [4]byte
-	binary.BigEndian.PutUint32(u32[:], uint32(len(links)))
-	buf.Write(u32[:])
-	for _, data := range links {
-		binary.BigEndian.PutUint32(u32[:], uint32(len(data)))
-		buf.Write(u32[:])
-		buf.Write(data)
-	}
+	data := encodeDeltaChain(links)
 	m.mu.Lock()
-	m.chainBytes += int64(buf.Len())
+	m.chainBytes += int64(len(data))
 	m.mu.Unlock()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(data)
 }
 
-// HTTPClient fetches bundles (and deltas) from a mirror base URL.
+// HTTPClient fetches bundles and delta chains from a mirror base URL.
 type HTTPClient struct {
 	BaseURL string
 	Client  *http.Client
 
-	// State for delta sync.
-	mu     sync.Mutex
-	serial uint32
-	text   []byte
-
 	// Transfer accounting.
+	mu           sync.Mutex
 	bytesFetched int64
 	fullFetches  int64
 	deltaFetches int64
@@ -313,32 +245,32 @@ func (c *HTTPClient) Fetches() (full, delta int64) {
 	return c.fullFetches, c.deltaFetches
 }
 
-func (c *HTTPClient) get(ctx context.Context, path string) ([]byte, http.Header, error) {
+func (c *HTTPClient) get(ctx context.Context, path string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	resp, err := c.Client.Do(req)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, resp.Header, fmt.Errorf("dist: %s: %s", path, resp.Status)
+		return nil, fmt.Errorf("dist: %s: %s", path, resp.Status)
 	}
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, resp.Header, err
+		return nil, err
 	}
 	c.mu.Lock()
 	c.bytesFetched += int64(len(data))
 	c.mu.Unlock()
-	return data, resp.Header, nil
+	return data, nil
 }
 
 // Fetch implements Source: it downloads the current bundle.
 func (c *HTTPClient) Fetch(ctx context.Context) (*Bundle, error) {
-	data, _, err := c.get(ctx, "/root.zone.bundle")
+	data, err := c.get(ctx, "/root.zone.bundle")
 	if err != nil {
 		return nil, err
 	}
@@ -353,125 +285,16 @@ func (c *HTTPClient) Fetch(ctx context.Context) (*Bundle, error) {
 // of the retention window) surfaces as an error, sending the refresher to
 // the full-bundle path.
 func (c *HTTPClient) FetchDeltaChain(ctx context.Context, fromSerial uint32) ([]*DeltaBundle, error) {
-	data, _, err := c.get(ctx, fmt.Sprintf("/deltachain?from=%d", fromSerial))
+	data, err := c.get(ctx, fmt.Sprintf("/deltachain?from=%d", fromSerial))
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < 4 {
-		return nil, errors.New("dist: short delta chain")
-	}
-	n := int(binary.BigEndian.Uint32(data))
-	data = data[4:]
-	if n < 0 || n > 1<<16 {
-		return nil, errors.New("dist: bad delta chain length")
-	}
-	chain := make([]*DeltaBundle, 0, n)
-	for i := 0; i < n; i++ {
-		if len(data) < 4 {
-			return nil, errors.New("dist: truncated delta chain")
-		}
-		linkLen := int(binary.BigEndian.Uint32(data))
-		if linkLen < 0 || 4+linkLen > len(data) {
-			return nil, errors.New("dist: truncated delta chain link")
-		}
-		db, err := DecodeDeltaBundle(data[4 : 4+linkLen])
-		if err != nil {
-			return nil, err
-		}
-		chain = append(chain, db)
-		data = data[4+linkLen:]
+	chain, err := decodeDeltaChain(data)
+	if err != nil {
+		return nil, err
 	}
 	c.mu.Lock()
 	c.deltaFetches++
 	c.mu.Unlock()
 	return chain, nil
-}
-
-// SyncText updates the client's master-file copy, preferring a delta when
-// the mirror still remembers our serial, falling back to a full text
-// fetch. It returns the new text, the new serial, and the bytes this sync
-// transferred.
-func (c *HTTPClient) SyncText(ctx context.Context) ([]byte, uint32, int64, error) {
-	c.mu.Lock()
-	oldSerial, oldText := c.serial, c.text
-	c.mu.Unlock()
-
-	before := c.BytesFetched()
-	if oldText != nil {
-		payload, hdr, err := c.get(ctx, fmt.Sprintf("/delta?from=%d", oldSerial))
-		if err == nil {
-			newSerial, err := strconv.ParseUint(hdr.Get("X-Zone-Serial"), 10, 32)
-			if err != nil {
-				return nil, 0, 0, errors.New("dist: delta reply missing serial")
-			}
-			ops, err := DecodeDelta(payload)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			sig := SignBlocks(oldText, DefaultBlockSize)
-			newText, err := ApplyDelta(oldText, sig, ops)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			c.mu.Lock()
-			c.serial, c.text = uint32(newSerial), newText
-			c.deltaFetches++
-			c.mu.Unlock()
-			return newText, uint32(newSerial), c.BytesFetched() - before, nil
-		}
-	}
-
-	text, _, err := c.get(ctx, "/root.zone.text")
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	serialData, _, err := c.get(ctx, "/serial")
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	serial, err := strconv.ParseUint(string(trimNL(serialData)), 10, 32)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("dist: bad serial: %w", err)
-	}
-	c.mu.Lock()
-	c.serial, c.text = uint32(serial), text
-	c.fullFetches++
-	c.mu.Unlock()
-	return text, uint32(serial), c.BytesFetched() - before, nil
-}
-
-func trimNL(b []byte) []byte {
-	for len(b) > 0 && (b[len(b)-1] == '\n' || b[len(b)-1] == '\r') {
-		b = b[:len(b)-1]
-	}
-	return b
-}
-
-// serveAdditions returns the signed §5.3 recent-additions supplement from
-// an old serial to the current snapshot. 404 when the base serial fell
-// out of the retention window.
-func (m *Mirror) serveAdditions(w http.ResponseWriter, r *http.Request) {
-	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 32)
-	if err != nil {
-		http.Error(w, "bad from serial", http.StatusBadRequest)
-		return
-	}
-	m.mu.RLock()
-	oldZone := m.zones[uint32(from)]
-	var curZone *zone.Zone
-	if m.current != nil {
-		curZone = m.zones[m.current.Serial]
-	}
-	m.mu.RUnlock()
-	if oldZone == nil || curZone == nil {
-		http.Error(w, "serial not in window", http.StatusNotFound)
-		return
-	}
-	bundle, err := MakeAdditions(oldZone, curZone, m.signer)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(bundle.Encode())
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // signedTestZone builds and DNSSEC-signs a small root zone.
-func signedTestZone(t *testing.T, s *dnssec.Signer, serial uint32, extra string, now time.Time) *zone.Zone {
+func signedTestZone(t testing.TB, s *dnssec.Signer, serial uint32, extra string, now time.Time) *zone.Zone {
 	t.Helper()
 	z := testZone(t, serial, extra)
 	if err := s.SignZone(z, now); err != nil {
@@ -26,7 +26,7 @@ func signedTestZone(t *testing.T, s *dnssec.Signer, serial uint32, extra string,
 
 // quantizedSigner returns a signer whose re-signings keep unchanged RRset
 // signatures stable — what makes consecutive-serial deltas small.
-func quantizedSigner(t *testing.T) *dnssec.Signer {
+func quantizedSigner(t testing.TB) *dnssec.Signer {
 	t.Helper()
 	s := testSigner(t)
 	s.Quantize = 24 * time.Hour
@@ -953,6 +953,50 @@ func FuzzDecodeDeltaBundle(f *testing.F) {
 		}
 		if !bytes.Equal(d2.Encode(), d.Encode()) {
 			t.Fatal("re-encode not stable")
+		}
+	})
+}
+
+// FuzzDeltaApply mutates an encoded one-link chain over a small signed
+// zone and applies whatever decodes. Apply must never panic, and a link it
+// accepts must land exactly on the publisher's zone: the signature covers
+// the whole payload, so no accepted mutation may change what the link does.
+func FuzzDeltaApply(f *testing.F) {
+	s := quantizedSigner(f)
+	now := time.Unix(1555000000, 0)
+	z1 := signedTestZone(f, s, 1, "", now)
+	z2 := signedTestZone(f, s, 2, "new. 172800 IN NS ns.new.\nns.new. 172800 IN A 192.0.2.9\n", now)
+	from := ChainAnchor(z1)
+	d, err := MakeDeltaBundle(z1, z2, from, s)
+	if err != nil {
+		f.Fatal(err)
+	}
+	anchors := []dnswire.DNSKEY{s.KSK.DNSKEY}
+	want := zone.Text(z2)
+	if got, _, err := d.Apply(z1, from, anchors, now); err != nil || zone.Text(got) != want {
+		f.Fatalf("the unmutated link does not land on the publisher's zone: %v", err)
+	}
+	valid := encodeDeltaChain([][]byte{d.Encode()})
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(encodeDeltaChain(nil))
+	tampered := bytes.Clone(valid)
+	tampered[len(tampered)-2] ^= 1
+	f.Add(tampered)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		chain, err := decodeDeltaChain(data)
+		if err != nil || len(chain) != 1 {
+			return
+		}
+		got, _, err := chain[0].Apply(z1, from, anchors, now)
+		if err != nil {
+			return
+		}
+		if ChainAnchor(got) != chain[0].ToChain {
+			t.Fatal("accepted link: the applied zone's chain anchor is not the signed ToChain")
+		}
+		if zone.Text(got) != want {
+			t.Fatal("accepted link: the applied zone's records differ from the publisher's zone")
 		}
 	})
 }

@@ -261,7 +261,7 @@ type Signer struct {
 	// fixed grid (jittered per RRset) so that re-signing the same zone on
 	// consecutive days reproduces most signatures byte-for-byte — real
 	// zone publishers re-sign incrementally for exactly this reason, and
-	// the rsync-delta distribution path depends on it. Validity must be
+	// the signed delta chain depends on it. Validity must be
 	// at least 2×Quantize.
 	Quantize time.Duration
 	// AddNSEC generates the authenticated-denial chain (an NSEC record

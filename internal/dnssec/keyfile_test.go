@@ -87,8 +87,8 @@ func TestReadPublicKeyErrors(t *testing.T) {
 
 func TestQuantizedSigningStability(t *testing.T) {
 	// With Quantize set, re-signing the same zone a day later reproduces
-	// most signatures byte for byte — the property the rsync-delta and
-	// IXFR distribution paths depend on.
+	// most signatures byte for byte — the property the signed delta chain
+	// and IXFR depend on.
 	s := newTestSigner(t, 79)
 	s.AddNSEC = true
 	s.Quantize = 14 * 24 * 3600e9

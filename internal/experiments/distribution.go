@@ -13,46 +13,15 @@ import (
 )
 
 // DistributionLoad reproduces §5.2's cost analysis: each resolver
-// downloads a ~1.1 MB compressed zone every two days; an rsync-style
-// delta cuts that by an order of magnitude; doubling the TTL (refresh
-// interval) halves it; and the whole budget is dwarfed by the SpamHaus
-// feed ICSI already consumes (3.1 GB/day).
+// downloads a ~1.1 MB compressed zone every two days; a signed delta
+// chain moves a day's changes at a fraction of that, in bytes and in
+// signature checks; doubling the TTL (refresh interval) halves the full
+// fetches; and the whole budget is dwarfed by the SpamHaus feed ICSI
+// already consumes (3.1 GB/day).
 func DistributionLoad() Result {
 	signer := testbedSigner()
 	mirror := dist.NewMirror(signer, 16)
-
-	// Publish five consecutive daily snapshots (signed zones).
-	base := ymd(2019, time.June, 3)
-	for d := 0; d < 5; d++ {
-		at := base.AddDate(0, 0, d)
-		z, err := rootzone.Build(at)
-		if err != nil {
-			return Result{ID: "t_dist", Title: "Distribution load", Notes: err.Error()}
-		}
-		if err := signer.SignZone(z, at); err != nil {
-			return Result{ID: "t_dist", Title: "Distribution load", Notes: err.Error()}
-		}
-		if err := mirror.Publish(z); err != nil {
-			return Result{ID: "t_dist", Title: "Distribution load", Notes: err.Error()}
-		}
-	}
-
-	srv := httptest.NewServer(mirror)
-	defer srv.Close()
-	ctx := context.Background()
-
-	// Full bundle fetch: the every-two-days unit cost.
-	fullClient := dist.NewHTTPClient(srv.URL)
-	bundle, err := fullClient.Fetch(ctx)
-	if err != nil {
-		return Result{ID: "t_dist", Title: "Distribution load", Notes: err.Error()}
-	}
-	fullMB := float64(len(bundle.Compressed)) / (1 << 20)
-	perDayMB := fullMB / 2 // one fetch per two days
-
-	// Delta sync: client walks serial-to-serial.
-	deltaClient := dist.NewHTTPClient(srv.URL)
-	republish := func(at time.Time) error {
+	publish := func(at time.Time) error {
 		z, err := rootzone.Build(at)
 		if err != nil {
 			return err
@@ -62,31 +31,38 @@ func DistributionLoad() Result {
 		}
 		return mirror.Publish(z)
 	}
-	// Reset mirror history to a clean two-snapshot walk.
-	if err := republish(base); err != nil {
-		return Result{ID: "t_dist", Title: "Distribution load", Notes: err.Error()}
-	}
-	_, _, firstBytes, err := deltaClient.SyncText(ctx)
-	if err != nil {
-		return Result{ID: "t_dist", Title: "Distribution load", Notes: err.Error()}
-	}
-	if firstBytes == 0 {
-		return Result{ID: "t_dist", Title: "Distribution load", Notes: "empty first sync"}
-	}
-	fullTextMB := float64(firstBytes) / (1 << 20)
-	if err := republish(base.AddDate(0, 0, 1)); err != nil {
-		return Result{ID: "t_dist", Title: "Distribution load", Notes: err.Error()}
-	}
-	_, _, deltaBytes, err := deltaClient.SyncText(ctx)
-	if err != nil {
-		return Result{ID: "t_dist", Title: "Distribution load", Notes: err.Error()}
-	}
-	deltaMB := float64(deltaBytes) / (1 << 20)
 
-	// Signed delta chain: the client rebuilds yesterday's signed snapshot
+	// Publish five consecutive daily snapshots (signed zones).
+	base := ymd(2019, time.June, 3)
+	for d := 0; d < 5; d++ {
+		if err := publish(base.AddDate(0, 0, d)); err != nil {
+			return Result{ID: "t_dist", Title: "Distribution load", Notes: err.Error()}
+		}
+	}
+
+	srv := httptest.NewServer(mirror)
+	defer srv.Close()
+	ctx := context.Background()
+
+	// Full bundle fetch: the every-two-days unit cost.
+	client := dist.NewHTTPClient(srv.URL)
+	bundle, err := client.Fetch(ctx)
+	if err != nil {
+		return Result{ID: "t_dist", Title: "Distribution load", Notes: err.Error()}
+	}
+	fullMB := float64(len(bundle.Compressed)) / (1 << 20)
+	perDayMB := fullMB / 2 // one fetch per two days
+
+	// Signed delta chain: reset the mirror's history to a clean
+	// two-snapshot walk; the client rebuilds yesterday's signed snapshot
 	// (deterministic signer), fetches the one-link chain to today, and
 	// applies it with incremental verification — transfer and signature
 	// work are both O(delta), where the full bundle is O(zone).
+	for d := 0; d < 2; d++ {
+		if err := publish(base.AddDate(0, 0, d)); err != nil {
+			return Result{ID: "t_dist", Title: "Distribution load", Notes: err.Error()}
+		}
+	}
 	z0, err := rootzone.Build(base)
 	if err != nil {
 		return Result{ID: "t_dist", Title: "Distribution load", Notes: err.Error()}
@@ -94,7 +70,7 @@ func DistributionLoad() Result {
 	if err := signer.SignZone(z0, base); err != nil {
 		return Result{ID: "t_dist", Title: "Distribution load", Notes: err.Error()}
 	}
-	chain, err := deltaClient.FetchDeltaChain(ctx, z0.Serial())
+	chain, err := client.FetchDeltaChain(ctx, z0.Serial())
 	if err != nil || len(chain) != 1 {
 		return Result{ID: "t_dist", Title: "Distribution load",
 			Notes: fmt.Sprintf("delta chain fetch: %d links, err %v", len(chain), err)}
@@ -129,9 +105,7 @@ func DistributionLoad() Result {
 			row("compressed zone (signed)", "~1.1MB", "%.2fMB", fullMB)(fullMB > 0.3 && fullMB < 2.2),
 			row("per-resolver full-fetch load", "~0.55MB/day", "%.2fMB/day", perDayMB)(
 				perDayMB > 0.1 && perDayMB < 1.1),
-			row("daily rsync delta", "only changes propagate", "%.3fMB vs %.2fMB full text (%.0fx smaller)", deltaMB, fullTextMB, fullTextMB/deltaMB)(
-				deltaMB < fullTextMB/4),
-			row("signed delta chain", "O(delta) transfer", "%.1fkB vs %.2fMB full bundle (%.0fx smaller)",
+			row("signed delta chain", "only changes propagate", "%.1fkB vs %.2fMB full bundle (%.0fx smaller)",
 				chainKB, fullMB, fullMB*1024/chainKB)(chainKB < fullMB*1024/4),
 			row("incremental verification", "O(delta) sig checks", "%d checks vs %d RRSIGs in the zone",
 				stats.SigChecks, totalRRSIGs)(stats.SigChecks > 0 && stats.SigChecks < totalRRSIGs/10),
@@ -141,15 +115,13 @@ func DistributionLoad() Result {
 				ratioToSpamhaus > 100),
 		},
 		Notes: "delta measured between consecutive daily signed snapshots over real HTTP.\n" +
-			"The rsync row moves text diffs and re-verifies the whole received zone;\n" +
-			"the signed-delta-chain rows move `DeltaBundle`s (removed RRset keys +\n" +
+			"The signed-delta-chain rows move `DeltaBundle`s (removed RRset keys +\n" +
 			"added RRsets, publisher-signed, chained by zone hash) and verify\n" +
 			"incrementally — only RRSIGs covering added RRsets are checked, so one\n" +
 			"day of churn costs a handful of signature verifications against\n" +
-			"thousands for a full-bundle verify. The chain transfer is heavier than\n" +
-			"the raw text diff because it carries the re-signed RRSIGs and NSEC\n" +
-			"updates for the changed names, which is exactly what lets the receiver\n" +
-			"skip re-verifying everything else.",
+			"thousands for a full-bundle verify. A link carries the re-signed RRSIGs\n" +
+			"and NSEC updates for the changed names, which is exactly what lets the\n" +
+			"receiver skip re-verifying everything else.",
 	}
 }
 

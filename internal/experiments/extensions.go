@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"net/http/httptest"
 	"time"
 
 	"rootless/internal/anycast"
@@ -91,108 +92,114 @@ func TTLSweep() Result {
 }
 
 // AdditionsChannel measures §5.3's mitigation: how long after a TLD is
-// added to the root does a local-root resolver learn it, with and without
-// the signed "recent additions" supplement, at two refresh intervals.
+// added to the root a local-root resolver learns it, refreshing only in
+// full or polling the mirror's signed delta chain every 6 hours, at two
+// TTLs. Four resolvers walk one virtual clock in lockstep against one
+// mirror that publishes each signed day once. A poll applies signed,
+// chain-anchored links — the new TLD's records together with the NSEC,
+// RRSIG and ZONEMD changes around them — so the installed copy is always
+// a published serial, and the TTL only bounds how old the copy may get.
 func AdditionsChannel() Result {
+	const id, title = "t_additions", "New-TLD lag with a 6-hourly signed delta poll (§5.3)"
+	fail := func(err error) Result { return Result{ID: id, Title: title, Notes: err.Error()} }
 	s := testbedSigner()
-	addedAt := time.Date(2018, time.February, 23, 0, 0, 0, 0, time.UTC) // llc's birthday
-
-	// lagFor walks virtual time from a bootstrap well before the addition
-	// until the resolver's local zone contains llc.
-	lagFor := func(refresh time.Duration, additionsEvery time.Duration) time.Duration {
-		clk := &fixedClock{t: addedAt.Add(-40 * time.Hour)}
-		publishedDate := clk.t
-
-		source := dist.SourceFunc(func(context.Context) (*dist.Bundle, error) {
-			z, err := rootzone.Build(publishedDate)
-			if err != nil {
-				return nil, err
-			}
-			return dist.MakeBundle(z, s)
-		})
-		cfg := core.Config{
-			KSK:     s.KSK.DNSKEY,
-			Clock:   clk.now,
-			Refresh: refresh,
-			Expiry:  refresh + 6*time.Hour,
-		}
-		cfg.Source = source
-		if additionsEvery > 0 {
-			cfg.AdditionsSource = additionsSrc{published: &publishedDate}
-			cfg.AdditionsInterval = additionsEvery
-		}
-
-		net := netsim.New(1, clk.t)
-		r := resolver.New(resolver.Config{
-			Mode:      resolver.RootModeLookaside,
-			Transport: net.Client(anycast.GeoPoint{}),
-			Clock:     clk.now,
-		})
-		cfg.Resolver = r
-		lr, err := core.New(cfg)
+	addedAt := ymd(2018, time.February, 23) // llc's birthday
+	clk := &fixedClock{t: addedAt.Add(-40 * time.Hour)}
+	mirror := dist.NewMirror(s, 16)
+	published := clk.t.Truncate(24 * time.Hour)
+	publish := func() error {
+		z, err := signedRoot(published)
 		if err != nil {
-			return -1
+			return err
+		}
+		return mirror.Publish(z)
+	}
+	if err := publish(); err != nil {
+		return fail(err)
+	}
+	srv := httptest.NewServer(mirror)
+	defer srv.Close()
+
+	type walk struct {
+		refresh, expiry time.Duration
+		delta           bool
+		lr              *core.LocalRoot
+		lag             time.Duration
+	}
+	walks := []*walk{
+		{refresh: 42 * time.Hour, expiry: 48 * time.Hour},
+		{refresh: 6 * time.Hour, expiry: 48 * time.Hour, delta: true},
+		{refresh: 7 * 24 * time.Hour, expiry: 7*24*time.Hour + 6*time.Hour},
+		{refresh: 6 * time.Hour, expiry: 7 * 24 * time.Hour, delta: true},
+	}
+	net := netsim.New(1, clk.t)
+	for _, w := range walks {
+		client := dist.NewHTTPClient(srv.URL)
+		var src dist.Source = client
+		if !w.delta {
+			src = dist.SourceFunc(client.Fetch) // full bundles only
+		}
+		lr, err := core.New(core.Config{
+			Source:  src,
+			KSK:     s.KSK.DNSKEY,
+			Refresh: w.refresh,
+			Expiry:  w.expiry,
+			Clock:   clk.now,
+			Resolver: resolver.New(resolver.Config{
+				Mode:      resolver.RootModeLookaside,
+				Transport: net.Client(anycast.GeoPoint{}),
+				Clock:     clk.now,
+			}),
+		})
+		if err != nil {
+			return fail(err)
 		}
 		lr.Tick(context.Background())
+		w.lr, w.lag = lr, -1
+	}
 
-		// Publisher republishes daily; resolver ticks hourly.
-		for hour := 0; hour < 24*16; hour++ {
-			clk.advance(time.Hour)
-			day := clk.t.Truncate(24 * time.Hour)
-			if day.After(publishedDate) {
-				publishedDate = day
-			}
-			lr.Tick(context.Background())
-			// Probe the installed local zone directly: the lag that
-			// matters is when the resolver's copy learns the TLD (the
-			// resolver's negative cache is a separate, bounded effect).
-			if z := lr.Zone(); z != nil && !clk.t.Before(addedAt) &&
-				len(z.Lookup("llc.", dnswire.TypeNS)) > 0 {
-				return clk.t.Sub(addedAt)
+	// The publisher republishes daily; each resolver ticks hourly until
+	// its installed zone holds llc. Probing the zone directly measures
+	// when the copy learns the TLD (the resolver's negative cache is a
+	// separate, bounded effect).
+	for hour, waiting := 0, len(walks); hour < 24*16 && waiting > 0; hour++ {
+		clk.advance(time.Hour)
+		if day := clk.t.Truncate(24 * time.Hour); day.After(published) {
+			published = day
+			if err := publish(); err != nil {
+				return fail(err)
 			}
 		}
-		return -1
+		for _, w := range walks {
+			if w.lag >= 0 {
+				continue
+			}
+			w.lr.Tick(context.Background())
+			if z := w.lr.Zone(); z != nil && !clk.t.Before(addedAt) &&
+				len(z.Lookup("llc.", dnswire.TypeNS)) > 0 {
+				w.lag = clk.t.Sub(addedAt)
+				waiting--
+			}
+		}
 	}
-
-	lag48 := lagFor(42*time.Hour, 0)
-	lag48Add := lagFor(42*time.Hour, 6*time.Hour)
-	lagWeek := lagFor(7*24*time.Hour, 0)
-	lagWeekAdd := lagFor(7*24*time.Hour, 6*time.Hour)
-
-	rows := []Row{
-		row("lag, 2-day TTL, full refresh only", "bounded by refresh (≤48h)",
-			"%s", lag48)(lag48 >= 0 && lag48 <= 48*time.Hour),
-		row("lag, 2-day TTL + additions file", "bounded by poll (≤6h)",
-			"%s", lag48Add)(lag48Add >= 0 && lag48Add <= 7*time.Hour),
-		row("lag, 1-week TTL, full refresh only", "grows with the TTL",
-			"%s", lagWeek)(lagWeek > 48*time.Hour),
-		row("lag, 1-week TTL + additions file", "additions neutralize the TTL increase",
-			"%s", lagWeekAdd)(lagWeekAdd >= 0 && lagWeekAdd <= 7*time.Hour),
+	byPoll := func(w *walk) bool {
+		return w.lag >= 0 && w.lag <= 7*time.Hour && w.lr.State().DeltaInstalls > 0
 	}
 	return Result{
-		ID:    "t_additions",
-		Title: "New-TLD lag with the recent-additions supplement (§5.3)",
-		Rows:  rows,
-		Notes: "virtual-time walk around the real .llc addition date; supplement is signed and verified like the zone",
+		ID:    id,
+		Title: title,
+		Rows: []Row{
+			row("lag, 2-day TTL, full refresh only", "bounded by refresh (≤48h)",
+				"%s", walks[0].lag)(walks[0].lag >= 0 && walks[0].lag <= 48*time.Hour),
+			row("lag, 2-day TTL + 6-hourly delta poll", "bounded by poll (≤6h)",
+				"%s", walks[1].lag)(byPoll(walks[1])),
+			row("lag, 1-week TTL, full refresh only", "grows with the TTL",
+				"%s", walks[2].lag)(walks[2].lag > 48*time.Hour),
+			row("lag, 1-week TTL + 6-hourly delta poll", "polls neutralize the TTL increase",
+				"%s", walks[3].lag)(byPoll(walks[3])),
+		},
+		Notes: "virtual-time walk around the real .llc addition date; four resolvers follow one mirror " +
+			"that publishes each signed day once; a delta poll installs signed, chain-anchored links, " +
+			"so the copy is always a published serial",
 	}
-}
-
-// additionsSrc serves supplements by diffing the resolver's base serial
-// against the currently published zone, as the publisher side would.
-type additionsSrc struct {
-	published *time.Time
-}
-
-func (a additionsSrc) FetchAdditions(_ context.Context, from uint32) (*dist.AdditionsBundle, error) {
-	v := from / 100
-	baseDate := time.Date(int(v/10000), time.Month(v/100%100), int(v%100), 0, 0, 0, 0, time.UTC)
-	oldZone, err := rootzone.Build(baseDate)
-	if err != nil {
-		return nil, err
-	}
-	newZone, err := rootzone.Build(*a.published)
-	if err != nil {
-		return nil, err
-	}
-	return dist.MakeAdditions(oldZone, newZone, testbedSigner())
 }

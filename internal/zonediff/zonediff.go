@@ -1,7 +1,6 @@
-// Package zonediff compares root zone snapshots: which TLDs were added,
-// removed or renumbered, and — the §5.2 question — whether a resolver
-// holding a stale zone copy could still reach each TLD. It also builds
-// the paper's §5.3 "recent additions" supplement.
+// Package zonediff compares root zone snapshots: which TLDs were added or
+// removed, how many records changed, and — the §5.2 question — whether a
+// resolver holding a stale zone copy could still reach each TLD.
 package zonediff
 
 import (
@@ -15,82 +14,49 @@ import (
 type Changes struct {
 	AddedTLDs   []dnswire.Name
 	RemovedTLDs []dnswire.Name
-	// ChangedTLDs have the same delegation but different records
-	// (NS set, glue addresses, or DS).
-	ChangedTLDs []dnswire.Name
 	// AddedRRs/RemovedRRs count record-level changes across the zone.
 	AddedRRs   int
 	RemovedRRs int
 }
 
-// tldRecords maps each TLD to the presentation strings of its records
-// (including glue for its NS hosts).
-func tldRecords(z *zone.Zone) map[dnswire.Name]map[string]bool {
-	idx := zone.BuildTLDIndex(z)
-	out := make(map[dnswire.Name]map[string]bool)
-	for _, tld := range z.Delegations() {
-		set := make(map[string]bool)
-		for _, rr := range idx.Lookup(tld) {
-			set[rr.String()] = true
-		}
-		out[tld] = set
-	}
-	return out
-}
-
-// Diff computes the changes from old to new.
+// Diff computes the changes from old to new in one zone.DiffOwners pass:
+// a delegation is added or removed where a non-apex owner gains or loses
+// its NS RRset, and records are counted only at the owners that differ.
+// TLDs come out in canonical order, the order of the walk.
 func Diff(old, new *zone.Zone) Changes {
 	var c Changes
-	oldTLDs := tldRecords(old)
-	newTLDs := tldRecords(new)
-	for tld, newSet := range newTLDs {
-		oldSet, ok := oldTLDs[tld]
-		if !ok {
-			c.AddedTLDs = append(c.AddedTLDs, tld)
-			continue
-		}
-		same := len(oldSet) == len(newSet)
-		if same {
-			for s := range newSet {
-				if !oldSet[s] {
-					same = false
-					break
-				}
+	zone.DiffOwners(old, new, func(owner dnswire.Name, was, now []dnswire.RR) {
+		if owner != new.Origin {
+			switch wasCut, isCut := hasNS(was), hasNS(now); {
+			case isCut && !wasCut:
+				c.AddedTLDs = append(c.AddedTLDs, owner)
+			case wasCut && !isCut:
+				c.RemovedTLDs = append(c.RemovedTLDs, owner)
 			}
 		}
-		if !same {
-			c.ChangedTLDs = append(c.ChangedTLDs, tld)
+		gone := make(map[string]bool, len(was))
+		for _, rr := range was {
+			gone[rr.String()] = true
 		}
-	}
-	for tld := range oldTLDs {
-		if _, ok := newTLDs[tld]; !ok {
-			c.RemovedTLDs = append(c.RemovedTLDs, tld)
+		for _, rr := range now {
+			if s := rr.String(); gone[s] {
+				delete(gone, s)
+			} else {
+				c.AddedRRs++
+			}
 		}
-	}
-	oldAll := recordSet(old)
-	newAll := recordSet(new)
-	for s := range newAll {
-		if !oldAll[s] {
-			c.AddedRRs++
-		}
-	}
-	for s := range oldAll {
-		if !newAll[s] {
-			c.RemovedRRs++
-		}
-	}
-	sortNames(c.AddedTLDs)
-	sortNames(c.RemovedTLDs)
-	sortNames(c.ChangedTLDs)
+		c.RemovedRRs += len(gone)
+	})
 	return c
 }
 
-func recordSet(z *zone.Zone) map[string]bool {
-	out := make(map[string]bool)
-	for _, rr := range z.Records() {
-		out[rr.String()] = true
+func hasNS(rrs []dnswire.RR) bool {
+	for _, rr := range rrs {
+		if rr.Type == dnswire.TypeNS {
+			return true
+		}
 	}
-	return out
+	return false
 }
 
 func sortNames(names []dnswire.Name) {
@@ -172,35 +138,6 @@ func tldAddresses(z *zone.Zone) map[dnswire.Name]map[string]bool {
 		out[tld] = addrs
 	}
 	return out
-}
-
-// RecentAdditions builds the paper's §5.3 "recent additions" supplement:
-// every record belonging to TLDs present in new but not in old. A
-// resolver with a stale zone plus this small file can reach new TLDs
-// without waiting for its next full refresh.
-func RecentAdditions(old, new *zone.Zone) []dnswire.RR {
-	oldTLDs := make(map[dnswire.Name]bool)
-	for _, tld := range old.Delegations() {
-		oldTLDs[tld] = true
-	}
-	idx := zone.BuildTLDIndex(new)
-	var out []dnswire.RR
-	for _, tld := range new.Delegations() {
-		if !oldTLDs[tld] {
-			out = append(out, idx.Lookup(tld)...)
-		}
-	}
-	return out
-}
-
-// ApplyAdditions merges a recent-additions supplement into a zone copy.
-func ApplyAdditions(z *zone.Zone, additions []dnswire.RR) error {
-	for _, rr := range additions {
-		if err := z.Add(rr); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RRsetDelta computes the RRset-level difference from old to new — the

@@ -1,6 +1,7 @@
 package zonediff
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -26,8 +27,7 @@ func TestDiffIdenticalZones(t *testing.T) {
 	a := build(t, d(2019, time.April, 1))
 	b := build(t, d(2019, time.April, 1))
 	c := Diff(a, b)
-	if len(c.AddedTLDs) != 0 || len(c.RemovedTLDs) != 0 || len(c.ChangedTLDs) != 0 ||
-		c.AddedRRs != 0 || c.RemovedRRs != 0 {
+	if len(c.AddedTLDs) != 0 || len(c.RemovedTLDs) != 0 || c.AddedRRs != 0 || c.RemovedRRs != 0 {
 		t.Errorf("identical zones diff: %+v", c)
 	}
 }
@@ -36,13 +36,9 @@ func TestDiffAcrossApril2019(t *testing.T) {
 	a := build(t, d(2019, time.April, 1))
 	b := build(t, d(2019, time.April, 30))
 	c := Diff(a, b)
-	// The paper: one TLD deleted during April 2019; only the rotating
-	// TLDs change their records within the month.
+	// The paper: one TLD deleted during April 2019.
 	if len(c.RemovedTLDs) != 1 {
 		t.Errorf("removed TLDs = %v, want exactly 1", c.RemovedTLDs)
-	}
-	if len(c.ChangedTLDs) > 6 {
-		t.Errorf("changed TLDs = %d, want only the ~5 rotating ones", len(c.ChangedTLDs))
 	}
 }
 
@@ -116,50 +112,6 @@ func TestReachabilityYearStale(t *testing.T) {
 	}
 }
 
-func TestRecentAdditions(t *testing.T) {
-	old := build(t, d(2018, time.February, 1))
-	new := build(t, d(2018, time.April, 11))
-	adds := RecentAdditions(old, new)
-	if len(adds) == 0 {
-		t.Fatal("no recent additions found")
-	}
-	// llc. was added 2018-02-23 and must appear with NS + glue (glue may
-	// live under a shared registry-operator domain rather than nic.llc).
-	llcHosts := make(map[dnswire.Name]bool)
-	var llcNS, llcGlue bool
-	for _, rr := range adds {
-		if rr.Name == "llc." && rr.Type == dnswire.TypeNS {
-			llcNS = true
-			llcHosts[rr.Data.(dnswire.NS).Host] = true
-		}
-	}
-	for _, rr := range adds {
-		if rr.Type == dnswire.TypeA && llcHosts[rr.Name] {
-			llcGlue = true
-		}
-	}
-	if !llcNS || !llcGlue {
-		t.Errorf("llc records missing from additions (NS=%v glue=%v)", llcNS, llcGlue)
-	}
-	// The supplement is small relative to the zone (the §5.3 point).
-	if len(adds) > new.Len()/10 {
-		t.Errorf("additions file too large: %d records vs zone %d", len(adds), new.Len())
-	}
-
-	// Applying the additions to the stale zone makes the new TLDs
-	// reachable.
-	patched := old.Clone()
-	if err := ApplyAdditions(patched, adds); err != nil {
-		t.Fatal(err)
-	}
-	r := CheckReachability(patched, new)
-	for _, tld := range r.Missing {
-		if tld == "llc." {
-			t.Error("llc. still missing after applying additions")
-		}
-	}
-}
-
 func TestDiffDetectsAdditionsAndChanges(t *testing.T) {
 	old := build(t, d(2018, time.February, 1))
 	new := build(t, d(2018, time.April, 11))
@@ -175,5 +127,77 @@ func TestDiffDetectsAdditionsAndChanges(t *testing.T) {
 	}
 	if c.AddedRRs == 0 {
 		t.Error("no added records across two months")
+	}
+}
+
+// diffReference is Diff as it was before it became one zone.DiffOwners
+// pass: the two zones' delegation sets and whole-zone sets of record
+// strings, compared as sets. TestDiffMatchesReference holds Diff to it.
+func diffReference(old, new *zone.Zone) Changes {
+	var c Changes
+	oldTLDs, newTLDs := nameSet(old.Delegations()), nameSet(new.Delegations())
+	for tld := range newTLDs {
+		if !oldTLDs[tld] {
+			c.AddedTLDs = append(c.AddedTLDs, tld)
+		}
+	}
+	for tld := range oldTLDs {
+		if !newTLDs[tld] {
+			c.RemovedTLDs = append(c.RemovedTLDs, tld)
+		}
+	}
+	oldAll, newAll := recordSet(old), recordSet(new)
+	for s := range newAll {
+		if !oldAll[s] {
+			c.AddedRRs++
+		}
+	}
+	for s := range oldAll {
+		if !newAll[s] {
+			c.RemovedRRs++
+		}
+	}
+	sortNames(c.AddedTLDs)
+	sortNames(c.RemovedTLDs)
+	return c
+}
+
+func nameSet(names []dnswire.Name) map[dnswire.Name]bool {
+	out := make(map[dnswire.Name]bool, len(names))
+	for _, n := range names {
+		out[n] = true
+	}
+	return out
+}
+
+func recordSet(z *zone.Zone) map[string]bool {
+	out := make(map[string]bool)
+	for _, rr := range z.Records() {
+		out[rr.String()] = true
+	}
+	return out
+}
+
+// TestDiffMatchesReference: the DiffOwners pass reports what the
+// whole-zone set comparison did, forwards, backwards and on equal zones.
+func TestDiffMatchesReference(t *testing.T) {
+	apr1, apr30 := build(t, d(2019, time.April, 1)), build(t, d(2019, time.April, 30))
+	feb, apr := build(t, d(2018, time.February, 1)), build(t, d(2018, time.April, 11))
+	for _, tc := range []struct {
+		name     string
+		old, new *zone.Zone
+	}{
+		{"2019-04-01 to 2019-04-30", apr1, apr30},
+		{"2018-02-01 to 2018-04-11", feb, apr},
+		{"identical", apr1, build(t, d(2019, time.April, 1))},
+		{"backwards", apr, feb},
+	} {
+		got, want := Diff(tc.old, tc.new), diffReference(tc.old, tc.new)
+		if !slices.Equal(got.AddedTLDs, want.AddedTLDs) || !slices.Equal(got.RemovedTLDs, want.RemovedTLDs) ||
+			got.AddedRRs != want.AddedRRs || got.RemovedRRs != want.RemovedRRs {
+			t.Errorf("%s: Diff %+v, reference %+v", tc.name, got, want)
+		}
+		t.Logf("%s: +%d/-%d TLDs, +%d/-%d records", tc.name,
+			len(got.AddedTLDs), len(got.RemovedTLDs), got.AddedRRs, got.RemovedRRs)
 	}
 }

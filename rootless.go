@@ -15,7 +15,7 @@
 //     schedule.
 //   - Zone, AuthServer: the zone store and authoritative server engine.
 //   - Mirror, HTTPClient, Gossip, Refresher: root-zone distribution over
-//     HTTP mirrors, rsync-style deltas, and peer-to-peer gossip.
+//     HTTP mirrors with signed delta chains, and peer-to-peer gossip.
 //   - Signer, VerifyZone: DNSSEC signing and validation (Ed25519), with
 //     NSEC chains and a whole-zone digest.
 //   - BuildRootZone, Hints: the synthetic root zone model used in place
@@ -94,8 +94,6 @@ type (
 	Bundle = dist.Bundle
 	// Gossip simulates peer-to-peer zone propagation.
 	Gossip = dist.Gossip
-	// AdditionsBundle is the signed §5.3 "recent additions" supplement.
-	AdditionsBundle = dist.AdditionsBundle
 )
 
 // The proposal itself.
