@@ -10,6 +10,10 @@ func (z *Zone) HasDescendants(name dnswire.Name) bool {
 	return z.hasDescendants(name)
 }
 
+// RefParse is the reader Parse replaced, for the external differential
+// tests.
+var RefParse = refParse
+
 // Indexed reports whether the zone currently holds a built index.
 func (z *Zone) Indexed() bool { return z.idx.Load() != nil }
 
