@@ -100,7 +100,7 @@ const deltaEstimateKB = 5
 func wireSize(z *zone.Zone) int {
 	n := 0
 	for _, rr := range z.Records() {
-		if w, err := rr.CanonicalWire(); err == nil {
+		if w, err := rr.AppendCanonicalWire(nil); err == nil {
 			n += len(w)
 		}
 	}

@@ -103,7 +103,7 @@ func AnchorDS(owner dnswire.Name, key dnswire.DNSKEY) dnswire.DS {
 
 func dsDigest(owner dnswire.Name, key dnswire.DNSKEY) []byte {
 	h := sha256.New()
-	wire, _ := dnswire.NewRR(owner, 0, key).CanonicalWire()
+	wire, _ := dnswire.NewRR(owner, 0, key).AppendCanonicalWire(nil)
 	// DS digest input is owner name + DNSKEY RDATA; our canonical wire is
 	// name + type + class + ttl + rdlen + rdata, so slice out the rdata.
 	nameLen := owner.WireLen()
@@ -149,7 +149,7 @@ func sigData(sig dnswire.RRSIG, rrset []dnswire.RR) ([]byte, error) {
 	}
 	wires := make([][]byte, len(canon))
 	for i, rr := range canon {
-		w, err := rr.CanonicalWire()
+		w, err := rr.AppendCanonicalWire(nil)
 		if err != nil {
 			return nil, err
 		}
@@ -164,7 +164,7 @@ func sigData(sig dnswire.RRSIG, rrset []dnswire.RR) ([]byte, error) {
 
 func appendCanonicalName(b []byte, n dnswire.Name) ([]byte, error) {
 	rr := dnswire.NewRR(n, 0, dnswire.NS{Host: n})
-	w, err := rr.CanonicalWire()
+	w, err := rr.AppendCanonicalWire(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -487,8 +487,10 @@ func isGlue(z *zone.Zone, name dnswire.Name, typ dnswire.Type) bool {
 
 // ZoneDigest computes the SHA-256 digest over the zone's canonical records,
 // excluding the apex ZONEMD record itself and its RRSIG (RFC 8976 §3.1).
+// Each record's wire form is written into one buffer the walk reuses.
 func ZoneDigest(z *zone.Zone) []byte {
 	h := sha256.New()
+	var buf []byte
 	for _, rr := range z.Records() {
 		if rr.Name == z.Origin {
 			if rr.Type == dnswire.TypeZONEMD {
@@ -498,10 +500,11 @@ func ZoneDigest(z *zone.Zone) []byte {
 				continue
 			}
 		}
-		w, err := rr.CanonicalWire()
+		w, err := rr.AppendCanonicalWire(buf[:0])
 		if err != nil {
 			continue
 		}
+		buf = w
 		h.Write(w)
 	}
 	return h.Sum(nil)

@@ -132,7 +132,7 @@ func TestGoldenRootSOAEncoding(t *testing.T) {
 		MName: "a.root-servers.net.", RName: "nstld.verisign-grs.com.",
 		Serial: 2019060700, Refresh: 1800, Retry: 900, Expire: 604800, Minimum: 86400,
 	})
-	wire, err := rr.CanonicalWire()
+	wire, err := rr.AppendCanonicalWire(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

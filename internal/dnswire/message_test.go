@@ -100,7 +100,7 @@ func TestMessageCompressionShrinks(t *testing.T) {
 	// Rough uncompressed size estimate: every record repeats two long names.
 	var uncompressed int
 	for _, rr := range m.Answers {
-		w, _ := rr.CanonicalWire()
+		w, _ := rr.AppendCanonicalWire(nil)
 		uncompressed += len(w)
 	}
 	if len(compressed) >= uncompressed {

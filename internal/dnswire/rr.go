@@ -3,7 +3,7 @@ package dnswire
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
+	"strconv"
 )
 
 // RR is a resource record: owner name, type/class/TTL metadata, and
@@ -23,8 +23,10 @@ func NewRR(name Name, ttl uint32, data RData) RR {
 
 // String renders the record in zone-file presentation form.
 func (rr RR) String() string {
-	return fmt.Sprintf("%s\t%d\t%s\t%s\t%s",
-		rr.Name, rr.TTL, rr.Class, rr.Type, rr.Data.String())
+	b := append(make([]byte, 0, 128), rr.Name...)
+	b = strconv.AppendUint(append(b, '\t'), uint64(rr.TTL), 10)
+	b = appendType(append(append(append(b, '\t'), rr.Class.String()...), '\t'), rr.Type)
+	return string(appendText(append(b, '\t'), rr.Data))
 }
 
 // appendRR appends the record's wire encoding to b.
@@ -80,10 +82,11 @@ func unpackRR(u *unpacker, msg []byte, off int, shared bool) (RR, int, error) {
 	return rr, off + rdlen, nil
 }
 
-// CanonicalWire returns the record's uncompressed wire form with the owner
-// name lowercased, as required for DNSSEC signing (RFC 4034 §6).
-func (rr RR) CanonicalWire() ([]byte, error) {
-	return appendRR(nil, rr, nil)
+// AppendCanonicalWire appends the record's uncompressed wire form with the
+// owner name lowercased, as required for DNSSEC signing (RFC 4034 §6), to
+// b.
+func (rr RR) AppendCanonicalWire(b []byte) ([]byte, error) {
+	return appendRR(b, rr, nil)
 }
 
 // RRsetKey identifies an RRset: the (name, type, class) triple.

@@ -81,6 +81,14 @@ func (t Type) String() string {
 	return "TYPE" + strconv.Itoa(int(t))
 }
 
+// appendType appends t as String spells it.
+func appendType(b []byte, t Type) []byte {
+	if s, ok := typeNames[t]; ok {
+		return append(b, s...)
+	}
+	return strconv.AppendUint(append(b, "TYPE"...), uint64(t), 10)
+}
+
 // ParseType converts a type mnemonic (or RFC 3597 TYPE### form) to a Type.
 func ParseType(s string) (Type, error) {
 	if t, ok := typeValues[s]; ok {

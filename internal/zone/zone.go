@@ -64,8 +64,8 @@ type node struct {
 }
 
 // rrset is the records of one type at one owner, in the order they were
-// added. sorted says that this is also ascending order of rdata text,
-// the order Records lists a set in.
+// added. sorted says that this is also ascending order of rdata text
+// (dnswire.CompareText), the order Records lists a set in.
 type rrset struct {
 	typ    dnswire.Type
 	sorted bool
@@ -104,14 +104,14 @@ func (nd *node) appendRecords(out []dnswire.RR) []dnswire.RR {
 	for _, s := range nd.sets {
 		out = append(out, s.rrs...)
 		if !s.sorted {
-			added := out[len(out)-len(s.rrs):]
-			sort.Slice(added, func(i, j int) bool {
-				return added[i].Data.String() < added[j].Data.String()
-			})
+			slices.SortFunc(out[len(out)-len(s.rrs):], compareRData)
 		}
 	}
 	return out
 }
+
+// compareRData orders two records of one RRset as Records lists them.
+func compareRData(a, b dnswire.RR) int { return dnswire.CompareText(a.Data, b.Data) }
 
 // index is the zone's owner names in DNSSEC canonical order (RFC 4034
 // §6.1), the order denial of existence is defined in: a name's
@@ -332,7 +332,9 @@ func (z *Zone) writable(name dnswire.Name, nd *node) *node {
 }
 
 // Add inserts a record. Records outside the zone's origin are rejected.
-// Duplicate records (same name, type, class, rdata) are ignored.
+// Duplicate records (same name, type, class, rdata text) are ignored.
+// Neither that check nor the set's order is decided by building text:
+// rdata are compared as their texts would compare (dnswire.CompareText).
 func (z *Zone) Add(rr dnswire.RR) error {
 	if !rr.Name.IsSubdomainOf(z.Origin) {
 		return fmt.Errorf("zone: record %s outside origin %s", rr.Name, z.Origin)
@@ -341,12 +343,9 @@ func (z *Zone) Add(rr dnswire.RR) error {
 	defer z.mu.Unlock()
 	nd := z.nodes[rr.Name]
 	i, have := nd.find(rr.Type)
-	var text, last string // rdata text of rr and of the set's last record
 	if have {
-		text = rr.Data.String()
 		for _, existing := range nd.sets[i].rrs {
-			last = existing.Data.String()
-			if existing.Class == rr.Class && last == text {
+			if existing.Class == rr.Class && dnswire.CompareText(existing.Data, rr.Data) == 0 {
 				return nil
 			}
 		}
@@ -365,8 +364,10 @@ func (z *Zone) Add(rr dnswire.RR) error {
 		}
 	}
 	set := &nd.sets[i]
+	if n := len(set.rrs); n > 0 && set.sorted {
+		set.sorted = dnswire.CompareText(set.rrs[n-1].Data, rr.Data) <= 0
+	}
 	set.rrs = append(set.rrs, rr)
-	set.sorted = set.sorted && last <= text
 	return nil
 }
 
@@ -450,6 +451,9 @@ func (z *Zone) Records() []dnswire.RR {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
 	var out []dnswire.RR
+	if n := z.lenLocked(); n > 0 {
+		out = make([]dnswire.RR, 0, n)
+	}
 	for _, n := range z.indexLocked().names {
 		out = z.nodes[n].appendRecords(out)
 	}
@@ -460,6 +464,11 @@ func (z *Zone) Records() []dnswire.RR {
 func (z *Zone) Len() int {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
+	return z.lenLocked()
+}
+
+// lenLocked is Len for a caller that holds z.mu.
+func (z *Zone) lenLocked() int {
 	n := 0
 	for _, nd := range z.nodes {
 		for _, s := range nd.sets {
@@ -752,6 +761,6 @@ func DiffOwners(old, new *Zone, fn func(owner dnswire.Name, was, now []dnswire.R
 func sameRecords(a, b []dnswire.RR) bool {
 	return slices.EqualFunc(a, b, func(x, y dnswire.RR) bool {
 		return x.Type == y.Type && x.Class == y.Class && x.TTL == y.TTL &&
-			x.Data.String() == y.Data.String()
+			dnswire.CompareText(x.Data, y.Data) == 0
 	})
 }
