@@ -40,15 +40,17 @@ bench-full:
 
 # Short coverage-guided fuzz pass over the wire codec, canonical name
 # ordering and sort keys against their label-parsing reference, the
-# master-file parser, the zone's denial lookups against their scans, the
-# delta bundle decoder and applier, the two UDP front doors (authd's against the
-# route it replaced, on a root and on a zone below it) and the resolver's
+# master-file reader against the one it replaced, the trust-anchor file
+# reader, the zone's denial lookups against their scans, the delta bundle
+# decoder and applier, the two UDP front doors (authd's against the route
+# it replaced, on a root and on a zone below it) and the resolver's
 # upstream-response path (~10s per target).
 fuzz-short:
 	go test ./internal/dnswire -run='^$$' -fuzz=FuzzMessageUnpack -fuzztime=10s
 	go test ./internal/dnswire -run='^$$' -fuzz=FuzzNameParse -fuzztime=10s
 	go test ./internal/dnswire -run='^$$' -fuzz=FuzzNameCompare -fuzztime=10s
 	go test ./internal/zone -run='^$$' -fuzz=FuzzZoneParse -fuzztime=10s
+	go test ./internal/dnssec -run='^$$' -fuzz=FuzzReadPublicKey -fuzztime=10s
 	go test ./internal/zone -run='^$$' -fuzz=FuzzDeny -fuzztime=10s
 	go test ./internal/dist -run='^$$' -fuzz=FuzzDecodeDeltaBundle -fuzztime=10s
 	go test ./internal/dist -run='^$$' -fuzz=FuzzDeltaApply -fuzztime=10s

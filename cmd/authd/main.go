@@ -54,6 +54,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -315,7 +316,7 @@ func loadZoneFile(path string, origin dnswire.Name) *zone.Zone {
 		}
 		return z
 	}
-	z, err := zone.Parse(strings.NewReader(string(data)), origin)
+	z, err := zone.Parse(bytes.NewReader(data), origin)
 	if err != nil {
 		fatal("parsing %s: %v", path, err)
 	}

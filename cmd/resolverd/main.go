@@ -101,6 +101,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -595,7 +596,7 @@ func loadZone(path string) (*zone.Zone, error) {
 	if strings.HasSuffix(path, ".gz") {
 		return zone.Decompress(data, dnswire.Root)
 	}
-	return zone.Parse(strings.NewReader(string(data)), dnswire.Root)
+	return zone.Parse(bytes.NewReader(data), dnswire.Root)
 }
 
 func fatal(format string, args ...interface{}) {

@@ -87,26 +87,33 @@ func (b *Bundle) Verify(ksk dnswire.DNSKEY) (*zone.Zone, error) {
 	if err := dnssec.VerifyFile(b.Compressed, b.Signature, ksk); err != nil {
 		return nil, fmt.Errorf("dist: bundle signature: %w", err)
 	}
-	z, err := zone.Decompress(b.Compressed, dnswire.Root)
-	if err != nil {
-		return nil, fmt.Errorf("dist: bundle contents: %w", err)
-	}
-	if z.Serial() != b.Serial {
-		return nil, fmt.Errorf("dist: bundle serial %d != zone serial %d", b.Serial, z.Serial())
-	}
-	return z, nil
+	return b.parse()
 }
 
 // VerifyFull validates the bundle with the complete DNSSEC path — chain
 // from a DS trust anchor plus zone digest — instead of the detached
 // signature shortcut.
 func (b *Bundle) VerifyFull(anchor dnswire.DS, now time.Time) (*zone.Zone, error) {
-	z, err := zone.Decompress(b.Compressed, dnswire.Root)
+	z, err := b.parse()
 	if err != nil {
 		return nil, err
 	}
 	if err := dnssec.VerifyZone(z, anchor, now); err != nil {
 		return nil, err
+	}
+	return z, nil
+}
+
+// parse reads the bundle's zone and holds it to the serial in the
+// bundle's header. No signature covers the header, and rollback
+// protection judges a bundle by that serial.
+func (b *Bundle) parse() (*zone.Zone, error) {
+	z, err := zone.Decompress(b.Compressed, dnswire.Root)
+	if err != nil {
+		return nil, fmt.Errorf("dist: bundle contents: %w", err)
+	}
+	if z.Serial() != b.Serial {
+		return nil, fmt.Errorf("dist: bundle serial %d != zone serial %d", b.Serial, z.Serial())
 	}
 	return z, nil
 }

@@ -127,6 +127,12 @@ func TestBundleVerifyFull(t *testing.T) {
 	if got.Serial() != 2019060700 {
 		t.Errorf("serial = %d", got.Serial())
 	}
+	// No signature covers the header: a serial rewritten there must not
+	// pass for the zone's.
+	b.Serial++
+	if _, err := b.VerifyFull(s.TrustAnchor(), now); err == nil {
+		t.Error("VerifyFull accepted a header serial the zone does not carry")
+	}
 }
 
 // ---- mirror over real HTTP ----

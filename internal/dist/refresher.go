@@ -609,14 +609,7 @@ func (r *Refresher) verifyBundle(b *Bundle) (*zone.Zone, error) {
 	if err := r.trust.VerifyDetached(b.Compressed, b.Signature); err != nil {
 		return nil, fmt.Errorf("dist: bundle signature: %w", err)
 	}
-	z, err := zone.Decompress(b.Compressed, dnswire.Root)
-	if err != nil {
-		return nil, fmt.Errorf("dist: bundle contents: %w", err)
-	}
-	if z.Serial() != b.Serial {
-		return nil, fmt.Errorf("dist: bundle serial %d != zone serial %d", b.Serial, z.Serial())
-	}
-	return z, nil
+	return b.parse()
 }
 
 // verifySupersession checks a bundle's supersession statement against any

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"rootless/internal/dnswire"
+	"rootless/internal/zone"
 )
 
 // WriteKey serializes a private key in a BIND-flavoured text form:
@@ -83,33 +84,17 @@ func WritePublicKey(w io.Writer, k *Key) error {
 	return err
 }
 
-// ReadPublicKey parses a single DNSKEY record in zone-file form.
+// ReadPublicKey reads a trust-anchor file: master-file text, comments,
+// parentheses and a key split across lines included (as BIND writes one),
+// holding one record, a DNSKEY.
 func ReadPublicKey(r io.Reader) (dnswire.DNSKEY, error) {
-	data, err := io.ReadAll(r)
+	z, err := zone.Parse(r, dnswire.Root)
 	if err != nil {
-		return dnswire.DNSKEY{}, err
+		return dnswire.DNSKEY{}, fmt.Errorf("dnssec: trust anchor: %w", err)
 	}
-	fields := strings.Fields(string(data))
-	// owner ttl class DNSKEY flags protocol alg key...
-	for i, f := range fields {
-		if f == "DNSKEY" && len(fields) >= i+5 {
-			var flags uint16
-			var proto, alg uint8
-			if _, err := fmt.Sscanf(fields[i+1], "%d", &flags); err != nil {
-				return dnswire.DNSKEY{}, err
-			}
-			if _, err := fmt.Sscanf(fields[i+2], "%d", &proto); err != nil {
-				return dnswire.DNSKEY{}, err
-			}
-			if _, err := fmt.Sscanf(fields[i+3], "%d", &alg); err != nil {
-				return dnswire.DNSKEY{}, err
-			}
-			key, err := base64.StdEncoding.DecodeString(strings.Join(fields[i+4:], ""))
-			if err != nil {
-				return dnswire.DNSKEY{}, err
-			}
-			return dnswire.DNSKEY{Flags: flags, Protocol: proto, Algorithm: alg, PublicKey: key}, nil
-		}
+	rrs := z.Records()
+	if len(rrs) != 1 || rrs[0].Type != dnswire.TypeDNSKEY {
+		return dnswire.DNSKEY{}, fmt.Errorf("dnssec: trust anchor file holds %d records, want one DNSKEY", len(rrs))
 	}
-	return dnswire.DNSKEY{}, fmt.Errorf("dnssec: no DNSKEY record found")
+	return rrs[0].Data.(dnswire.DNSKEY), nil
 }

@@ -2,6 +2,9 @@ package dnssec
 
 import (
 	"bytes"
+	"encoding/base64"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -83,6 +86,73 @@ func TestReadPublicKeyErrors(t *testing.T) {
 			t.Errorf("case %d accepted", i)
 		}
 	}
+}
+
+// TestReadPublicKeyFormats: a trust-anchor file is master-file text. A
+// trailing comment and BIND's parenthesised key split over lines read as
+// the key, and flags that are not a number are refused, not read up to
+// the first non-digit.
+func TestReadPublicKeyFormats(t *testing.T) {
+	k := newTestSigner(t, 78).KSK.DNSKEY
+	b64 := base64.StdEncoding.EncodeToString(k.PublicKey)
+	line := ". 172800 IN DNSKEY 257 3 15 " + b64
+	for _, c := range []struct {
+		name, text string
+		ok         bool
+	}{
+		{"trailing comment", line + " ; KSK; alg = ED25519\n", true},
+		{"parenthesised over lines", ". 172800 IN DNSKEY 257 3 15 (\n\t\t" + b64[:20] + "\n\t\t" + b64[20:] + " ) ; KSK\n", true},
+		{"flags with trailing junk", ". 172800 IN DNSKEY 257x 3 15 " + b64 + "\n", false},
+		{"two keys", line + "\n" + ". 172800 IN DNSKEY 256 3 15 " + b64 + "\n", false},
+	} {
+		got, err := ReadPublicKey(strings.NewReader(c.text))
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.ok && !reflect.DeepEqual(got, k):
+			t.Errorf("%s: read %+v, want %+v", c.name, got, k)
+		case !c.ok && err == nil:
+			t.Errorf("%s: accepted as %+v", c.name, got)
+		}
+	}
+}
+
+// FuzzReadPublicKey: a trust-anchor file comes from outside the program.
+// Whatever ReadPublicKey accepts must be one key that reads back the same
+// from the text WritePublicKey writes for it.
+func FuzzReadPublicKey(f *testing.F) {
+	key, err := GenerateKey(dnswire.Root, true, detRand{rand.New(rand.NewSource(78))})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WritePublicKey(&buf, key); err != nil {
+		f.Fatal(err)
+	}
+	b64 := base64.StdEncoding.EncodeToString(key.DNSKEY.PublicKey)
+	for _, seed := range []string{
+		buf.String(),
+		". 172800 IN DNSKEY 257 3 15 " + b64 + " ; KSK\n",
+		"example. IN DNSKEY 256 3 15 (\n " + b64[:10] + "\n " + b64[10:] + " )\n",
+		". 172800 IN DNSKEY 257x 3 15 " + b64 + "\n",
+		"", "no dnskey here", "$TTL 1h\n. dnskey 257 3 15 AAAA\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		k, err := ReadPublicKey(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WritePublicKey(&out, &Key{Owner: dnswire.Root, DNSKEY: k}); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadPublicKey(&out)
+		if err != nil || !reflect.DeepEqual(again, k) {
+			t.Fatalf("%q read as %+v, which reads back from %q as %+v, %v", text, k, out.String(), again, err)
+		}
+	})
 }
 
 func TestQuantizedSigningStability(t *testing.T) {
