@@ -224,7 +224,7 @@ func TLDExtraction(trials int) Result {
 			// slowdown -race instrumentation puts on the scan, which on a
 			// loaded runner was enough to cross a tighter 400 ms bound.
 			// The sharp finding is the speedup row below.
-			row("full-file scan per TLD", "37 ms (network-RTT scale)", "%.1f ms", scanMS)(
+			row("full-file scan per TLD (wall clock)", "37 ms (network-RTT scale)", "%.1f ms", scanMS)(
 				scanMS > 1 && scanMS < 900),
 			row("indexed lookup per TLD", "faster (load into a database)", "%.2f µs", idxUS)(
 				idxUS < 1000),
