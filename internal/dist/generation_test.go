@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -246,6 +247,68 @@ func BenchmarkDeltaApplyRoot(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestDeltaChainHeapBounded: a zone kept current by delta links holds about
+// what it lists, however many links made it. Each link here rolls one TLD's
+// DS, whose records then outlive the rest of the link's additions; what the
+// parser cut those records from stays reachable through them, so it must be
+// about the size of the link, not a fixed-size chunk per link.
+func TestDeltaChainHeapBounded(t *testing.T) {
+	const links = 24
+	p, base := newRootPublisher(t, 23)
+	anchors := []dnswire.DNSKEY{p.s.KSK.DNSKEY}
+	first := ChainAnchor(base)
+	deltas := make([]*DeltaBundle, links)
+	prev, chain := base, first
+	for i := range deltas {
+		next := prev.Clone()
+		soaRR, _ := next.SOA()
+		soa := soaRR.Data.(dnswire.SOA)
+		soa.Serial++
+		p.replace(next, []dnswire.RR{dnswire.NewRR(next.Origin, soaRR.TTL, soa)}, true)
+		p.rollDS(next, p.tlds[p.r.Intn(len(p.tlds))])
+		db, err := MakeDeltaBundle(prev, next, chain, p.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deltas[i], prev, chain = db, next, db.ToChain
+	}
+	held, err := zone.Parse(strings.NewReader(zone.Text(base)), base.Origin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := p.now
+	p, base, prev = nil, nil, nil
+
+	// The first link turns the parsed zone into a generation made by Apply;
+	// the heap is measured from there.
+	var before uint64
+	chain = first
+	for i, db := range deltas {
+		if held, _, err = db.Apply(held, chain, anchors, now); err != nil {
+			t.Fatalf("link %d: %v", i+1, err)
+		}
+		chain = db.ToChain
+		if i == 0 {
+			before = liveHeap()
+		}
+	}
+	grown := int64(liveHeap()) - int64(before)
+	perLink := grown / (links - 1)
+	t.Logf("over %d links the live heap changed by %d bytes, %d per link", links-1, grown, perLink)
+	if perLink > 4<<10 {
+		t.Errorf("each delta link left %d bytes behind in the held zone, want <= 4096", perLink)
+	}
+	runtime.KeepAlive(held)
+}
+
+// liveHeap returns the bytes the heap holds after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // TestDeltaApplyAllocs: applying a delta allocates for what the delta
