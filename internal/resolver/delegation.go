@@ -37,6 +37,18 @@ type delegation struct {
 	local bool
 }
 
+// inlineHosts and inlineAddrs are the widths of the delegation that is
+// one allocation: the hosts and addresses live in it. Wider ones take a
+// slice each. Every inline host costs 16 B and every address 24 B in each
+// of up to maxDelegations table entries, used or not, so the room is the
+// two nameservers with an address each that RFC 1034 asks of a zone:
+// with room for four of each, rootbench's resolver_cold read 4-6 % more
+// peak memory.
+const (
+	inlineHosts = 2
+	inlineAddrs = 2
+)
+
 // newDelegation builds cut's delegation from records in hand: ns holds its
 // NS set and glue the address records that came with it, as a server of
 // the zone parent sent them (or as the local root copy or the cache gave
@@ -59,16 +71,29 @@ func newDelegation(cut, parent dnswire.Name, ns, glue []dnswire.RR, now time.Tim
 			offered++
 		}
 	}
-	d := &delegation{zone: cut, hosts: make([]dnswire.Name, 0, hosts)}
+	var d *delegation
+	if hosts <= inlineHosts && offered <= inlineAddrs {
+		// One allocation, as cache.newPositive makes for a one-record set.
+		di := &struct {
+			delegation
+			hostBuf [inlineHosts]dnswire.Name
+			addrBuf [inlineAddrs]netip.Addr
+		}{}
+		di.hosts, di.addrs = di.hostBuf[:0], di.addrBuf[:0]
+		d = &di.delegation
+	} else {
+		d = &delegation{hosts: make([]dnswire.Name, 0, hosts)}
+		if offered > 0 {
+			d.addrs = make([]netip.Addr, 0, offered)
+		}
+	}
+	d.zone = cut
 	ttl := ^uint32(0)
 	for i := range ns {
 		if data, ok := ns[i].Data.(dnswire.NS); ok && ns[i].Name == cut {
 			d.hosts = append(d.hosts, data.Host)
 			ttl = min(ttl, ns[i].TTL)
 		}
-	}
-	if offered > 0 {
-		d.addrs = make([]netip.Addr, 0, offered)
 	}
 	for _, host := range d.hosts {
 		if !host.IsSubdomainOf(parent) {
@@ -279,13 +304,14 @@ var localRootStart = &delegation{zone: dnswire.Root, local: true}
 // yields an address. The delegation with those addresses replaces d in the
 // table and is returned; d itself comes back when no host resolves, or
 // when the admission gate refuses the upstream work a chase is.
-func (r *Resolver) chaseGlue(d *delegation, res *Result, budget *int, tr *obs.Trace, tok *gateToken) *delegation {
-	if r.admit(tok, tr) != nil {
+func (r *Resolver) chaseGlue(d *delegation, rs *resolution) *delegation {
+	tr := rs.tr
+	if r.admit(rs.tok, tr) != nil {
 		return d
 	}
 	epoch := r.cache.Flushes()
 	for _, host := range d.hosts {
-		if *budget <= 0 {
+		if rs.budget <= 0 {
 			break
 		}
 		r.mu.Lock()
@@ -306,15 +332,15 @@ func (r *Resolver) chaseGlue(d *delegation, res *Result, budget *int, tr *obs.Tr
 			gsp.SetDetail(string(host))
 		}
 		tr.Push()
-		sub, err := r.resolve(host, dnswire.TypeA, tr, tok)
+		sub, err := r.resolve(host, dnswire.TypeA, r.newResolution(tr, rs.tok))
 		tr.Pop()
 		gsp.End()
 		r.mu.Lock()
 		delete(r.inflight, host)
 		r.mu.Unlock()
-		res.Queries += sub.Queries
-		res.Latency += sub.Latency
-		*budget -= sub.Queries
+		rs.res.Queries += sub.Queries
+		rs.res.Latency += sub.Latency
+		rs.budget -= sub.Queries
 		if err != nil || sub.Rcode != dnswire.RcodeSuccess {
 			continue
 		}

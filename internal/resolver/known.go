@@ -345,13 +345,19 @@ func (c *chain) answers() (n int) {
 	return n
 }
 
-// result fills res with the chain's outcome; the records are copied, with
-// the TTLs they go out with.
-func (c *chain) result(res *Result) {
+// result fills a's Result with the chain's outcome; the records are
+// copied, with the TTLs they go out with, into a's own room when there
+// is one.
+func (c *chain) result(a *answer) {
+	res := &a.res
 	res.Rcode = c.rcode
-	res.Answers = nil
-	if n := c.answers(); n > 0 {
+	switch n := c.answers(); {
+	case n == 1:
+		res.Answers = a.one[:0]
+	case n > 1:
 		res.Answers = make([]dnswire.RR, 0, n)
+	default:
+		res.Answers = nil
 	}
 	for i := range c.links[:c.n] {
 		link := &c.links[i]

@@ -7,6 +7,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"net/netip"
 	"strings"
 	"sync"
 	"testing"
@@ -338,5 +339,61 @@ func TestSRTTUpdatesCounted(t *testing.T) {
 	}
 	if st.SRTTUpdates < int64(r.SRTTStateSize()) {
 		t.Fatalf("SRTTUpdates = %d < srtt entries %d", st.SRTTUpdates, r.SRTTStateSize())
+	}
+}
+
+// heldQueryTransport holds every query a moment before passing it on,
+// and records any that no longer asks, on waking, what it asked on
+// arrival: a query some other resolution rebuilt meanwhile.
+type heldQueryTransport struct {
+	inner   Transport
+	hold    time.Duration
+	mu      sync.Mutex
+	changed []string
+}
+
+func (h *heldQueryTransport) Exchange(dst netip.Addr, q *dnswire.Message) (*dnswire.Message, time.Duration, error) {
+	id, asked := q.ID, q.Questions[0]
+	time.Sleep(h.hold)
+	if q.ID != id || len(q.Questions) != 1 || q.Questions[0] != asked {
+		h.mu.Lock()
+		h.changed = append(h.changed, fmt.Sprintf("%d %s became %d %v", id, asked, q.ID, q.Questions))
+		h.mu.Unlock()
+	}
+	return h.inner.Exchange(dst, q)
+}
+
+// TestResolutionsDoNotShareQueries resolves distinct names from many
+// goroutines at once through a transport that sleeps on each query. Each
+// resolution rebuilds its query in place for every hop; if two ever
+// shared one, a query would change under the transport while it slept
+// (and -race would see the writes).
+func TestResolutionsDoNotShareQueries(t *testing.T) {
+	const (
+		workers   = 16
+		perWorker = 12
+	)
+	w := newCutWorld(t)
+	held := &heldQueryTransport{inner: w, hold: 200 * time.Microsecond}
+	r := w.resolver(func(c *Config) { c.Transport = held })
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				name := dnswire.Name(fmt.Sprintf("h%d.d%d-%d.tld.", i, g, i))
+				res, err := r.Resolve(name, dnswire.TypeA)
+				if err != nil || len(res.Answers) != 1 || res.Answers[0].Name != name {
+					t.Errorf("%s: %+v, %v", name, res, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if len(held.changed) > 0 {
+		t.Errorf("%d queries changed while their transport held them, first: %s",
+			len(held.changed), held.changed[0])
 	}
 }

@@ -64,6 +64,9 @@ func (m RootMode) String() string {
 }
 
 // Transport sends one DNS query and returns the reply and round-trip cost.
+// The query belongs to the caller again once Exchange returns: the
+// resolver rebuilds it in place for its next query, so a transport keeps
+// nothing of it past the call (a reply may still share its question).
 type Transport interface {
 	Exchange(dst netip.Addr, query *dnswire.Message) (*dnswire.Message, time.Duration, error)
 }
@@ -614,9 +617,9 @@ func (r *Resolver) Resolve(qname dnswire.Name, qtype dnswire.Type) (*Result, err
 	if !ok {
 		return r.resolveUpstream(qname, qtype, tr)
 	}
-	res := new(Result)
-	c.result(res)
-	return res, nil
+	a := new(answer)
+	c.result(a)
+	return &a.res, nil
 }
 
 // resolveUpstream resolves a question resolveKnown could not answer; tr is
@@ -678,9 +681,9 @@ type flightKey struct {
 // the trace, and latency observation. Glue chases re-enter resolve
 // directly, sharing the parent's token and trace.
 func (r *Resolver) resolveTop(qname dnswire.Name, qtype dnswire.Type, class string, tr *obs.Trace) (*Result, error) {
-	var tok gateToken
-	res, err := r.resolve(qname, qtype, tr, &tok)
-	if tok.held {
+	rs := r.newResolution(tr, nil)
+	res, err := r.resolve(qname, qtype, rs)
+	if rs.tok.held {
 		r.gate.Release()
 	}
 	r.finish(tr, qtype, class, res, len(res.Answers), err)
@@ -759,31 +762,80 @@ func (r *Resolver) admit(tok *gateToken, tr *obs.Trace) error {
 	return ErrOverloaded
 }
 
+// answer is a Result with room for a one-record answer: what a
+// resolution hands back, in one allocation.
+type answer struct {
+	res Result
+	one [1]dnswire.RR // res.Answers when the answer is one record
+}
+
+// resolution is the working state of one resolution that may go
+// upstream, and the one allocation it makes for itself: its answer, and
+// the query it sends, rebuilt in place for every hop, retry and DNSKEY
+// fetch. A glue chase is a resolution of its own, sharing its parent's
+// trace and admission slot.
+type resolution struct {
+	answer
+
+	query    dnswire.Message
+	question [1]dnswire.Question // query.Questions
+	opt      [1]dnswire.RR       // query.Additional: the OPT record
+
+	budget  int // network queries still allowed (Config.MaxQueries)
+	retries int // failed attempts still allowed (Config.RetryBudget)
+	tr      *obs.Trace
+	// tok is the top-level resolution's admission slot: own, or the
+	// parent's for a glue chase.
+	tok *gateToken
+	own gateToken
+}
+
+// newResolution starts a resolution; tok is the parent's admission slot
+// for a glue chase, nil for a top-level resolution.
+func (r *Resolver) newResolution(tr *obs.Trace, tok *gateToken) *resolution {
+	rs := &resolution{budget: r.cfg.MaxQueries, retries: r.retryBudget(), tr: tr, tok: tok}
+	if tok == nil {
+		rs.tok = &rs.own
+	}
+	rs.res.Rcode = dnswire.RcodeServFail
+	return rs
+}
+
+// ask rebuilds the query as a fresh one for (name, typ): a new ID, RD
+// clear, EDNS at the default size with DO set. A reply may share the
+// query's question section (rootbench's Fabric hands it back); the
+// resolver never reads a reply's, so a reply still in use when the query
+// is rebuilt — a referral being validated while its zone's DNSKEY set is
+// fetched — loses nothing it needs.
+func (rs *resolution) ask(name dnswire.Name, typ dnswire.Type) *dnswire.Message {
+	rs.question[0] = dnswire.Question{Name: name, Type: typ, Class: dnswire.ClassINET}
+	rs.query = dnswire.Message{ID: randID(), Opcode: dnswire.OpcodeQuery,
+		Questions: rs.question[:], Additional: rs.opt[:0]}
+	rs.query.SetEDNS(dnswire.DefaultEDNSSize, true) // fills opt: no allocation
+	return &rs.query
+}
+
 // resolve is the trace-carrying resolution core (glue chases re-enter
 // here so their events land in the parent's trace): a walk that may go
-// upstream.
-func (r *Resolver) resolve(qname dnswire.Name, qtype dnswire.Type, tr *obs.Trace, tok *gateToken) (*Result, error) {
+// upstream. The Result it returns is rs's.
+func (r *Resolver) resolve(qname dnswire.Name, qtype dnswire.Type, rs *resolution) (*Result, error) {
 	r.count(func(s *Stats) { inc(&s.Resolutions, 1) })
-	res := &Result{Rcode: dnswire.RcodeServFail}
-	budget := r.cfg.MaxQueries
-	retries := r.retryBudget()
-
 	var c chain
-	err := r.walk(qname, qtype, tr, func(target dnswire.Name) (known, error) {
-		k, err := r.iterate(target, qtype, res, &budget, &retries, tr, tok)
+	err := r.walk(qname, qtype, rs.tr, func(target dnswire.Name) (known, error) {
+		k, err := r.iterate(target, qtype, rs)
 		if err != nil {
-			tr.Eventf("fail", "%s: %v", target, err)
+			rs.tr.Eventf("fail", "%s: %v", target, err)
 		}
 		return k, err
 	}, &c)
 	r.commit(&c)
 	if err != nil {
 		r.count(func(s *Stats) { inc(&s.Failures, 1) })
-		res.Rcode = c.rcode
-		return res, err
+		rs.res.Rcode = c.rcode
+		return &rs.res, err
 	}
-	c.result(res)
-	return res, nil
+	c.result(&rs.answer)
+	return &rs.res, nil
 }
 
 // terminalCNAME reports whether rrs answers name only via a CNAME.
@@ -810,7 +862,8 @@ func terminalCNAME(rrs []dnswire.RR, name dnswire.Name) (dnswire.Name, bool) {
 // CNAMEs: from the closest delegation the resolver knows (or the root, per
 // the mode) down to an answer, each referral's delegation handed to the
 // next hop as it was built.
-func (r *Resolver) iterate(qname dnswire.Name, qtype dnswire.Type, res *Result, budget, retries *int, tr *obs.Trace, tok *gateToken) (known, error) {
+func (r *Resolver) iterate(qname dnswire.Name, qtype dnswire.Type, rs *resolution) (known, error) {
+	tr := rs.tr
 	cur := r.closestDelegation(qname)
 	// floor is the name QNAME minimisation counts labels from: the zone
 	// being asked, or deeper once an empty non-terminal has been met.
@@ -840,9 +893,9 @@ func (r *Resolver) iterate(qname dnswire.Name, qtype dnswire.Type, res *Result, 
 		}
 		if len(cur.addrs) == 0 {
 			// No glue anywhere: chase one nameserver's address out of band.
-			cur = r.chaseGlue(cur, res, budget, tr, tok)
+			cur = r.chaseGlue(cur, rs)
 		}
-		resp, err := r.queryZoneServers(cur, sentName, sentType, res, budget, retries, tr, tok)
+		resp, err := r.queryZoneServers(cur, sentName, sentType, rs)
 		if err != nil {
 			if rrs, ok := r.staleAnswer(qname, qtype); ok {
 				if tr != nil {
@@ -856,7 +909,7 @@ func (r *Resolver) iterate(qname dnswire.Name, qtype dnswire.Type, res *Result, 
 		secure := false
 		if r.validator != nil {
 			vsp := tr.StartSpan(obs.PhaseValidate, "validate")
-			outcome, verr := r.validateResponse(cur, sentName, sentType, resp, res, budget, retries, tr, tok)
+			outcome, verr := r.validateResponse(cur, sentName, sentType, resp, rs)
 			vsp.End()
 			if outcome == validator.Bogus && r.cfg.Validate == validator.PolicyStrict {
 				// Strict policy: the answer is discarded before any of it
@@ -899,7 +952,8 @@ func (r *Resolver) staleAnswer(qname dnswire.Name, qtype dnswire.Type) ([]dnswir
 }
 
 // queryZoneServers sends the (possibly minimised) query to the best
-// servers of the current delegation until one answers. Server order is
+// servers of the current delegation until one answers, rebuilding rs's
+// query for each attempt. Server order is
 // SRTT with health overlaid: backing-off servers are demoted, held-down
 // servers are skipped (or probed, once the hold-down expires). Each
 // timeout or lame answer consumes one unit of the resolution's retry
@@ -908,10 +962,11 @@ func (r *Resolver) staleAnswer(qname dnswire.Name, qtype dnswire.Type) ([]dnswir
 // The trace calls here are guarded, not just nil-safe: with tracing off
 // an unguarded Eventf still boxes every argument, and did so eight times
 // per cold miss.
-func (r *Resolver) queryZoneServers(cur *delegation, sendName dnswire.Name, sendType dnswire.Type, res *Result, budget, retries *int, tr *obs.Trace, tok *gateToken) (*dnswire.Message, error) {
+func (r *Resolver) queryZoneServers(cur *delegation, sendName dnswire.Name, sendType dnswire.Type, rs *resolution) (*dnswire.Message, error) {
+	tr := rs.tr
 	// Everything past this point is upstream work: claim the admission
 	// slot first (held for the rest of the resolution), shed if refused.
-	if err := r.admit(tok, tr); err != nil {
+	if err := r.admit(rs.tok, tr); err != nil {
 		return nil, err
 	}
 	if len(cur.addrs) == 0 {
@@ -939,13 +994,11 @@ func (r *Resolver) queryZoneServers(cur *delegation, sendName dnswire.Name, send
 
 	var lastErr error
 	for attempt, addr := range candidates {
-		if *budget <= 0 {
+		if rs.budget <= 0 {
 			return nil, ErrBudgetExceeded
 		}
-		*budget--
-		q := dnswire.NewQuery(randID(), sendName, sendType)
-		q.RecursionDesired = false
-		q.SetEDNS(dnswire.DefaultEDNSSize, true)
+		rs.budget--
+		q := rs.ask(sendName, sendType)
 		if attempt > 0 && tr != nil {
 			tr.Eventf("retry", "attempt=%d trying %s", attempt+1, addr)
 		}
@@ -987,8 +1040,8 @@ func (r *Resolver) queryZoneServers(cur *delegation, sendName dnswire.Name, send
 			}
 		}
 		resp, rtt, err := r.exchange(tr, addr, q)
-		res.Queries++
-		res.Latency += rtt
+		rs.res.Queries++
+		rs.res.Latency += rtt
 		if err != nil {
 			xsp.SetPhase(obs.PhaseBackoff)
 			xsp.EndWithDuration(rtt)
@@ -998,7 +1051,7 @@ func (r *Resolver) queryZoneServers(cur *delegation, sendName dnswire.Name, send
 				tr.Eventf("timeout", "%s after %v: %v", addr, rtt, err)
 			}
 			lastErr = fmt.Errorf("%w: %v", ErrTimeout, err)
-			if err := r.recordFailure(addr, retries, tr); err != nil {
+			if err := r.recordFailure(addr, &rs.retries, tr); err != nil {
 				return nil, fmt.Errorf("%w: %w", err, lastErr)
 			}
 			continue
@@ -1012,7 +1065,7 @@ func (r *Resolver) queryZoneServers(cur *delegation, sendName dnswire.Name, send
 				tr.Eventf("lame", "%s from %s", resp.Rcode, addr)
 			}
 			lastErr = fmt.Errorf("%w: %s from %s", ErrLame, resp.Rcode, addr)
-			if err := r.recordFailure(addr, retries, tr); err != nil {
+			if err := r.recordFailure(addr, &rs.retries, tr); err != nil {
 				return nil, fmt.Errorf("%w: %w", err, lastErr)
 			}
 			continue
@@ -1027,7 +1080,7 @@ func (r *Resolver) queryZoneServers(cur *delegation, sendName dnswire.Name, send
 				tr.Eventf("lame", "non-descending referral from %s", addr)
 			}
 			lastErr = fmt.Errorf("%w: non-descending referral from %s", ErrLame, addr)
-			if err := r.recordFailure(addr, retries, tr); err != nil {
+			if err := r.recordFailure(addr, &rs.retries, tr); err != nil {
 				return nil, fmt.Errorf("%w: %w", err, lastErr)
 			}
 			continue

@@ -151,8 +151,18 @@ func TestUDPTransportTimeout(t *testing.T) {
 	}
 }
 
-func TestUDPTransportIDMismatchIgnored(t *testing.T) {
-	// A server that answers with the wrong ID first, then the right one.
+var (
+	realV4   = netip.MustParseAddr("192.0.2.1")
+	forgedV4 = netip.MustParseAddr("192.0.2.66")
+)
+
+// exchangePastForgeries asks a loopback responder for ExAmPlE.CoM. A (ID
+// 42). The responder first sends one forged reply per edit, each the real
+// reply with its address replaced by forgedV4 and the edit applied, then
+// the real reply, whose question name reads in lower case once unpacked.
+// Exchange must return the real one.
+func exchangePastForgeries(t *testing.T, edits ...func(*dnswire.Message)) {
+	t.Helper()
 	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -165,30 +175,45 @@ func TestUDPTransportIDMismatchIgnored(t *testing.T) {
 			return
 		}
 		var q dnswire.Message
-		if err := q.Unpack(buf[:n]); err != nil {
+		if err := q.Unpack(buf[:n]); err != nil || len(q.Questions) != 1 {
 			return
 		}
-		// Wrong-ID reply.
-		bogus := &dnswire.Message{ID: q.ID + 1, Response: true, Questions: q.Questions}
-		w, _ := bogus.Pack()
-		_, _ = conn.WriteTo(w, addr)
-		// Correct reply.
-		good := &dnswire.Message{ID: q.ID, Response: true, Questions: q.Questions,
-			Answers: []dnswire.RR{dnswire.NewRR(q.Questions[0].Name, 60,
-				dnswire.A{Addr: netip.MustParseAddr("192.0.2.1")})}}
-		w, _ = good.Pack()
-		_, _ = conn.WriteTo(w, addr)
+		send := func(question dnswire.Question, a netip.Addr, edit func(*dnswire.Message)) {
+			m := &dnswire.Message{ID: q.ID, Response: true, Questions: []dnswire.Question{question},
+				Answers: []dnswire.RR{dnswire.NewRR(question.Name, 60, dnswire.A{Addr: a})}}
+			edit(m)
+			w, _ := m.Pack()
+			_, _ = conn.WriteTo(w, addr)
+		}
+		for _, edit := range edits {
+			send(q.Questions[0], forgedV4, edit)
+		}
+		send(q.Questions[0], realV4, func(*dnswire.Message) {})
 	}()
 
 	port := uint16(conn.LocalAddr().(*net.UDPAddr).Port)
 	tr := &UDPTransport{Timeout: 2 * time.Second, Port: port}
-	resp, _, err := tr.Exchange(netip.MustParseAddr("127.0.0.1"), dnswire.NewQuery(42, "example.com.", dnswire.TypeA))
+	resp, _, err := tr.Exchange(netip.MustParseAddr("127.0.0.1"), dnswire.NewQuery(42, "ExAmPlE.CoM.", dnswire.TypeA))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.ID != 42 || len(resp.Answers) != 1 {
-		t.Fatalf("resp: %+v", resp)
+	if resp.ID != 42 || len(resp.Answers) != 1 || resp.Answers[0].Data.(dnswire.A).Addr != realV4 {
+		t.Fatalf("accepted a forged reply: %+v", resp)
 	}
+}
+
+func TestUDPTransportIDMismatchIgnored(t *testing.T) {
+	exchangePastForgeries(t, func(m *dnswire.Message) { m.ID++ })
+}
+
+// TestUDPTransportQuestionMismatchIgnored is the off-path forger who
+// guessed the ID: replies with the right ID but another name, type or
+// class must be passed over for the real one (RFC 5452 §9.1).
+func TestUDPTransportQuestionMismatchIgnored(t *testing.T) {
+	exchangePastForgeries(t,
+		func(m *dnswire.Message) { m.Questions[0].Name = "www.bank.example." },
+		func(m *dnswire.Message) { m.Questions[0].Type = dnswire.TypeAAAA },
+		func(m *dnswire.Message) { m.Questions[0].Class = dnswire.ClassINET + 1 })
 }
 
 func TestUDPTransportPortOverrides(t *testing.T) {

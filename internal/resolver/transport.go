@@ -60,9 +60,20 @@ func (t *UDPTransport) Exchange(dst netip.Addr, query *dnswire.Message) (*dnswir
 		if err := resp.Unpack(buf[:n]); err != nil {
 			continue // mismatched or corrupt datagram; keep waiting
 		}
-		if resp.ID != query.ID {
+		if resp.ID != query.ID || !sameQuestion(resp.Questions, query.Questions) {
 			continue
 		}
 		return &resp, time.Since(start), nil
 	}
+}
+
+// sameQuestion reports whether a reply's question section is the
+// query's: what, beside the ID, an off-path forger has to guess (RFC 5452
+// §9.1). Names compare case-insensitively.
+func sameQuestion(got, sent []dnswire.Question) bool {
+	if len(got) != 1 || len(sent) != 1 {
+		return false
+	}
+	g, s := got[0], sent[0]
+	return g.Type == s.Type && g.Class == s.Class && g.Name.Compare(s.Name) == 0
 }

@@ -18,8 +18,8 @@ import (
 // resolution's budget, retry allowance, admission token, and trace) to
 // establish the zone's keys first. The returned error explains a Bogus
 // outcome.
-func (r *Resolver) validateResponse(cur *delegation, sentName dnswire.Name, sentType dnswire.Type, resp *dnswire.Message, res *Result, budget, retries *int, tr *obs.Trace, tok *gateToken) (validator.Outcome, error) {
-	v := r.validator
+func (r *Resolver) validateResponse(cur *delegation, sentName dnswire.Name, sentType dnswire.Type, resp *dnswire.Message, rs *resolution) (validator.Outcome, error) {
+	v, tr := r.validator, rs.tr
 	zone := cur.zone
 
 	// A signed zone's data cannot be judged without its keys.
@@ -30,7 +30,7 @@ func (r *Resolver) validateResponse(cur *delegation, sentName dnswire.Name, sent
 			if err := v.ValidateKeys(zone, resp.Answers); err != nil {
 				return r.countOutcome(validator.Bogus, zone, tr, err)
 			}
-		} else if err := r.fetchKeys(cur, res, budget, retries, tr, tok); err != nil {
+		} else if err := r.fetchKeys(cur, rs); err != nil {
 			// No chain, no judgement: fail closed. A transient fetch
 			// failure is indistinguishable from a stripped DNSKEY here.
 			return r.countOutcome(validator.Bogus, zone, tr, err)
@@ -50,12 +50,12 @@ func (r *Resolver) validateResponse(cur *delegation, sentName dnswire.Name, sent
 
 // fetchKeys issues the DNSKEY sub-query to the zone's servers and chains
 // the answer to the trust anchor via the validator.
-func (r *Resolver) fetchKeys(cur *delegation, res *Result, budget, retries *int, tr *obs.Trace, tok *gateToken) error {
+func (r *Resolver) fetchKeys(cur *delegation, rs *resolution) error {
 	r.count(func(s *Stats) { inc(&s.DNSKEYFetches, 1) })
-	if tr != nil {
-		tr.Eventf("dnskey", "fetching %s DNSKEY to build the chain", cur.zone)
+	if rs.tr != nil {
+		rs.tr.Eventf("dnskey", "fetching %s DNSKEY to build the chain", cur.zone)
 	}
-	resp, err := r.queryZoneServers(cur, cur.zone, dnswire.TypeDNSKEY, res, budget, retries, tr, tok)
+	resp, err := r.queryZoneServers(cur, cur.zone, dnswire.TypeDNSKEY, rs)
 	if err != nil {
 		return fmt.Errorf("DNSKEY fetch for %s: %w", cur.zone, err)
 	}

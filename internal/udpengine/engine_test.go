@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -34,7 +35,9 @@ func startEngine(t *testing.T, workers, batch int, h Handler) (*Engine, context.
 // TestParityAcrossConfigs is the engine behavioral parity suite: the
 // same handler behind 1 worker, N workers, and N workers with batch
 // I/O must yield identical response bytes with no datagram lost or
-// duplicated at a fixed query count.
+// duplicated at a fixed query count. The counters are read once Serve
+// has returned: a worker counts its writes after sendmmsg returns, so
+// the client can hold every reply before the count has moved.
 func TestParityAcrossConfigs(t *testing.T) {
 	const queries = 400
 	configs := []struct {
@@ -49,12 +52,7 @@ func TestParityAcrossConfigs(t *testing.T) {
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, cancel, done := startEngine(t, tc.workers, tc.batch, echoHandler)
-			defer func() {
-				cancel()
-				if err := <-done; err != nil {
-					t.Errorf("Serve: %v", err)
-				}
-			}()
+			defer cancel()
 
 			client, err := net.Dial("udp", eng.LocalAddr().String())
 			if err != nil {
@@ -123,6 +121,10 @@ func TestParityAcrossConfigs(t *testing.T) {
 				}
 			}
 
+			cancel()
+			if err := <-done; err != nil {
+				t.Errorf("Serve: %v", err)
+			}
 			st := eng.Stats()
 			if st.Total.Packets < queries {
 				t.Errorf("stats: %d packets received, want >= %d", st.Total.Packets, queries)
@@ -137,6 +139,64 @@ func TestParityAcrossConfigs(t *testing.T) {
 				t.Errorf("expected SO_REUSEPORT listeners on this platform")
 			}
 		})
+	}
+}
+
+// TestServeAllocs pins the batch path's steady state at no allocation:
+// a few thousand loopback datagrams through recvmmsg and sendmmsg, with
+// a handler that appends a fixed reply, may allocate at most one object
+// per twenty packets in the whole process. A closure handed to
+// RawConn.Read or Write per batch is several.
+func TestServeAllocs(t *testing.T) {
+	if !BatchSupported() {
+		t.Skip("no kernel vector I/O on this platform")
+	}
+	if raceEnabled {
+		t.Skip("alloc counts not meaningful under -race")
+	}
+	const (
+		packets = 4096
+		window  = 16 // in flight at once: well inside the socket buffers
+		maxPer  = 0.05
+	)
+	reply := []byte("fixed reply")
+	h := HandlerFunc(func(req []byte, src Peer, resp []byte) []byte { return append(resp, reply...) })
+	eng, cancel, done := startEngine(t, 1, 8, h)
+	defer func() {
+		cancel()
+		<-done
+	}()
+	client, err := net.DialUDP("udp", nil, eng.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	client.SetReadDeadline(time.Now().Add(30 * time.Second))
+	query, buf := []byte("query"), make([]byte, 64)
+	exchange := func(n int) {
+		for sent := 0; sent < n; sent += window {
+			for i := 0; i < window; i++ {
+				if _, err := client.Write(query); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < window; i++ {
+				if m, err := client.Read(buf); err != nil || !bytes.Equal(buf[:m], reply) {
+					t.Fatalf("reply %q, %v", buf[:m], err)
+				}
+			}
+		}
+	}
+	exchange(4 * window) // the first batches set the poller up
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	exchange(packets)
+	runtime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / packets
+	t.Logf("allocations per packet: %.4f (%d over %d packets)", per, after.Mallocs-before.Mallocs, packets)
+	if per > maxPer {
+		t.Errorf("%.4f allocations per packet, want <= %v", per, maxPer)
 	}
 }
 
