@@ -41,12 +41,14 @@ bench-full:
 # Short coverage-guided fuzz pass over the wire codec, canonical name
 # ordering and sort keys against their label-parsing reference, the
 # master-file reader against the one it replaced, the trust-anchor file
-# reader, the zone's denial lookups against their scans, the delta bundle
-# decoder and applier, the two UDP front doors (authd's against the route
-# it replaced, on a root and on a zone below it) and the resolver's
+# reader, the zone's denial lookups against their scans, the RRset delta
+# and zone diff against map-based references, the delta bundle decoder
+# and applier, the two UDP front doors (authd's against the route it
+# replaced, on a root and on a zone below it) and the resolver's
 # upstream-response path (~10s per target). FuzzDeltaApply's inputs are
 # whole bundles that take long to minimise: capped at 1s per input, it runs
-# ~5 900 executions in its window instead of ~600.
+# ~5 900 executions in its window instead of ~600. FuzzRRsetDelta's two
+# zones stall its workers the same way, and take the same cap.
 fuzz-short:
 	go test ./internal/dnswire -run='^$$' -fuzz=FuzzMessageUnpack -fuzztime=10s
 	go test ./internal/dnswire -run='^$$' -fuzz=FuzzNameParse -fuzztime=10s
@@ -54,6 +56,7 @@ fuzz-short:
 	go test ./internal/zone -run='^$$' -fuzz=FuzzZoneParse -fuzztime=10s
 	go test ./internal/dnssec -run='^$$' -fuzz=FuzzReadPublicKey -fuzztime=10s
 	go test ./internal/zone -run='^$$' -fuzz=FuzzDeny -fuzztime=10s
+	go test ./internal/zonediff -run='^$$' -fuzz=FuzzRRsetDelta -fuzztime=10s -fuzzminimizetime=1s
 	go test ./internal/dist -run='^$$' -fuzz=FuzzDecodeDeltaBundle -fuzztime=10s
 	go test ./internal/dist -run='^$$' -fuzz=FuzzDeltaApply -fuzztime=10s -fuzzminimizetime=1s
 	go test ./internal/resolver -run='^$$' -fuzz=FuzzResolverDatagram -fuzztime=10s

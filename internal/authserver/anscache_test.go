@@ -2,6 +2,7 @@ package authserver
 
 import (
 	"context"
+	"math/rand"
 	"net"
 	"net/netip"
 	"reflect"
@@ -317,4 +318,55 @@ func TestPackedAnswerConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestPackedEntriesKeepTheirNames serves every owner name of the signed
+// root as a packed-answer miss, then a run of junk, all from one request
+// buffer rewritten in place. ServeWire reads the question name as a view
+// of its Query; a packed entry must key by a copy of its own — the one in
+// its template's question — so every key still reads as the question it
+// was made for once the buffer and the Query have moved on.
+func TestPackedEntriesKeepTheirNames(t *testing.T) {
+	z := signedRootZone(t)
+	s := New(z)
+	from := netip.MustParseAddr("192.0.2.1")
+	req := make([]byte, 0, 512)
+	out := make([]byte, 0, 4096)
+	serve := func(name dnswire.Name, typ dnswire.Type, do bool) {
+		q := dnswire.NewQuery(1, name, typ)
+		q.SetEDNS(dnswire.DefaultEDNSSize, do)
+		var err error
+		if req, err = q.AppendPack(req[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if s.ServeWire(req, from, out[:0]) == nil {
+			t.Fatalf("%s %s dropped", name, typ)
+		}
+	}
+	asked := make(map[dnswire.Name]bool)
+	for i, name := range z.Names() {
+		asked[name] = true
+		serve(name, []dnswire.Type{dnswire.TypeNS, dnswire.TypeA, dnswire.TypeDS}[i%3], i%2 == 0)
+	}
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		serve(junkQName(r, i), dnswire.TypeA, true)
+	}
+
+	ac := s.anscache.Load()
+	ac.mu.RLock()
+	defer ac.mu.RUnlock()
+	if len(ac.entries) < len(asked)/2 {
+		t.Fatalf("%d packed entries for %d names asked", len(ac.entries), len(asked))
+	}
+	for k, e := range ac.entries {
+		q := e.template.Questions[0]
+		if k.name != q.Name || k.typ != q.Type || !asked[k.name] {
+			t.Errorf("entry keyed %q/%s holds the answer to %q/%s", k.name, k.typ, q.Name, q.Type)
+		}
+		var m dnswire.Message
+		if err := m.Unpack(e.wire); err != nil || m.Questions[0] != q {
+			t.Errorf("entry %q/%s: wire question %v, %v", k.name, k.typ, m.Questions, err)
+		}
+	}
 }

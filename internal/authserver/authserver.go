@@ -303,8 +303,8 @@ func (s *Server) handle(tr *obs.Trace, q *dnswire.Query, from netip.Addr) reply 
 	defer sp.End()
 	atomic.AddInt64(&s.stats.Queries, 1)
 	if an := s.traffic.Load(); an != nil {
-		if q.Question.Name != "" {
-			class := an.Observe(q.Question.Name, q.Question.Type)
+		if name := q.Name(); name != "" {
+			class := an.Observe(name, q.Type)
 			tr.SetClass(class.String())
 		}
 		if from.IsValid() {
@@ -333,7 +333,7 @@ func (s *Server) handle(tr *obs.Trace, q *dnswire.Query, from netip.Addr) reply 
 	if p.rrl == nil || !from.IsValid() {
 		return r // RRL would send it: no token to build
 	}
-	switch p.rrl.Decide(from, responseToken(r.rcode(), q.Question.Name), now) {
+	switch p.rrl.Decide(from, uint8(r.rcode()), string(q.Name()), now) {
 	case overload.RRLDrop:
 		atomic.AddInt64(&s.stats.RRLDropped, 1)
 		sp.SetDetail("rrl-dropped")
@@ -356,11 +356,13 @@ type response struct {
 }
 
 // newResponse starts the reply to q: header and question, ID zero and RD
-// clear — the neutral form a packed answer is cached in.
+// clear — the neutral form a packed answer is cached in. The question is
+// the reply's own: its name is a copy of q's view, and what a miss keeps
+// of the name (the cache key, the zone's answer) is that copy.
 func newResponse(q *dnswire.Query) *dnswire.Message {
 	r := &response{msg: dnswire.Message{Response: true, Opcode: q.Opcode()}}
-	if q.Question.Name != "" {
-		r.question[0] = q.Question
+	if name := q.Name(); name != "" {
+		r.question[0] = dnswire.Question{Name: name.Clone(), Type: q.Type, Class: q.Class}
 		r.msg.Questions = r.question[:]
 	}
 	return &r.msg
@@ -369,16 +371,15 @@ func newResponse(q *dnswire.Query) *dnswire.Message {
 // answer builds the reply for one already-admitted query, consulting the
 // packed-answer cache first: nothing is allocated for a hit.
 func (s *Server) answer(q *dnswire.Query) reply {
-	question := q.Question
+	name := q.Name()
 	switch {
 	case q.Opcode() != dnswire.OpcodeQuery:
 		atomic.AddInt64(&s.stats.FormErr, 1)
 		return refuse(q, dnswire.RcodeNotImpl)
-	case question.Name == "": // not exactly one question
+	case name == "": // not exactly one question
 		atomic.AddInt64(&s.stats.FormErr, 1)
 		return refuse(q, dnswire.RcodeFormat)
-	case question.Class != dnswire.ClassINET ||
-		question.Type == dnswire.TypeAXFR || question.Type == dnswire.TypeIXFR:
+	case q.Class != dnswire.ClassINET || q.Type == dnswire.TypeAXFR || q.Type == dnswire.TypeIXFR:
 		atomic.AddInt64(&s.stats.Refused, 1)
 		return refuse(q, dnswire.RcodeRefused)
 	}
@@ -396,7 +397,7 @@ func (s *Server) answer(q *dnswire.Query) reply {
 		}
 	}
 
-	key := ansKey{name: question.Name, typ: question.Type, edns: ednsMode}
+	key := ansKey{name: name, typ: q.Type, edns: ednsMode}
 	ac := s.anscache.Load()
 	if ac != nil {
 		// Cached entries are never truncated, so any entry that fits this
@@ -418,9 +419,9 @@ func (s *Server) answer(q *dnswire.Query) reply {
 	z := s.Zone()
 	var resp *dnswire.Message
 	var class statClass
-	if d, ok := z.Deny(question.Name); ok && d.NXDomain {
+	if d, ok := z.Deny(name); ok && d.NXDomain {
 		dn := s.denial(z, ac, d, ednsMode)
-		if dn.fits(question.Name, limit) {
+		if dn.fits(name, limit) {
 			ansNXDomain.bump(&s.stats)
 			return reply{denial: dn}
 		}
@@ -441,19 +442,23 @@ func (s *Server) answer(q *dnswire.Query) reply {
 	// NXDOMAIN is never cached: the names that do not exist are without
 	// number, and one entry per junk qname would push the finite set of
 	// real answers out of the cache. It is precompiled per NSEC pair
-	// instead (denial).
+	// instead (denial). The entry's key names the template's own copy of
+	// the question: key.name is q's view.
 	if ac != nil && wire != nil && !resp.Truncated && class != ansNXDomain {
-		ac.put(key, &ansEntry{template: *resp, wire: wire, class: class})
+		kept := ansKey{name: resp.Questions[0].Name, typ: key.typ, edns: key.edns}
+		ac.put(kept, &ansEntry{template: *resp, wire: wire, class: class})
 	}
 	resp.ID, resp.RecursionDesired = q.ID, q.Flags&dnswire.FlagRD != 0
 	return reply{msg: resp, wire: wire}
 }
 
 // build makes the neutral template of the reply to q from the zone's
-// answer: anything but an NXDOMAIN, which denial makes.
+// answer: anything but an NXDOMAIN, which denial makes. The zone is asked
+// for the template's copy of the name, which its answer may keep.
 func (s *Server) build(z *zone.Zone, q *dnswire.Query) (*dnswire.Message, statClass) {
 	resp := newResponse(q)
-	ans := z.Query(q.Question.Name, q.Question.Type)
+	question := resp.Questions[0]
+	ans := z.Query(question.Name, question.Type)
 	resp.Rcode = ans.Rcode
 	resp.Authoritative = ans.Authoritative
 	resp.Answers = ans.Answer
@@ -477,7 +482,7 @@ func (s *Server) build(z *zone.Zone, q *dnswire.Query) (*dnswire.Message, statCl
 	// material (RRSIGs and NSEC denial records) from the signed zone.
 	if q.UDPSize > 0 {
 		if q.DO {
-			addDNSSEC(z, resp, q.Question)
+			addDNSSEC(z, resp, question)
 		}
 		resp.SetEDNS(dnswire.DefaultEDNSSize, q.DO)
 	}

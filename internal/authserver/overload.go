@@ -60,16 +60,6 @@ func (p *protection) now() time.Time {
 	return time.Now()
 }
 
-// responseToken classifies a response for RRL accounting: rcode plus
-// query name, so a flood of one spoofed question rate-limits without
-// touching answers for other names.
-func responseToken(rcode dnswire.Rcode, qname dnswire.Name) string {
-	if qname == "" {
-		return rcode.String()
-	}
-	return rcode.String() + "/" + string(qname)
-}
-
 // slipResponse turns a response into the RRL "slip": truncated, with
 // every record section stripped, so a legitimate client behind a
 // spoofed source can still fall back to TCP.

@@ -22,9 +22,9 @@ func (s *Server) joinRemoteTrace(q *dnswire.Query) *obs.Trace {
 		return nil
 	}
 	var qname, qtype string
-	if q.Question.Name != "" {
-		qname = string(q.Question.Name)
-		qtype = q.Question.Type.String()
+	if name := q.Name(); name != "" {
+		qname = string(name.Clone()) // the trace outlives q
+		qtype = q.Type.String()
 	}
 	return t.BeginRemote(qname, qtype, q.Trace.TraceID, q.Trace.SpanID)
 }

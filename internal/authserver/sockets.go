@@ -21,8 +21,12 @@ import (
 // Returns nil when the datagram is malformed, is itself a response, or
 // is dropped by rate limiting or admission control. A datagram without
 // exactly one question is answered FORMERR, header only. req is only
-// read during the call — Query.Parse copies out the question name and
-// aliases nothing — matching the udpengine buffer-ownership contract.
+// read during the call, matching the udpengine buffer-ownership
+// contract: Query.Parse decodes the question name into the Query on this
+// frame and aliases nothing. The name is handed around as a view of that
+// Query, so a hit allocates nothing; what keeps it — a packed entry and
+// its template, a denial message, a joined trace, an RRL bucket, a top-K
+// slot — keeps a copy.
 func (s *Server) ServeWire(req []byte, from netip.Addr, out []byte) []byte {
 	// A response is never a query. Answering one would let a single
 	// spoofed packet set two servers replying to each other for good.
@@ -43,7 +47,7 @@ func (s *Server) ServeWire(req []byte, from netip.Addr, out []byte) []byte {
 		// A precompiled NXDOMAIN: header, question and the denial's image,
 		// its pointers moved past this question, written straight into
 		// out. No Message, no pack.
-		return r.denial.image.Append(out, q.ID, q.Flags&dnswire.FlagRD != 0, q.Question)
+		return r.denial.image.Append(out, q.ID, q.Flags&dnswire.FlagRD != 0, q.Question())
 	}
 	if r.wire != nil {
 		// Precompiled answer, from the cache or from the one pack a miss

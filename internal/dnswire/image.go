@@ -38,7 +38,8 @@ func NewImage(m *Message) (*Image, error) {
 	if len(m.Questions) != 1 {
 		return nil, ErrQuestionCount
 	}
-	cmp := &compressor{offsets: make(map[string]int), log: true}
+	cmp := makeCompressor()
+	cmp.log = true
 	wire, err := m.appendPack(nil, cmp)
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"errors"
+	"hash/maphash"
 	"slices"
 	"strings"
 	"sync"
@@ -159,6 +160,10 @@ func MustParseName(s string) Name {
 	}
 	return n
 }
+
+// Clone returns a copy of n that shares no memory with it: how a name
+// that is a view (Query.Name) is kept.
+func (n Name) Clone() Name { return Name(strings.Clone(string(n))) }
 
 // IsRoot reports whether n is the root name.
 func (n Name) IsRoot() bool { return n == Root }
@@ -418,33 +423,95 @@ func compareLabels(a, b string) int {
 }
 
 // compressor tracks label-suffix offsets while packing a message, so
-// later occurrences of a suffix can be encoded as 14-bit pointers.
-// Compressors are pooled: the suffix map survives between messages and
-// is cleared on release, so a steady-state AppendPack performs no map
-// allocations at all.
+// later occurrences of a suffix can be encoded as 14-bit pointers. The
+// table keeps no name: it holds the hash of each suffix's canonical
+// presentation form and where the suffix was written, and a slot answers
+// a lookup only when the bytes written there read as the suffix looked
+// up. So packing keeps nothing of the names it is given, and a name that
+// is a view of a caller's buffer (Query.Name) stays where it is.
+//
+// The table is open-addressed, and a slot is live only while it carries
+// the compressor's generation: release empties it by bumping that, not
+// by clearing it. Compressors are pooled, so a steady-state AppendPack
+// allocates nothing.
 type compressor struct {
-	offsets map[string]int
+	slots []suffixSlot // a power of two long, at most half live
+	gen   uint32
+	live  int
 	// log is set only on the compressor NewImage packs with: appendName
-	// then records every name it looks up and where it wrote a pointer.
+	// then records a copy of every name it looks up and where it wrote a
+	// pointer.
 	log      bool
 	names    []Name
 	pointers []int
 }
 
-var compressorPool = sync.Pool{
-	New: func() any { return &compressor{offsets: make(map[string]int, 32)} },
+// suffixSlot is one written suffix: its hash and its offset in the
+// message, live in generation gen.
+type suffixSlot struct {
+	hash uint64
+	gen  uint32
+	off  uint16
+}
+
+// suffixSeed keys the suffix hashes of every compressor.
+var suffixSeed = maphash.MakeSeed()
+
+var compressorPool = sync.Pool{New: func() any { return makeCompressor() }}
+
+func makeCompressor() *compressor {
+	return &compressor{slots: make([]suffixSlot, 64), gen: 1}
 }
 
 func newCompressor() *compressor {
 	return compressorPool.Get().(*compressor)
 }
 
-// release clears the suffix table (its keys alias caller-owned Name
-// strings, which must not be retained) and returns the compressor to
-// the pool.
+// release empties the suffix table, whose offsets mean nothing in the
+// next message, and returns the compressor to the pool.
 func (c *compressor) release() {
-	clear(c.offsets)
+	c.live = 0
+	if c.gen++; c.gen == 0 { // every stamp used: clear the slots for real
+		clear(c.slots)
+		c.gen = 1
+	}
 	compressorPool.Put(c)
+}
+
+// probe returns the first slot from i on (wrapping) that is free or
+// holds a suffix hashing to h. Start at int(h) for h's home slot, and
+// after a slot whose bytes did not match at that slot plus one.
+func (c *compressor) probe(h uint64, i int) int {
+	mask := len(c.slots) - 1
+	for i &= mask; c.taken(i) && c.slots[i].hash != h; i = (i + 1) & mask {
+	}
+	return i
+}
+
+func (c *compressor) taken(i int) bool { return c.slots[i].gen == c.gen }
+
+// add records that the suffix hashing to h is written at off, in free
+// slot i, unless a pointer could not reach off.
+func (c *compressor) add(i int, h uint64, off int) {
+	if off >= 0x4000 {
+		return
+	}
+	c.slots[i] = suffixSlot{hash: h, gen: c.gen, off: uint16(off)}
+	if c.live++; 2*c.live <= len(c.slots) {
+		return
+	}
+	old := c.slots
+	c.slots = make([]suffixSlot, 2*len(old))
+	mask := len(c.slots) - 1
+	for _, s := range old {
+		if s.gen == c.gen {
+			j := int(s.hash) & mask
+			for c.taken(j) {
+				j = (j + 1) & mask
+			}
+			c.slots[j] = s
+		}
+	}
 }
 
 // appendName appends the wire encoding of n to b. If cmp is non-nil the
@@ -452,7 +519,7 @@ func (c *compressor) release() {
 //
 // The fast path walks canonical names (lowercase, escape-free, absolute)
 // directly: labels are emitted straight from the string, and compression
-// keys are substrings of n, so no intermediate label slices exist. Names
+// keys hash substrings of n, so no intermediate label slices exist. Names
 // that carry escapes, uppercase, or no trailing dot fall back to the
 // label parser, which produces the same bytes and the same (canonical)
 // suffix keys.
@@ -462,7 +529,7 @@ func appendName(b []byte, n Name, cmp *compressor) ([]byte, error) {
 		return append(b, 0), nil
 	}
 	if cmp != nil && cmp.log {
-		cmp.names = append(cmp.names, n)
+		cmp.names = append(cmp.names, Name(strings.Clone(s)))
 	}
 	if s[len(s)-1] != '.' {
 		return appendNameSlow(b, n, cmp)
@@ -485,12 +552,14 @@ func appendName(b []byte, n Name, cmp *compressor) ([]byte, error) {
 			return nil, ErrLabelTooLong
 		}
 		if cmp != nil {
-			if off, ok := cmp.offsets[s[i:]]; ok {
-				return cmp.pointer(b, off), nil
+			h := maphash.String(suffixSeed, s[i:])
+			slot := cmp.probe(h, int(h))
+			for ; cmp.taken(slot); slot = cmp.probe(h, slot+1) {
+				if off := int(cmp.slots[slot].off); wroteAt(b, off, s[i:]) {
+					return cmp.pointer(b, off), nil
+				}
 			}
-			if len(b) < 0x4000 {
-				cmp.offsets[s[i:]] = len(b)
-			}
+			cmp.add(slot, h, len(b))
 		}
 		b = append(b, byte(j-i))
 		b = append(b, s[i:j]...)
@@ -514,19 +583,58 @@ func appendNameSlow(b []byte, n Name, cmp *compressor) ([]byte, error) {
 		return nil, err
 	}
 	for i := range labels {
-		suffix := string(nameFromLabels(labels[i:]))
 		if cmp != nil {
-			if off, ok := cmp.offsets[suffix]; ok {
-				return cmp.pointer(b, off), nil
+			h := maphash.String(suffixSeed, string(nameFromLabels(labels[i:])))
+			slot := cmp.probe(h, int(h))
+			for ; cmp.taken(slot); slot = cmp.probe(h, slot+1) {
+				if off := int(cmp.slots[slot].off); wroteLabelsAt(b, off, labels[i:]) {
+					return cmp.pointer(b, off), nil
+				}
 			}
-			if len(b) < 0x4000 {
-				cmp.offsets[suffix] = len(b)
-			}
+			cmp.add(slot, h, len(b))
 		}
 		b = append(b, byte(len(labels[i])))
 		b = append(b, labels[i]...)
 	}
 	return append(b, 0), nil
+}
+
+// wroteAt reports whether the name appendName wrote at off in b, read
+// through its pointers, is s: the suffix of a name the fast path writes,
+// whose labels are its dot-separated substrings.
+func wroteAt(b []byte, off int, s string) bool {
+	for off < len(b) {
+		switch c := int(b[off]); {
+		case c == 0:
+			return s == ""
+		case c&0xC0 == 0xC0:
+			off = (c&0x3F)<<8 | int(b[off+1])
+		default:
+			if c >= len(s) || s[c] != '.' || string(b[off+1:off+1+c]) != s[:c] {
+				return false
+			}
+			s, off = s[c+1:], off+1+c
+		}
+	}
+	return false
+}
+
+// wroteLabelsAt is wroteAt for raw labels, which may hold any octet.
+func wroteLabelsAt(b []byte, off int, labels [][]byte) bool {
+	for off < len(b) {
+		switch c := int(b[off]); {
+		case c == 0:
+			return len(labels) == 0
+		case c&0xC0 == 0xC0:
+			off = (c&0x3F)<<8 | int(b[off+1])
+		default:
+			if len(labels) == 0 || !bytes.Equal(b[off+1:off+1+c], labels[0]) {
+				return false
+			}
+			labels, off = labels[1:], off+1+c
+		}
+	}
+	return false
 }
 
 // decodedName is a memoized name decode: the name, the offset just past
@@ -594,35 +702,49 @@ func appendPresentationLabel(buf []byte, label []byte) []byte {
 // name's encoding at the top level (pointers do not advance the caller's
 // offset past 2 octets).
 func (u *unpacker) name(msg []byte, off int) (Name, int, error) {
-	start := off
 	// Presentation form accumulates on the stack: 255 wire octets escape
 	// to at most ~1020 presentation bytes.
 	var stack [1024]byte
-	buf := stack[:0]
+	buf, tail, end, wlen, err := u.appendName(stack[:0], msg, off)
+	if err != nil {
+		return "", 0, err
+	}
+	n := tail
+	switch {
+	case len(buf) > 0:
+		n = Name(append(buf, tail...))
+	case n == "":
+		n = Root
+	}
+	u.remember(off, decodedName{name: n, end: end, wlen: wlen})
+	return n, end, nil
+}
+
+// appendName appends the presentation form of the name at off in msg to
+// buf, every label followed by its dot, so nothing for the root. It
+// stops at the end of the name or at a name u remembers, which it
+// returns as tail (the root's tail is empty). end is the offset just
+// past the name's encoding at the top level, wlen its uncompressed wire
+// length.
+func (u *unpacker) appendName(buf, msg []byte, off int) (_ []byte, tail Name, end, wlen int, err error) {
 	ptrBudget := 127 // defends against pointer loops
-	end := -1        // offset after the name at the original nesting level
-	wlen := 1
+	end = -1         // offset after the name at the original nesting level
+	wlen = 1
 	for {
 		if d, ok := u.memo(off); ok {
-			// Splice the memoized tail onto the labels walked so far.
 			if wlen-1+d.wlen > 255 {
-				return "", 0, ErrNameTooLong
+				return nil, "", 0, 0, ErrNameTooLong
 			}
 			if end < 0 {
 				end = d.end
 			}
-			var n Name
-			if len(buf) == 0 {
-				n = d.name
-			} else {
-				buf = append(buf, d.name...)
-				n = Name(buf)
+			if d.name != Root {
+				tail = d.name
 			}
-			u.remember(start, decodedName{name: n, end: end, wlen: wlen - 1 + d.wlen})
-			return n, end, nil
+			return buf, tail, end, wlen - 1 + d.wlen, nil
 		}
 		if off >= len(msg) {
-			return "", 0, ErrNameTruncated
+			return nil, "", 0, 0, ErrNameTruncated
 		}
 		c := int(msg[off])
 		switch {
@@ -630,15 +752,10 @@ func (u *unpacker) name(msg []byte, off int) (Name, int, error) {
 			if end < 0 {
 				end = off + 1
 			}
-			n := Root
-			if len(buf) > 0 {
-				n = Name(buf)
-			}
-			u.remember(start, decodedName{name: n, end: end, wlen: wlen})
-			return n, end, nil
+			return buf, "", end, wlen, nil
 		case c&0xC0 == 0xC0:
 			if off+1 >= len(msg) {
-				return "", 0, ErrNameTruncated
+				return nil, "", 0, 0, ErrNameTruncated
 			}
 			ptr := (c&0x3F)<<8 | int(msg[off+1])
 			if end < 0 {
@@ -646,21 +763,21 @@ func (u *unpacker) name(msg []byte, off int) (Name, int, error) {
 			}
 			if ptr >= off {
 				// Forward or self pointers are invalid and could loop.
-				return "", 0, ErrBadPointer
+				return nil, "", 0, 0, ErrBadPointer
 			}
 			if ptrBudget--; ptrBudget < 0 {
-				return "", 0, ErrBadPointer
+				return nil, "", 0, 0, ErrBadPointer
 			}
 			off = ptr
 		case c&0xC0 != 0:
-			return "", 0, ErrBadPointer
+			return nil, "", 0, 0, ErrBadPointer
 		default:
 			if off+1+c > len(msg) {
-				return "", 0, ErrNameTruncated
+				return nil, "", 0, 0, ErrNameTruncated
 			}
 			wlen += c + 1
 			if wlen > 255 {
-				return "", 0, ErrNameTooLong
+				return nil, "", 0, 0, ErrNameTooLong
 			}
 			buf = appendPresentationLabel(buf, msg[off+1:off+1+c])
 			buf = append(buf, '.')

@@ -1,6 +1,8 @@
 package dnswire
 
 import (
+	"bytes"
+	"hash/maphash"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -173,6 +175,48 @@ func TestNameCompression(t *testing.T) {
 	n2, _, err := unpackName(b, off)
 	if err != nil || n2 != "mail.example.com." {
 		t.Fatalf("second name %q, %v", n2, err)
+	}
+}
+
+// The suffix table keeps hashes, not names: a slot whose hash matches
+// but whose bytes are another suffix's is passed over, on both encoding
+// paths, and the name is compressed against the suffix it does share.
+func TestCompressionChecksWrittenBytes(t *testing.T) {
+	for _, name := range []Name{"mail.example.com.", "MAIL.Example.com."} {
+		cmp := makeCompressor()
+		b, err := appendName(nil, "www.example.com.", cmp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Forge a collision: "mail.example.com." hashes to a slot that
+		// points at "www.example.com.".
+		h := maphash.String(suffixSeed, "mail.example.com.")
+		cmp.add(cmp.probe(h, int(h)), h, 0)
+		first := len(b)
+		if b, err = appendName(b, name, cmp); err != nil {
+			t.Fatal(err)
+		}
+		want := []byte{4, 'm', 'a', 'i', 'l', 0xC0, 4} // "mail", then a pointer to "example.com."
+		if !bytes.Equal(b[first:], want) {
+			t.Errorf("%s: encoded as %v, want %v", name, b[first:], want)
+		}
+	}
+}
+
+// A pointer to a root name decoded earlier in the message ends the name
+// there: the labels before it make the whole name.
+func TestUnpackPointerToRoot(t *testing.T) {
+	wire := []byte{
+		0, 1, 0x84, 0, 0, 1, 0, 1, 0, 0, 0, 0, // header: one question, one answer
+		0, 0, 1, 0, 1, // question: . A IN, at offset 12
+		1, 'a', 0xC0, 12, 0, 1, 0, 1, 0, 0, 0, 60, 0, 4, 192, 0, 2, 1, // a + pointer to the root
+	}
+	var m Message
+	if err := m.Unpack(wire); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Answers[0].Name; got != "a." {
+		t.Errorf("owner %q, want %q", got, "a.")
 	}
 }
 

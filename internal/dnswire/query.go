@@ -3,16 +3,27 @@ package dnswire
 import (
 	"encoding/binary"
 	"errors"
+	"unsafe"
 )
 
 // Query is what a server's front door needs from a query datagram — the
 // header, the one question and the EDNS parameters — decoded straight
-// from the wire without building a Message. The question name is the
-// only allocation, and the only thing that outlives the datagram.
+// from the wire without building a Message. It allocates nothing: the
+// question name is decoded into an array of the Query's own, and Name
+// hands it out as a view of that array.
+//
+// A view is valid while its Query is, and until that Query is parsed
+// again; so are the names sliced from it (Parent, TLD). Whatever keeps
+// the name past the datagram — a map key, a cached message, a trace —
+// keeps a copy (Name.Clone). Storing a view in anything that outlives
+// the call moves the Query itself to the heap, which go build
+// -gcflags=-m reports at the Query's declaration.
 type Query struct {
-	ID       uint16
-	Flags    uint16 // the header flags word as received
-	Question Question
+	ID    uint16
+	Flags uint16 // the header flags word as received
+	// Type and Class are the question's; zero without one.
+	Type  Type
+	Class Class
 	// EDNS reports an OPT pseudo-record in the additional section (the
 	// first one, as Message.EDNS reads it); UDPSize and DO are the
 	// payload size it advertises and its DO bit.
@@ -22,6 +33,14 @@ type Query struct {
 	// Trace is that OPT's trace option as Message.TraceOption reads it;
 	// zero when there is none or it is malformed.
 	Trace TraceContext
+
+	// The question name in presentation form: the first nameLen octets
+	// of name, or long when that form (a name of many escaped octets)
+	// does not fit. Parse never stores a view of name in the Query: the
+	// Query would then point at itself and go to the heap.
+	nameLen int
+	long    Name
+	name    [256]byte
 }
 
 // ErrQuestionCount is returned by Query.Parse for a datagram whose header
@@ -31,6 +50,20 @@ var ErrQuestionCount = errors.New("dnswire: not exactly one question")
 
 // Opcode extracts the opcode from the flags word.
 func (q *Query) Opcode() Opcode { return Opcode(q.Flags >> 11 & 0xF) }
+
+// Name returns the question name, lowercased, as a view of q: "" when
+// the query has no question.
+func (q *Query) Name() Name {
+	if q.long != "" {
+		return q.long
+	}
+	return Name(unsafe.String(&q.name[0], q.nameLen))
+}
+
+// Question returns the question, its name a view of q.
+func (q *Query) Question() Question {
+	return Question{Name: q.Name(), Type: q.Type, Class: q.Class}
+}
 
 // Parse decodes req. Records other than an OPT are stepped over by their
 // length fields, not decoded, so a query is not refused for rdata the
@@ -48,18 +81,23 @@ func (q *Query) Parse(req []byte) error {
 	skipped := int(binary.BigEndian.Uint16(req[6:])) + int(binary.BigEndian.Uint16(req[8:]))
 	additional := int(binary.BigEndian.Uint16(req[10:]))
 
-	name, off, err := unpackName(req, 12)
+	name, _, off, _, err := (*unpacker)(nil).appendName(q.name[:0], req, 12)
 	if err != nil {
 		return err
 	}
 	if off+4 > len(req) {
 		return ErrMessageTruncated
 	}
-	q.Question = Question{
-		Name:  name,
-		Type:  Type(binary.BigEndian.Uint16(req[off:])),
-		Class: Class(binary.BigEndian.Uint16(req[off+2:])),
+	switch {
+	case len(name) == 0:
+		q.name[0], q.nameLen = '.', 1
+	case len(name) <= len(q.name): // decoded in place
+		q.nameLen = len(name)
+	default: // outgrew the array: a copy of its own
+		q.long = Name(name)
 	}
+	q.Type = Type(binary.BigEndian.Uint16(req[off:]))
+	q.Class = Class(binary.BigEndian.Uint16(req[off+2:]))
 	off += 4
 
 	for i := 0; i < skipped+additional; i++ {
@@ -123,7 +161,12 @@ func (m *Message) Query() (Query, error) {
 	if len(m.Questions) != 1 {
 		return q, ErrQuestionCount
 	}
-	q.Question = m.Questions[0]
+	question := m.Questions[0]
+	if q.Type, q.Class = question.Type, question.Class; len(question.Name) <= len(q.name) {
+		q.nameLen = copy(q.name[:], question.Name)
+	} else {
+		q.long = question.Name
+	}
 	if opt, size, do := m.EDNS(); opt != nil {
 		q.EDNS, q.UDPSize, q.DO = true, size, do
 		q.Trace, _, _ = m.TraceOption()

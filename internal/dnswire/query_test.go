@@ -4,26 +4,32 @@ import (
 	"bytes"
 	"errors"
 	"net/netip"
+	"strings"
 	"testing"
 )
 
-// agreesWithUnpack checks that Query.Parse reads wire as Unpack does.
+// agreesWithUnpack checks that Query.Parse reads wire as Unpack does,
+// and that the name it hands out behaves as a view: a copy taken from it
+// survives the datagram and the next Parse, and a Query copied by value
+// reads its own name.
 func agreesWithUnpack(t *testing.T, wire []byte) {
 	t.Helper()
 	var m Message
 	if err := m.Unpack(wire); err != nil {
 		t.Fatalf("Unpack: %v", err)
 	}
+	req := bytes.Clone(wire)
 	var q Query
-	if err := q.Parse(wire); err != nil {
+	if err := q.Parse(req); err != nil {
 		t.Fatalf("Unpack accepts what Query.Parse refuses: %v\n%x", err, wire)
 	}
 	if q.ID != m.ID || q.Opcode() != m.Opcode ||
 		(q.Flags&FlagRD != 0) != m.RecursionDesired || (q.Flags&FlagQR != 0) != m.Response {
 		t.Errorf("header: Query %#04x/%#04x, Message %+v", q.ID, q.Flags, m)
 	}
-	if q.Question != m.Questions[0] {
-		t.Errorf("question: Query %v, Message %v", q.Question, m.Questions[0])
+	want := m.Questions[0]
+	if q.Name() != want.Name || q.Question() != want {
+		t.Errorf("question: Query %v, Message %v", q.Question(), want)
 	}
 	opt, size, do := m.EDNS()
 	if q.EDNS != (opt != nil) || q.UDPSize != size || q.DO != do {
@@ -37,9 +43,38 @@ func agreesWithUnpack(t *testing.T, wire []byte) {
 	const z = 0x0040
 	fromMessage, err := m.Query()
 	fromMessage.Flags |= q.Flags & z
-	if err != nil || fromMessage != q {
-		t.Errorf("Message.Query: %+v, %v; Parse: %+v", fromMessage, err, q)
+	if err != nil || !sameQuery(&fromMessage, &q) {
+		t.Errorf("Message.Query: %+v, %v; Parse: %+v", fromMessage.Question(), err, q.Question())
 	}
+
+	// Keep a copy of the name and a copy of the Query, then wipe the
+	// datagram and parse another name into q.
+	kept, copied := q.Name().Clone(), q
+	clear(req)
+	other := Name("other.invalid.")
+	if other == want.Name {
+		other = "another.invalid."
+	}
+	next, err := NewQuery(1, other, TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Parse(next); err != nil || q.Name() != other {
+		t.Fatalf("second parse: %q, %v", q.Name(), err)
+	}
+	if kept != want.Name {
+		t.Errorf("a copy of the name changed with the datagram and the next parse: %q, want %q", kept, want.Name)
+	}
+	if copied.Name() != want.Name {
+		t.Errorf("a Query copied by value reads %q, want its own %q", copied.Name(), want.Name)
+	}
+}
+
+// sameQuery reports whether a and b hold the same header, question and
+// EDNS parameters.
+func sameQuery(a, b *Query) bool {
+	return a.ID == b.ID && a.Flags == b.Flags && a.Question() == b.Question() &&
+		a.EDNS == b.EDNS && a.UDPSize == b.UDPSize && a.DO == b.DO && a.Trace == b.Trace
 }
 
 func TestQueryParseAgreesWithUnpack(t *testing.T) {
@@ -77,6 +112,21 @@ func TestQueryParseAgreesWithUnpack(t *testing.T) {
 		wire[3] |= 0x40 // the Z bit, which only Query.Flags keeps
 		agreesWithUnpack(t, wire)
 	}
+}
+
+// A name whose presentation form outgrows the Query's array — octets that
+// print as \DDD — is read as Unpack reads it, from a copy of its own.
+func TestQueryParseLongName(t *testing.T) {
+	label := strings.Repeat(`\000`, 60)
+	name := MustParseName(label + "." + label + "." + label + "." + label + ".")
+	if len(name) <= 256 || name.WireLen() > 255 {
+		t.Fatalf("test name is %d octets, %d on the wire", len(name), name.WireLen())
+	}
+	wire, err := NewQuery(1, name, TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	agreesWithUnpack(t, wire)
 }
 
 func TestQueryParseErrors(t *testing.T) {
@@ -138,12 +188,13 @@ func TestMessageQuery(t *testing.T) {
 	m.Questions = append(m.Questions, m.Questions[0])
 	m.Opcode = OpcodeNotify
 	q, err := m.Query()
-	if err != ErrQuestionCount || q.ID != 3 || q.Opcode() != OpcodeNotify || q.Flags&FlagRD == 0 || q.Question != (Question{}) {
+	if err != ErrQuestionCount || q.ID != 3 || q.Opcode() != OpcodeNotify || q.Flags&FlagRD == 0 || q.Question() != (Question{}) {
 		t.Errorf("two questions: %+v, %v", q, err)
 	}
 }
 
-// The question name is the only thing Parse allocates.
+// Parse allocates nothing: the question name is decoded into the Query,
+// and Name is a view of it.
 func TestQueryParseAllocs(t *testing.T) {
 	skipUnderRace(t)
 	m := NewQuery(1, "www.example.com.", TypeA)
@@ -151,12 +202,12 @@ func TestQueryParseAllocs(t *testing.T) {
 	wire, _ := m.Pack()
 	var q Query
 	got := testing.AllocsPerRun(200, func() {
-		if err := q.Parse(wire); err != nil {
-			t.Fatal(err)
+		if err := q.Parse(wire); err != nil || q.Name() != "www.example.com." {
+			t.Fatal(q.Name(), err)
 		}
 	})
-	if got > 1 {
-		t.Errorf("Query.Parse: %v allocs/op, want <= 1", got)
+	if got != 0 {
+		t.Errorf("Query.Parse: %v allocs/op, want 0", got)
 	}
 }
 

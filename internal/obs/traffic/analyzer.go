@@ -3,6 +3,7 @@ package traffic
 import (
 	"hash/maphash"
 	"net/netip"
+	"strings"
 	"sync/atomic"
 
 	"rootless/internal/dnswire"
@@ -64,8 +65,10 @@ func (a *Analyzer) SetTLDs(tlds *TLDSet) {
 }
 
 // Observe classifies one query, updates the per-class counters and the
-// qname sketches, and returns the class (for span tagging). Zero
-// allocations; nil-safe (a nil analyzer reports ClassValid).
+// qname sketches, and returns the class (for span tagging). name is only
+// read: the top-K table keeps a copy of a name it admits. Zero
+// allocations but on admission; nil-safe (a nil analyzer reports
+// ClassValid).
 func (a *Analyzer) Observe(name dnswire.Name, qtype dnswire.Type) Class {
 	if a == nil {
 		return ClassValid
@@ -78,7 +81,9 @@ func (a *Analyzer) Observe(name dnswire.Name, qtype dnswire.Type) Class {
 	}
 	a.classes[c].Add(1)
 	a.uqQnames.Add(h)
-	a.topQnames.Offer(string(name), h)
+	if a.topQnames.Offer(string(name), h) {
+		a.topQnames.Admit(strings.Clone(string(name)), h) // name may be a view
+	}
 	return c
 }
 
@@ -92,7 +97,9 @@ func (a *Analyzer) ObserveClient(addr netip.Addr) {
 	a.clients.Add(1)
 	h := addrHash(addr)
 	a.uqClients.Add(h)
-	a.topClients.Offer(addr, h)
+	if a.topClients.Offer(addr, h) {
+		a.topClients.Admit(addr, h)
+	}
 }
 
 // addrHash mixes an address's 16-byte form into a 64-bit hash without

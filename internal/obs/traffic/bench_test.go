@@ -63,12 +63,12 @@ func BenchmarkTrafficTopKHit(b *testing.B) {
 	hs := [4]uint64{}
 	for i, k := range keys {
 		hs[i] = mix64(uint64(i) + 7)
-		tk.Offer(k, hs[i])
+		offer(tk, k, hs[i])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tk.Offer(keys[i&3], hs[i&3])
+		offer(tk, keys[i&3], hs[i&3])
 	}
 }
 
@@ -77,7 +77,7 @@ func BenchmarkTrafficTopKHit(b *testing.B) {
 func BenchmarkTrafficTopKMiss(b *testing.B) {
 	tk := NewTopK[string](4)
 	for i := 0; i < 4; i++ {
-		tk.Offer(fmt.Sprintf("warm%d.com.", i), mix64(uint64(i)))
+		offer(tk, fmt.Sprintf("warm%d.com.", i), mix64(uint64(i)))
 	}
 	// Pin the residents far above any admission estimate b.N can build,
 	// so the cold keys stay cold for the whole run.
@@ -90,7 +90,7 @@ func BenchmarkTrafficTopKMiss(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tk.Offer(cold[i&3], hs[i&3])
+		offer(tk, cold[i&3], hs[i&3])
 	}
 }
 

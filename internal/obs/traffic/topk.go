@@ -50,23 +50,26 @@ func NewTopK[K comparable](k int) *TopK[K] {
 }
 
 // Offer counts one occurrence of key; h is the caller's hash of key
-// (computed once and shared with the HLL).
-func (t *TopK[K]) Offer(key K, h uint64) {
+// (computed once and shared with the HLL). It only reads key, and
+// reports whether key, not yet tracked, has become a contender for a
+// slot: the caller then hands Admit a key the table may keep — a copy,
+// when key is a view of a buffer the caller reuses.
+func (t *TopK[K]) Offer(key K, h uint64) bool {
 	m := *t.live.Load()
 	if e, ok := m[key]; ok {
 		e.count.Add(1)
-		return
+		return false
 	}
 	est := int64(t.filter[h&t.mask].Add(1))
-	if len(m) >= t.k && est <= t.minAt.Load() {
-		return // cold key: not yet a contender, stay off the mutex
-	}
-	t.promote(key, est)
+	// A cold key is not yet a contender: it stays off the mutex.
+	return len(m) < t.k || est > t.minAt.Load()
 }
 
-// promote admits key under the mutex, evicting the current minimum when
-// the table is full. est is the admission-bucket estimate of key's count.
-func (t *TopK[K]) promote(key K, est int64) {
+// Admit tracks key, a contender Offer reported, under the mutex,
+// evicting the current minimum when the table is full. Its admission
+// bucket estimates its count.
+func (t *TopK[K]) Admit(key K, h uint64) {
+	est := int64(t.filter[h&t.mask].Load())
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	old := *t.live.Load()

@@ -9,6 +9,7 @@ import (
 	"net/netip"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"rootless/internal/dnswire"
 	"rootless/internal/obs"
@@ -109,6 +110,14 @@ func TestAnalyzerJunkShare(t *testing.T) {
 	}
 }
 
+// offer counts key and admits it when it becomes a contender, as the
+// Analyzer does for a key it owns.
+func offer[K comparable](tk *TopK[K], key K, h uint64) {
+	if tk.Offer(key, h) {
+		tk.Admit(key, h)
+	}
+}
+
 func TestTopKHeavyHitters(t *testing.T) {
 	const k = 8
 	tk := NewTopK[string](k)
@@ -127,7 +136,7 @@ func TestTopKHeavyHitters(t *testing.T) {
 			key = fmt.Sprintf("tail%d.com.", rng.Intn(5000))
 		}
 		truth[key]++
-		tk.Offer(key, hash(key))
+		offer(tk, key, hash(key))
 	}
 	top := tk.Top(k)
 	if len(top) != k {
@@ -253,6 +262,19 @@ func TestObserveAllocs(t *testing.T) {
 		Classify(name, dnswire.TypeA, tlds)
 	}); n != 0 {
 		t.Errorf("Classify allocates %f per run, want 0", n)
+	}
+}
+
+// Observe only reads the name it is given: a front door hands it a view
+// of a buffer it reuses for the next query, so the top-K table must keep
+// a copy of a name it admits.
+func TestObserveKeepsCopies(t *testing.T) {
+	a := NewAnalyzer(testTLDs(), 8)
+	buf := []byte("www.example.com.")
+	a.Observe(dnswire.Name(unsafe.String(&buf[0], len(buf))), dnswire.TypeA)
+	copy(buf, "ftp")
+	if top := a.topQnames.Top(1); len(top) != 1 || top[0].Key != "www.example.com." {
+		t.Errorf("top qnames after the buffer was reused: %+v", top)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestFlightCoalesces(t *testing.T) {
@@ -231,13 +232,16 @@ func TestClientLimiterFailsOpenWhenFull(t *testing.T) {
 	}
 }
 
+// Response codes as dnswire numbers them.
+const noerror, nxdomain = 0, 3
+
 func TestRRLSlipCadence(t *testing.T) {
 	r := NewRRL(1, 3, 0)
 	now := time.Unix(1000, 0)
 	client := netip.MustParseAddr("198.51.100.7")
 	got := make([]RRLAction, 0, 8)
 	for i := 0; i < 8; i++ {
-		got = append(got, r.Decide(client, "nxdomain/printer.local.", now))
+		got = append(got, r.Decide(client, nxdomain, "printer.local.", now))
 	}
 	want := []RRLAction{RRLSend, RRLDrop, RRLDrop, RRLSlip, RRLDrop, RRLDrop, RRLSlip, RRLDrop}
 	for i := range want {
@@ -249,13 +253,41 @@ func TestRRLSlipCadence(t *testing.T) {
 	if st.Sent != 1 || st.Dropped != 5 || st.Slipped != 2 {
 		t.Fatalf("stats = %+v, want 1/5/2", st)
 	}
-	// A different response token has its own budget.
-	if r.Decide(client, "answer/example.com.", now) != RRLSend {
-		t.Fatal("distinct token must have its own bucket")
+	// A different response class has its own budget: another name, or
+	// the same name with another code.
+	if r.Decide(client, noerror, "example.com.", now) != RRLSend {
+		t.Fatal("distinct name must have its own bucket")
+	}
+	if r.Decide(client, noerror, "printer.local.", now) != RRLSend {
+		t.Fatal("distinct rcode must have its own bucket")
 	}
 	// Time refills the bucket.
-	if r.Decide(client, "nxdomain/printer.local.", now.Add(2*time.Second)) != RRLSend {
+	if r.Decide(client, nxdomain, "printer.local.", now.Add(2*time.Second)) != RRLSend {
 		t.Fatal("refilled bucket should send")
+	}
+}
+
+// Decide only reads qname: the state a new response class opens keeps a
+// copy, so the caller may hand in a view of a buffer it reuses, and a
+// response to a class already tracked allocates nothing.
+func TestRRLKeepsItsOwnName(t *testing.T) {
+	r := NewRRL(1, 0, 0)
+	now := time.Unix(1000, 0)
+	client := netip.MustParseAddr("198.51.100.7")
+	buf := []byte("printer.local.")
+	view := unsafe.String(&buf[0], len(buf))
+	if r.Decide(client, nxdomain, view, now) != RRLSend {
+		t.Fatal("first response should send")
+	}
+	copy(buf, "scanner.local.")
+	if r.Decide(client, nxdomain, "printer.local.", now) != RRLDrop {
+		t.Fatal("the class's name changed with the caller's buffer")
+	}
+	if r.Decide(client, nxdomain, view, now) != RRLSend {
+		t.Fatal("a new name should open a class of its own")
+	}
+	if got := testing.AllocsPerRun(100, func() { r.Decide(client, nxdomain, view, now) }); got != 0 {
+		t.Errorf("Decide on a tracked class: %v allocs, want 0", got)
 	}
 }
 
@@ -265,23 +297,23 @@ func TestRRLAggregatesClientNetwork(t *testing.T) {
 	a := netip.MustParseAddr("203.0.113.10")
 	b := netip.MustParseAddr("203.0.113.99") // same /24
 	c := netip.MustParseAddr("203.0.114.10") // different /24
-	if r.Decide(a, "t", now) != RRLSend {
+	if r.Decide(a, nxdomain, "t.", now) != RRLSend {
 		t.Fatal("first response should send")
 	}
-	if r.Decide(b, "t", now) != RRLDrop {
+	if r.Decide(b, nxdomain, "t.", now) != RRLDrop {
 		t.Fatal("same /24 shares the bucket (slip disabled drops)")
 	}
-	if r.Decide(c, "t", now) != RRLSend {
+	if r.Decide(c, nxdomain, "t.", now) != RRLSend {
 		t.Fatal("different /24 has its own bucket")
 	}
 	if r.Tracked() != 2 {
 		t.Fatalf("Tracked = %d, want 2", r.Tracked())
 	}
-	if r.Decide(netip.Addr{}, "t", now) != RRLSend {
+	if r.Decide(netip.Addr{}, nxdomain, "t.", now) != RRLSend {
 		t.Fatal("invalid client address must send")
 	}
 	var nilRRL *RRL
-	if nilRRL.Decide(a, "t", now) != RRLSend {
+	if nilRRL.Decide(a, nxdomain, "t.", now) != RRLSend {
 		t.Fatal("nil RRL must send")
 	}
 }

@@ -2,6 +2,7 @@ package overload
 
 import (
 	"net/netip"
+	"strings"
 	"sync"
 	"time"
 )
@@ -27,10 +28,11 @@ type RRLStats struct {
 
 // rrlKey identifies one rate-limited response class: the client network
 // (BIND-style /24 for IPv4, /56 for IPv6 — per-host state would let a
-// spoofer exhaust the table) and a response token such as rcode+qname.
+// spoofer exhaust the table), the response code and the query name.
 type rrlKey struct {
 	net   netip.Prefix
-	token string
+	rcode uint8
+	qname string
 }
 
 // rrlState tracks one response class's bucket plus the slip cadence.
@@ -73,14 +75,18 @@ func NewRRL(ratePerSec, slip, maxTracked int) *RRL {
 	}
 }
 
-// Decide classifies one response toward client at time now. An invalid
+// Decide classifies one response toward client at time now: a response
+// with the given code to a query for qname. A flood of one spoofed
+// question is limited without touching answers for other names. qname
+// is only read: the state for a class it opens keeps a copy. An invalid
 // client address (e.g. the simulated network's anonymous source, or TCP
 // where the return path is validated) always sends.
-func (r *RRL) Decide(client netip.Addr, token string, now time.Time) RRLAction {
+func (r *RRL) Decide(client netip.Addr, rcode uint8, qname string, now time.Time) RRLAction {
 	if r == nil || !client.IsValid() {
 		return RRLSend
 	}
-	key := rrlKey{net: clientNet(client), token: token}
+	cnet := clientNet(client)
+	key := rrlKey{net: cnet, rcode: rcode, qname: qname}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st, ok := r.states[key]
@@ -93,7 +99,7 @@ func (r *RRL) Decide(client netip.Addr, token string, now time.Time) RRLAction {
 			return RRLSend // fail open, as the limiter does
 		}
 		st = &rrlState{bucket: bucket{tokens: r.rate, last: now}}
-		r.states[key] = st
+		r.states[rrlKey{net: cnet, rcode: rcode, qname: strings.Clone(qname)}] = st
 	}
 	if st.take(now, r.rate, r.rate) {
 		r.stats.Sent++

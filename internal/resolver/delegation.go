@@ -236,7 +236,7 @@ func (r *Resolver) closestDelegation(qname dnswire.Name) *delegation {
 func (r *Resolver) deriveDelegation(qname dnswire.Name) *delegation {
 	for n := qname; !n.IsRoot(); n = n.Parent() {
 		hit, ok := r.cache.Get(n, dnswire.TypeNS)
-		if !ok || hit.Negative {
+		if !ok || hit.Negative || len(hit.RRs) == 0 {
 			continue
 		}
 		ns := hit.CopyRRs() // TTLs decayed to what is left of them
@@ -248,8 +248,10 @@ func (r *Resolver) deriveDelegation(qname dnswire.Name) *delegation {
 				}
 			}
 		}
-		// What the cache holds passed the bailiwick rule on its way in.
-		d := newDelegation(n, dnswire.Root, ns, glue, r.cfg.Clock())
+		// What the cache holds passed the bailiwick rule on its way in. The
+		// delegation is named by the NS set's owner, the cache's copy of n:
+		// n is a suffix of qname, which may be a view.
+		d := newDelegation(ns[0].Name, dnswire.Root, ns, glue, r.cfg.Clock())
 		if d == nil || d.stranded() {
 			continue
 		}

@@ -372,13 +372,14 @@ func TestFrontDoorRefusals(t *testing.T) {
 }
 
 // TestFrontDoorAllocs pins what a datagram costs on the socket worker:
-// a cache hit allocates the question name and nothing else it does not
-// reuse, with the latency summary and the traffic analyzer attached;
-// junk that dies at the local root adds the SOA slice of the zone lookup
-// and the negative-cache entry and LRU element it leaves behind. (The
-// analyzer is left off there: a stream of never-repeated names makes its
-// top-K table admit a newcomer per query, which is its cost, not the
-// front door's.)
+// a cache hit allocates nothing, with the latency summary and the traffic
+// analyzer attached — the question name is a view of the Query on the
+// worker's stack, and nothing on a hit keeps it. Junk that dies at the
+// local root allocates what it leaves behind: the copy of the name its
+// negative-cache entry is keyed by, the SOA slice of the zone lookup, and
+// the entry and LRU element. (The analyzer is left off there: a stream
+// of never-repeated names makes its top-K table admit a newcomer per
+// query, which is its cost, not the front door's.)
 func TestFrontDoorAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; alloc counts not meaningful")
@@ -398,8 +399,8 @@ func TestFrontDoorAllocs(t *testing.T) {
 		if out := srv.serveDatagram(hit, udpengine.Peer{}, buf); len(out) == 0 {
 			t.Fatal("cache hit not answered on the worker")
 		}
-	}); got > 2 {
-		t.Errorf("cache hit: %v allocs/datagram, want <= 2", got)
+	}); got != 0 {
+		t.Errorf("cache hit: %v allocs/datagram, want 0", got)
 	}
 
 	const runs = 200
@@ -419,6 +420,8 @@ func TestFrontDoorAllocs(t *testing.T) {
 		}
 	}); got > 4 {
 		t.Errorf("local-root junk: %v allocs/datagram, want <= 4", got)
+	} else {
+		t.Logf("local-root junk: %v allocs/datagram", got)
 	}
 	if st := srv.FrontDoorStats(); st.Pool != 0 || st.Sync != runs+1 {
 		t.Errorf("front door counted %+v, want everything answered on the worker", st)
@@ -600,6 +603,81 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestPoolKeepsNoView hammers the miss pool over a real socket with
+// distinct names from several clients at once, some asked by two clients
+// together so that flights are shared. The socket worker reads the
+// question name as a view of its Query, and a pool goroutine reuses one
+// job for every question it takes: what a miss keeps — the flight key,
+// the negative-cache entry keyed by the question — must be a copy. So
+// every name asked must still be cached under itself, each record under
+// its own owner, and the flight table must end empty.
+func TestPoolKeepsNoView(t *testing.T) {
+	const clients, perClient = 6, 40
+	tp := newTopo(t)
+	r := tp.resolver(t, RootModeLookaside, func(c *Config) {
+		c.Transport = &lockedTransport{inner: c.Transport}
+		c.Coalesce, c.MaxInflight = true, clients
+	})
+	srv := NewServer(r)
+	names := func(c int) []dnswire.Name {
+		var out []dnswire.Name
+		for i := 0; i < perClient; i++ {
+			out = append(out, dnswire.Name(fmt.Sprintf("h%d-%d.example.com.", c, i)))
+			if i%4 == 0 { // asked by clients c and c+1 alike
+				out = append(out, dnswire.Name(fmt.Sprintf("shared%d-%d.example.com.", c/2, i)))
+			}
+		}
+		return append(out, "www.example.com.", "deep.sub.example.com.")
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		client := serveLoopback(t, srv)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, 4096)
+			for i, name := range names(c) {
+				id := uint16(c<<10 | i)
+				if _, err := client.Write(packQuery(t, id, name, dnswire.TypeA, withOPT)); err != nil {
+					t.Error(err)
+					return
+				}
+				client.SetReadDeadline(time.Now().Add(10 * time.Second))
+				n, err := client.Read(buf)
+				var m dnswire.Message
+				if err == nil {
+					err = m.Unpack(buf[:n])
+				}
+				if err != nil || m.ID != id || len(m.Questions) != 1 || m.Questions[0].Name != name {
+					t.Errorf("client %d, %s: %v, reply %v", c, name, err, m.Questions)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := srv.FrontDoorStats(); st.Pool == 0 || st.Shed != 0 {
+		t.Errorf("front door counted %+v: want misses on the pool and none shed", st)
+	}
+	if n := r.flight.Inflight(); n != 0 {
+		t.Errorf("%d flights left in the table", n)
+	}
+	for c := 0; c < clients; c++ {
+		for _, name := range names(c) {
+			hit, ok := r.cache.Get(name, dnswire.TypeA)
+			if !ok {
+				t.Errorf("%s is not cached under its own name", name)
+				continue
+			}
+			for _, rr := range hit.RRs {
+				if rr.Name != name {
+					t.Errorf("%s is cached with a record owned by %s", name, rr.Name)
+				}
+			}
 		}
 	}
 }

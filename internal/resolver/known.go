@@ -10,6 +10,12 @@ package resolver
 // Nothing a walk reads here is counted until commit, so a question that
 // turns out to need upstream work leaves resolveKnown as if it had never
 // been asked, and is counted once by whoever resolves it.
+//
+// The question name on this path may be a view of the front door's
+// dnswire.Query, valid only while the datagram is handled. What keeps a
+// name past that — a trace event, a cache entry, a delegation — keeps a
+// copy or a name of its own, never qname itself: storing it anywhere that
+// outlives the call would move every front-door Query to the heap.
 
 import (
 	"errors"
@@ -65,14 +71,14 @@ func (r *Resolver) probeCache(qname dnswire.Name, qtype dnswire.Type, tr *obs.Tr
 	if hit, ok := r.cache.Get(qname, qtype); ok {
 		if hit.Negative {
 			if tr != nil {
-				tr.Eventf("cache-hit", "negative %s %s", qname, qtype)
+				tr.Eventf("cache-hit", "negative %s %s", qname.Clone(), qtype)
 			}
 			// Replay the faithful rcode: NXDOMAIN if the name was proven
 			// absent, NODATA (Success, no answers) if only the type was.
 			return known{src: fromNegCache, rcode: nxOrNoData(hit.NXDomain)}, true
 		}
 		if tr != nil {
-			tr.Eventf("cache-hit", "%s %s (%d RRs)", qname, qtype, len(hit.RRs))
+			tr.Eventf("cache-hit", "%s %s (%d RRs)", qname.Clone(), qtype, len(hit.RRs))
 		}
 		return known{src: fromCache, rrs: hit.RRs, ttl: hit.TTL, decayed: true}, true
 	}
@@ -80,7 +86,7 @@ func (r *Resolver) probeCache(qname dnswire.Name, qtype dnswire.Type, tr *obs.Tr
 	if qtype != dnswire.TypeCNAME {
 		if hit, ok := r.cache.Get(qname, dnswire.TypeCNAME); ok && !hit.Negative {
 			if tr != nil {
-				tr.Eventf("cache-hit", "%s CNAME", qname)
+				tr.Eventf("cache-hit", "%s CNAME", qname.Clone())
 			}
 			return known{src: fromCache, rrs: hit.RRs, ttl: hit.TTL, decayed: true}, true
 		}
@@ -92,7 +98,7 @@ func (r *Resolver) probeCache(qname dnswire.Name, qtype dnswire.Type, tr *obs.Tr
 	if r.cfg.NSECAggressive {
 		if nx, ok := r.cache.NSECSynthesize(qname, qtype); ok {
 			if tr != nil {
-				tr.Eventf("cache-hit", "validated NSEC range covers %s %s", qname, qtype)
+				tr.Eventf("cache-hit", "validated NSEC range covers %s %s", qname.Clone(), qtype)
 			}
 			return known{src: fromNSEC, rcode: nxOrNoData(nx), secure: true}, true
 		}
@@ -102,7 +108,7 @@ func (r *Resolver) probeCache(qname dnswire.Name, qtype dnswire.Type, tr *obs.Tr
 	// paper's junk-dominated workload rewards.
 	if r.cfg.NXDomainCut && r.cache.NXDomainCovered(qname) {
 		if tr != nil {
-			tr.Eventf("cache-hit", "NXDOMAIN cut covers %s", qname)
+			tr.Eventf("cache-hit", "NXDOMAIN cut covers %s", qname.Clone())
 		}
 		return known{src: fromCut, rcode: dnswire.RcodeNXDomain}, true
 	}
@@ -133,7 +139,9 @@ func (r *Resolver) countProbeHit(src knownSource) {
 }
 
 // localLookup is what the local root zone copy says about one question,
-// read but not yet counted or cached.
+// read but not yet counted or cached. qname is the name its verdict is
+// cached under, which the caller of lookupLocalRoot fills in with a name
+// it may keep.
 type localLookup struct {
 	qname dnswire.Name
 	qtype dnswire.Type
@@ -158,7 +166,7 @@ func (lk *localLookup) referral() bool {
 // stale-serve copy still answers but with capped TTLs, an expired copy
 // is refused.
 func (r *Resolver) lookupLocalRoot(qname dnswire.Name, qtype dnswire.Type) localLookup {
-	lk := localLookup{qname: qname, qtype: qtype}
+	lk := localLookup{qtype: qtype}
 	lr := r.local.Load()
 	if lr == nil {
 		lk.refused = true
@@ -275,17 +283,22 @@ type chain struct {
 // answers, from iterate. A nil iterate keeps the walk free of I/O: the
 // first link that would need it ends the walk with errNeedsUpstream.
 // Either way the links found are not yet counted; commit does that.
-func (r *Resolver) walk(qname dnswire.Name, qtype dnswire.Type, tr *obs.Trace, iterate func(dnswire.Name) (known, error), out *chain) error {
+//
+// iterate is handed the link's name when that is a CNAME's target, and ""
+// for qname itself: qname may be a view, and upstream work keeps the name
+// it asks for, so the caller resolves "" to a copy of its own.
+func (r *Resolver) walk(qname dnswire.Name, qtype dnswire.Type, tr *obs.Trace, iterate func(cname dnswire.Name) (known, error), out *chain) error {
 	out.n, out.chases, out.rcode = 0, 0, dnswire.RcodeServFail
+	var cname dnswire.Name // target when it is a CNAME's; "" while it is qname
 	for target := qname; out.n < len(out.links); {
 		k, ok := r.probe(target, qtype, tr)
 		if !ok {
 			if tr != nil {
-				tr.Eventf("cache-miss", "%s %s", target, qtype)
+				tr.Eventf("cache-miss", "%s %s", target.Clone(), qtype)
 			}
 			if iterate != nil {
 				var err error
-				if k, err = iterate(target); err != nil {
+				if k, err = iterate(cname); err != nil {
 					return err
 				}
 			} else if out.local, ok = r.localTerminal(target, qtype, tr); ok {
@@ -309,9 +322,9 @@ func (r *Resolver) walk(qname dnswire.Name, qtype dnswire.Type, tr *obs.Trace, i
 		}
 		out.chases++
 		if tr != nil {
-			tr.Eventf("cname", "chasing %s -> %s", qname, cn)
+			tr.Eventf("cname", "chasing %s -> %s", qname.Clone(), cn)
 		}
-		target = cn
+		target, cname = cn, cn
 	}
 	return errCNAMEChain
 }
@@ -381,7 +394,7 @@ func (c *chain) result(a *answer) {
 func (r *Resolver) resolveKnown(qname dnswire.Name, qtype dnswire.Type, out *chain) (*obs.Trace, bool) {
 	var tr *obs.Trace
 	if r.tracer.Enabled() { // the mnemonic of an unknown qtype is an allocation
-		tr = r.tracer.Begin(string(qname), qtype.String())
+		tr = r.tracer.Begin(string(qname.Clone()), qtype.String())
 	}
 	if r.walk(qname, qtype, tr, nil, out) != nil {
 		return tr, false
@@ -420,10 +433,14 @@ func (r *Resolver) localTerminal(qname dnswire.Name, qtype dnswire.Type, tr *obs
 		return localLookup{}, false
 	}
 	if tr != nil {
-		tr.Eventf("local-root", "consulting local zone for %s %s", qname, qtype)
+		tr.Eventf("local-root", "consulting local zone for %s %s", qname.Clone(), qtype)
 	}
 	asp := tr.StartSpan(obs.PhaseAuth, "local-root")
 	lk := r.lookupLocalRoot(qname, qtype)
 	asp.End()
-	return lk, !lk.referral()
+	if lk.referral() {
+		return lk, false
+	}
+	lk.qname = qname.Clone() // what commit caches the verdict under
+	return lk, true
 }

@@ -821,7 +821,11 @@ func (rs *resolution) ask(name dnswire.Name, typ dnswire.Type) *dnswire.Message 
 func (r *Resolver) resolve(qname dnswire.Name, qtype dnswire.Type, rs *resolution) (*Result, error) {
 	r.count(func(s *Stats) { inc(&s.Resolutions, 1) })
 	var c chain
-	err := r.walk(qname, qtype, rs.tr, func(target dnswire.Name) (known, error) {
+	err := r.walk(qname, qtype, rs.tr, func(cname dnswire.Name) (known, error) {
+		target := qname
+		if cname != "" {
+			target = cname
+		}
 		k, err := r.iterate(target, qtype, rs)
 		if err != nil {
 			rs.tr.Eventf("fail", "%s: %v", target, err)
@@ -875,6 +879,7 @@ func (r *Resolver) iterate(qname dnswire.Name, qtype dnswire.Type, rs *resolutio
 			}
 			asp := tr.StartSpan(obs.PhaseAuth, "local-root")
 			lk := r.lookupLocalRoot(qname, qtype)
+			lk.qname = qname
 			next, k, done := r.applyLocalRoot(&lk)
 			asp.End()
 			if done {

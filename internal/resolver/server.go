@@ -26,8 +26,11 @@ import (
 // on their own. Both routes parse with dnswire.Query and write with
 // writeResponse, so a question gets the same bytes whichever it takes.
 //
-// Nothing from the engine's request buffer outlives ServeDatagram except
-// the question name, which Query.Parse allocates.
+// Nothing from the engine's request buffer outlives ServeDatagram. The
+// socket worker reads the question name as a view of its Query, so a
+// hit allocates nothing. A job carries the Query by value, and the pool
+// copies the name once per miss: the flight key, the upstream queries
+// and the cache entries all share that copy.
 type Server struct {
 	resolver *Resolver
 	// limiter rate-limits stub clients before anything else is spent on
@@ -49,7 +52,9 @@ type Server struct {
 }
 
 // job is one question on its way to the miss pool, with the trace the
-// socket worker began for it (nil when tracing is off).
+// socket worker began for it (nil when tracing is off). A pool goroutine
+// reuses one job for every question it takes, so nothing may keep a view
+// of q's name (dnswire.Query.Name): answerJob copies it.
 type job struct {
 	peer udpengine.Peer
 	q    dnswire.Query
@@ -152,7 +157,7 @@ func (s *Server) serveDatagram(req []byte, src udpengine.Peer, resp []byte) []by
 		return writeResponse(resp, &q, rcode, false, nil)
 	}
 	var ans chain
-	tr, ok := s.resolver.resolveKnown(q.Question.Name, q.Question.Type, &ans)
+	tr, ok := s.resolver.resolveKnown(q.Name(), q.Type, &ans)
 	if ok {
 		s.door.sync.Add(1)
 		return writeResponse(resp, &q, ans.rcode, ans.secure, ans.links[:ans.n])
@@ -174,7 +179,7 @@ func refusal(q *dnswire.Query, parseErr error) (dnswire.Rcode, bool) {
 		return dnswire.RcodeNotImpl, true
 	case parseErr != nil:
 		return dnswire.RcodeFormat, true
-	case q.Question.Class != dnswire.ClassINET:
+	case q.Class != dnswire.ClassINET:
 		return dnswire.RcodeRefused, true
 	}
 	return 0, false
@@ -197,8 +202,8 @@ func writeResponse(buf []byte, q *dnswire.Query, rcode dnswire.Rcode, authData b
 	var b dnswire.Builder
 	b.Start(buf, q.ID, flags)
 	var err error
-	if q.Question.Name != "" {
-		err = b.Question(q.Question)
+	if q.Name() != "" {
+		err = b.Question(q.Question())
 	}
 	for i := range answers {
 		set := &answers[i]
@@ -272,9 +277,10 @@ func (s *Server) work(j job) {
 
 // answerJob is the pool's route to a reply: the upstream half of Resolve
 // (the socket worker ran the other), then the same writer the worker
-// uses, into buf. A failed resolution is answered SERVFAIL.
+// uses, into buf. A failed resolution is answered SERVFAIL. The name the
+// resolution keeps is a copy: j is overwritten by the next job.
 func (s *Server) answerJob(j *job, buf []byte) []byte {
-	res, err := s.resolver.resolveUpstream(j.q.Question.Name, j.q.Question.Type, j.tr)
+	res, err := s.resolver.resolveUpstream(j.q.Name().Clone(), j.q.Type, j.tr)
 	if err != nil {
 		return writeResponse(buf, &j.q, dnswire.RcodeServFail, false, nil)
 	}

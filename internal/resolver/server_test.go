@@ -216,6 +216,55 @@ func TestUDPTransportQuestionMismatchIgnored(t *testing.T) {
 		func(m *dnswire.Message) { m.Questions[0].Class = dnswire.ClassINET + 1 })
 }
 
+// TestUDPTransportOffPathPortIgnored is the forger who guessed the ID and
+// the question but sends from another port of the server's address: its
+// reply reaches the client's port first, and Exchange must wait for the
+// real server's. The connected socket Exchange dials is what filters it,
+// so a transport that reads from an unconnected socket must check the
+// source address and port itself.
+func TestUDPTransportOffPathPortIgnored(t *testing.T) {
+	server, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	forger, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer forger.Close()
+	go func() {
+		buf := make([]byte, 65536)
+		n, client, err := server.ReadFrom(buf)
+		if err != nil {
+			return
+		}
+		var q dnswire.Message
+		if err := q.Unpack(buf[:n]); err != nil || len(q.Questions) != 1 {
+			return
+		}
+		reply := func(a netip.Addr) []byte {
+			m := &dnswire.Message{ID: q.ID, Response: true, Questions: q.Questions,
+				Answers: []dnswire.RR{dnswire.NewRR(q.Questions[0].Name, 60, dnswire.A{Addr: a})}}
+			w, _ := m.Pack()
+			return w
+		}
+		_, _ = forger.WriteTo(reply(forgedV4), client)
+		time.Sleep(50 * time.Millisecond) // the forgery is delivered, or dropped, first
+		_, _ = server.WriteTo(reply(realV4), client)
+	}()
+
+	port := uint16(server.LocalAddr().(*net.UDPAddr).Port)
+	tr := &UDPTransport{Timeout: 2 * time.Second, Port: port}
+	resp, _, err := tr.Exchange(netip.MustParseAddr("127.0.0.1"), dnswire.NewQuery(42, "example.com.", dnswire.TypeA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Answers) != 1 || resp.Answers[0].Data.(dnswire.A).Addr != realV4 {
+		t.Fatalf("accepted the reply from another port: %+v", resp)
+	}
+}
+
 func TestUDPTransportPortOverrides(t *testing.T) {
 	tr := &UDPTransport{
 		Timeout:       100 * time.Millisecond,

@@ -236,15 +236,17 @@ func (ix *index) cover(i int) dnswire.RR {
 // and falls at position i: the longer of the ancestors it shares with
 // names[i-1] and names[i], never above origin. With keys an ancestor is
 // a run of whole labels at the front of both keys, and the encloser the
-// name's own suffix of that length.
+// owner's suffix of that length. The encloser is always read off the
+// zone's own names, never sliced from name: a caller may pass a view it
+// will overwrite.
 func (ix *index) encloser(name dnswire.Name, key []byte, i int, origin dnswire.Name) dnswire.Name {
+	enc := origin
 	if key == nil {
-		enc := origin
 		for _, n := range [2]int{i - 1, i} {
 			if n < 0 || n == len(ix.names) {
 				continue
 			}
-			if a := name.CommonAncestor(ix.names[n]); a != enc && a.IsSubdomainOf(enc) {
+			if a := ix.names[n].CommonAncestor(name); a != enc && a.IsSubdomainOf(enc) {
 				enc = a
 			}
 		}
@@ -260,15 +262,13 @@ func (ix *index) encloser(name dnswire.Name, key []byte, i int, origin dnswire.N
 		}
 		k := ix.key(n)
 		for j := 0; j < len(key) && j < len(k) && key[j] == k[j]; j++ {
-			if key[j] == 0 {
-				shared = max(shared, j+1)
+			if key[j] == 0 && j+1 > shared {
+				owner := ix.names[n]
+				shared, enc = j+1, owner[len(owner)-(j+1):]
 			}
 		}
 	}
-	if shared == 0 {
-		return dnswire.Root
-	}
-	return name[len(name)-shared:]
+	return enc
 }
 
 // afterWildcard returns the position of *.encloser among the names,
