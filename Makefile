@@ -4,13 +4,25 @@
 # backed by the concurrent-resolve and coalescing hammer tests in
 # internal/resolver and the overload-primitive races in internal/overload.
 
-.PHONY: verify verify-race bench-full bench-smoke bench-check fuzz-short loadgen-smoke
+.PHONY: verify verify-race bench-full bench-smoke bench-check fuzz-short loadgen-smoke loc
 
 verify:
 	go build ./... && go vet ./... && go test ./...
 
 verify-race:
 	go vet ./... && go test -race ./...
+
+# The two line counts ROADMAP tracks, so every change reports them the
+# same way: non-test Go outside bench/, and non-test Go in the
+# observability stack (internal/obs with obs/traffic and obs/tsdb, plus
+# internal/metrics where it still exists).
+loc:
+	@printf 'non-test Go outside bench/:        '; \
+		find . -path ./bench -prune -o -path './.*' -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
+	@printf 'non-test Go in obs (+ metrics):    '; \
+		find internal/obs $(wildcard internal/metrics) -name '*.go' ! -name '*_test.go' \
+		-print | xargs cat | wc -l
 
 # CI smoke: every benchmark in the tree, one iteration each. The
 # timings mean nothing; this gate only proves the benchmarks still run.

@@ -21,8 +21,8 @@ type metricFamily struct {
 type metricSeries struct {
 	Labels    map[string]string  `json:"labels"`
 	Value     float64            `json:"value"`
-	Count     float64            `json:"count"`               // histograms, summaries
-	Sum       float64            `json:"sum"`                 // histograms, summaries
+	Count     float64            `json:"count"`               // summaries
+	Sum       float64            `json:"sum"`                 // summaries
 	Quantiles map[string]float64 `json:"quantiles,omitempty"` // summaries
 }
 
@@ -253,8 +253,8 @@ var tailQuantiles = [][2]string{
 	{"0.5", "p50"}, {"0.99", "p99"}, {"0.999", "p999"}, {"0.9999", "p9999"},
 }
 
-// renderTail shows the HDR latency tail (the quantiles a fixed-bucket
-// histogram can't resolve) from the first summary family present.
+// renderTail shows the latency tail (p50 to p9999 from the HDR summary)
+// of the first per-component latency family present.
 func renderTail(sb *strings.Builder, cur metricsDoc) {
 	for _, name := range latencySummaries {
 		for _, se := range cur[name].Series {
@@ -323,7 +323,7 @@ func fmtSeconds(v float64) string {
 	}
 }
 
-// renderPhases turns the rootless_trace_phase_seconds histogram sums into
+// renderPhases turns the rootless_trace_phase_seconds summary sums into
 // a where-does-the-time-go attribution line.
 func renderPhases(sb *strings.Builder, prev, cur metricsDoc) {
 	const name = "rootless_trace_phase_seconds"

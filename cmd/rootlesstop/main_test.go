@@ -13,7 +13,7 @@ import (
 )
 
 // testDaemon fakes a resolverd admin endpoint: a registry with resolver-
-// shaped counters, phase histograms, and a live traffic analyzer.
+// shaped counters, phase summaries, and a live traffic analyzer.
 func testDaemon(t *testing.T) (*httptest.Server, *obs.Registry, *traffic.Analyzer) {
 	t.Helper()
 	reg := obs.NewRegistry()
@@ -37,8 +37,8 @@ func TestFrameRendersLiveDashboard(t *testing.T) {
 	resolutions := reg.Counter("rootless_resolver_resolutions_total", "t", nil)
 	hits := reg.Counter("rootless_cache_hits_total", "t", nil)
 	misses := reg.Counter("rootless_cache_misses_total", "t", nil)
-	netPhase := reg.Histogram("rootless_trace_phase_seconds", "t", obs.Labels{"phase": "net"}, nil)
-	cachePhase := reg.Histogram("rootless_trace_phase_seconds", "t", obs.Labels{"phase": "cache"}, nil)
+	netPhase := reg.HDRTimer("rootless_trace_phase_seconds", "t", obs.Labels{"phase": "net"})
+	cachePhase := reg.HDRTimer("rootless_trace_phase_seconds", "t", obs.Labels{"phase": "cache"})
 
 	sync := reg.Counter("rootless_resolver_frontdoor_total", "t", obs.Labels{"path": "sync"})
 	pool := reg.Counter("rootless_resolver_frontdoor_total", "t", obs.Labels{"path": "pool"})
@@ -49,8 +49,8 @@ func TestFrameRendersLiveDashboard(t *testing.T) {
 	misses.Set(20)
 	sync.Set(90)
 	pool.Set(10)
-	netPhase.Observe(0.9)
-	cachePhase.Observe(0.1)
+	netPhase.RecordDuration(900 * time.Millisecond)
+	cachePhase.RecordDuration(100 * time.Millisecond)
 	for i := 0; i < 6; i++ {
 		an.Observe("www.example.com.", dnswire.TypeA)
 	}

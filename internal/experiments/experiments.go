@@ -11,9 +11,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
-
-	"rootless/internal/metrics"
 )
 
 // Row is one paper-vs-measured comparison.
@@ -32,8 +31,67 @@ type Result struct {
 	Title string
 	Rows  []Row
 	// Series holds figure data (monthly samples etc.).
-	Series []metrics.Series
+	Series []Series
 	Notes  string
+}
+
+// Series is a labeled (x, y) sequence for figure-style outputs.
+type Series struct {
+	Name   string
+	XLabel string
+	YLabel string
+	X      []float64
+	Y      []float64
+}
+
+// Append adds one point.
+func (s *Series) Append(x, y float64) {
+	s.X = append(s.X, x)
+	s.Y = append(s.Y, y)
+}
+
+// Table renders the series as aligned text rows.
+func (s *Series) Table() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "# %s\n# %s\t%s\n", s.Name, s.XLabel, s.YLabel)
+	for i := range s.X {
+		fmt.Fprintf(&sb, "%.2f\t%.2f\n", s.X[i], s.Y[i])
+	}
+	return sb.String()
+}
+
+// AsciiPlot renders the series as a crude terminal plot, useful for
+// eyeballing figure shapes.
+func (s *Series) AsciiPlot(width, height int) string {
+	if len(s.Y) == 0 || width < 8 || height < 2 {
+		return ""
+	}
+	minY, maxY := s.Y[0], s.Y[0]
+	for _, v := range s.Y {
+		minY = math.Min(minY, v)
+		maxY = math.Max(maxY, v)
+	}
+	if maxY == minY {
+		maxY = minY + 1
+	}
+	grid := make([][]byte, height)
+	for i := range grid {
+		grid[i] = []byte(strings.Repeat(" ", width))
+	}
+	for i := range s.Y {
+		x := i * (width - 1) / max(len(s.Y)-1, 1)
+		y := int(float64(height-1) * (s.Y[i] - minY) / (maxY - minY))
+		grid[height-1-y][x] = '*'
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%s (y: %.0f..%.0f)\n", s.Name, minY, maxY)
+	for _, row := range grid {
+		sb.WriteString("|")
+		sb.Write(row)
+		sb.WriteString("\n")
+	}
+	sb.WriteString("+" + strings.Repeat("-", width) + "\n")
+	return sb.String()
 }
 
 // Matches reports whether every row preserved the paper's finding.

@@ -145,3 +145,29 @@ func TestResultHelpers(t *testing.T) {
 		t.Error("within tolerances wrong")
 	}
 }
+
+func TestSeries(t *testing.T) {
+	s := Series{Name: "test", XLabel: "x", YLabel: "y"}
+	for i := 0; i < 10; i++ {
+		s.Append(float64(i), float64(i*i))
+	}
+	table := s.Table()
+	if !strings.Contains(table, "test") || !strings.Contains(table, "81.00") {
+		t.Errorf("Table output wrong:\n%s", table)
+	}
+	plot := s.AsciiPlot(40, 8)
+	if !strings.Contains(plot, "*") {
+		t.Error("plot has no points")
+	}
+	if lines := strings.Count(plot, "\n"); lines != 10 {
+		t.Errorf("plot has %d lines", lines)
+	}
+	// Degenerate cases must not panic.
+	if (&Series{}).AsciiPlot(40, 8) != "" {
+		t.Error("empty series should produce no plot")
+	}
+	flat := Series{Name: "flat"}
+	flat.Append(0, 5)
+	flat.Append(1, 5)
+	_ = flat.AsciiPlot(10, 3)
+}

@@ -9,7 +9,6 @@ import (
 	"rootless/internal/core"
 	"rootless/internal/dist"
 	"rootless/internal/dnswire"
-	"rootless/internal/metrics"
 	"rootless/internal/netsim"
 	"rootless/internal/resolver"
 	"rootless/internal/rootzone"
@@ -38,7 +37,7 @@ func TTLSweep() Result {
 	}
 	sizeMB := float64(len(blob)) / (1 << 20)
 
-	series := metrics.Series{
+	series := Series{
 		Name:   "t_ttl: refresh interval vs staleness risk",
 		XLabel: "refresh-days",
 		YLabel: "unreachable-TLD-%",
@@ -86,7 +85,7 @@ func TTLSweep() Result {
 		ID:     "t_ttl",
 		Title:  "Increasing the TTL: load vs staleness (§5.2)",
 		Rows:   rows,
-		Series: []metrics.Series{series},
+		Series: []Series{series},
 		Notes:  "staleness risk measured as TLD reachability of a refresh-interval-old zone copy",
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"rootless/internal/anycast"
-	"rootless/internal/metrics"
 	"rootless/internal/rootzone"
 	"rootless/internal/zone"
 )
@@ -23,7 +22,7 @@ func monthFloat(t time.Time) float64 {
 // 15th of each month, April 2009 – December 2019, by actually building
 // the synthetic zone at sampled dates and counting records.
 func Fig1RootZoneGrowth() Result {
-	series := metrics.Series{
+	series := Series{
 		Name:   "fig1: root zone RRs over time",
 		XLabel: "year",
 		YLabel: "records",
@@ -64,7 +63,7 @@ func Fig1RootZoneGrowth() Result {
 			row("RR growth 2013→2017", "over five-fold", "%.1fx", growth)(growth >= 4.2),
 			row("steady-state records", "~22K", "%d", steady)(within(float64(steady), 22000, 0.15)),
 		},
-		Series: []metrics.Series{series},
+		Series: []Series{series},
 		Notes:  "series sampled quarterly; anchors sampled exactly",
 	}
 }
@@ -73,7 +72,7 @@ func Fig1RootZoneGrowth() Result {
 // 15th of each month, March 2015 – July 2019, with the documented e/f
 // root events.
 func Fig2InstanceGrowth() Result {
-	series := metrics.Series{
+	series := Series{
 		Name:   "fig2: root instances over time",
 		XLabel: "year",
 		YLabel: "instances",
@@ -118,7 +117,7 @@ func Fig2InstanceGrowth() Result {
 			row("b,g,h,m instance cap", "at most 6", "%v", small)(small),
 			row("d,e,f,j,l over 100", "over 100 each", "%v", big)(big),
 		},
-		Series: []metrics.Series{series},
+		Series: []Series{series},
 	}
 }
 

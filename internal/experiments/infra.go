@@ -5,7 +5,6 @@ import (
 
 	"rootless/internal/anycast"
 	"rootless/internal/core"
-	"rootless/internal/metrics"
 )
 
 // Infrastructure reproduces §4 "Less Infrastructure" and the §3
@@ -25,7 +24,7 @@ func Infrastructure() Result {
 		Midpoint:         ymd(2023, time.January, 1),
 	})
 
-	series := metrics.Series{
+	series := Series{
 		Name:   "t_infra: root instances needed during migration",
 		XLabel: "year",
 		YLabel: "instances",
@@ -64,7 +63,7 @@ func Infrastructure() Result {
 				within(perResolverMBDay, 0.55, 0.05)),
 			row("no flag day required", "resolvers switch independently", "monotone drain: %v", true)(true),
 		},
-		Series: []metrics.Series{series},
+		Series: []Series{series},
 		Notes:  "logistic adoption model; the fleet shrinks proportionally to the remaining query load",
 	}
 }

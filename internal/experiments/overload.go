@@ -15,7 +15,6 @@ import (
 	"rootless/internal/ditl"
 	"rootless/internal/dnssec/validator"
 	"rootless/internal/dnswire"
-	"rootless/internal/metrics"
 	"rootless/internal/obs"
 	"rootless/internal/obs/traffic"
 	"rootless/internal/obs/tsdb"
@@ -554,7 +553,7 @@ func Overload(queries int) Result {
 			histText = strings.Join(parts, "/") + " queries per tick"
 		}
 	}
-	compSeries := metrics.Series{
+	compSeries := Series{
 		Name:   "t_overload composition ramp (injected vs measured bogus share)",
 		XLabel: "chunk", YLabel: "invalid-TLD share",
 	}
@@ -629,7 +628,7 @@ func Overload(queries int) Result {
 				attrMS(at4.attr.NetNS), attrMS(at4.attr.OverloadWaitNS), attrMS(base.attr.OverloadWaitNS))(
 				at4.attr.NetNS > 0 && at4.attr.OverloadWaitNS > base.attr.OverloadWaitNS),
 		},
-		Series: []metrics.Series{compSeries},
+		Series: []Series{compSeries},
 		Notes: fmt.Sprintf("capacity is %d admission slots over a %v-per-exchange wire; offered load is "+
 			"closed-loop workers/capacity; the queued gate (50ms deadline, the daemon "+
 			"default) keeps goodput at baseline through 4× because queue waits stay far "+

@@ -8,7 +8,6 @@ import (
 	"rootless/internal/anycast"
 	"rootless/internal/dnssec/validator"
 	"rootless/internal/dnswire"
-	"rootless/internal/metrics"
 	"rootless/internal/obs"
 	"rootless/internal/resolver"
 )
@@ -32,8 +31,7 @@ func ResolutionLatency(lookups int) Result {
 	}
 
 	type modeResult struct {
-		cold, warm  metrics.Histogram
-		hdr         *obs.HDR // every resolution, for real tail quantiles
+		cold, warm  obs.HDR // resolution latency in ns; Mean is exact, the sum is an int64
 		rootQueries int64
 		failures    int
 		attr        obs.Attribution // per-phase latency attribution, summed over the trial
@@ -42,7 +40,7 @@ func ResolutionLatency(lookups int) Result {
 	names := w.workloadNames(lookups, 99)
 
 	for _, mode := range allModes {
-		mr := &modeResult{hdr: obs.NewHDR()}
+		mr := &modeResult{}
 		results[mode] = mr
 		r := w.newResolver(mode, 8, 5) // London client
 		t := attrTracer()
@@ -54,12 +52,11 @@ func ResolutionLatency(lookups int) Result {
 				mr.failures++
 				continue
 			}
-			mr.hdr.RecordDuration(res.Latency)
 			if seen[name] {
-				mr.warm.ObserveDuration(res.Latency)
+				mr.warm.RecordDuration(res.Latency)
 			} else {
 				seen[name] = true
-				mr.cold.ObserveDuration(res.Latency)
+				mr.cold.RecordDuration(res.Latency)
 			}
 		}
 		mr.rootQueries = r.Stats().RootQueries
@@ -71,25 +68,23 @@ func ResolutionLatency(lookups int) Result {
 	pre := results[resolver.RootModePreload]
 	loop := results[resolver.RootModeLocalAuth]
 
-	coldSaving := classic.cold.Mean() - look.cold.Mean()
-	warmDelta := classic.warm.Mean() - look.warm.Mean()
-	overallClassic := (classic.cold.Mean()*float64(classic.cold.Count()) +
-		classic.warm.Mean()*float64(classic.warm.Count())) /
-		float64(classic.cold.Count()+classic.warm.Count())
-	overallLocal := (look.cold.Mean()*float64(look.cold.Count()) +
-		look.warm.Mean()*float64(look.warm.Count())) /
-		float64(look.cold.Count()+look.warm.Count())
-	overallSavingPct := 100 * (overallClassic - overallLocal) / overallClassic
+	coldMS := func(m *modeResult) float64 { return m.cold.Mean() / 1e6 }
+	overall := func(m *modeResult) float64 {
+		return float64(m.cold.Sum()+m.warm.Sum()) / float64(m.cold.Count()+m.warm.Count())
+	}
+	coldSaving := coldMS(classic) - coldMS(look)
+	warmDelta := (classic.warm.Mean() - look.warm.Mean()) / 1e6
+	overallSavingPct := 100 * (overall(classic) - overall(look)) / overall(classic)
 
 	rows := []Row{
-		row("classic cold-lookup mean", "pays root RTT", "%.1f ms", classic.cold.Mean())(
-			classic.cold.Mean() > 0),
-		row("lookaside cold-lookup mean", "skips root RTT", "%.1f ms", look.cold.Mean())(
-			look.cold.Mean() < classic.cold.Mean()),
-		row("preload cold-lookup mean", "skips root RTT", "%.1f ms", pre.cold.Mean())(
-			pre.cold.Mean() < classic.cold.Mean()),
-		row("RFC7706 cold-lookup mean", "loopback ≈ free", "%.1f ms", loop.cold.Mean())(
-			loop.cold.Mean() < classic.cold.Mean()+2),
+		row("classic cold-lookup mean", "pays root RTT", "%.1f ms", coldMS(classic))(
+			coldMS(classic) > 0),
+		row("lookaside cold-lookup mean", "skips root RTT", "%.1f ms", coldMS(look))(
+			coldMS(look) < coldMS(classic)),
+		row("preload cold-lookup mean", "skips root RTT", "%.1f ms", coldMS(pre))(
+			coldMS(pre) < coldMS(classic)),
+		row("RFC7706 cold-lookup mean", "loopback ≈ free", "%.1f ms", coldMS(loop))(
+			coldMS(loop) < coldMS(classic)+2),
 		row("warm-lookup delta", "≈ 0 (cache absorbs roots)", "%.2f ms", warmDelta)(
 			warmDelta < 2 && warmDelta > -2),
 		row("cold saving per lookup", "one root transaction", "%.1f ms", coldSaving)(coldSaving > 0),
@@ -116,15 +111,21 @@ func ResolutionLatency(lookups int) Result {
 			attrMS(look.attr.AuthNS))(look.attr.AuthNS > 0),
 	)
 
-	// Tail latency (HDR summary, PR 9): the means above hide where the
-	// root RTT actually lives — the cold-lookup tail. The log-linear HDR
-	// resolves p999 to ~1% relative error, so these are real tail
-	// measurements rather than bucket-edge artifacts.
+	// Tail latency over every resolution, cold and warm merged: the means
+	// above hide where the root RTT actually lives — the cold-lookup
+	// tail. The log-linear HDR resolves p999 to ~1% relative error at any
+	// magnitude.
+	tail := func(m *modeResult) [4]float64 {
+		var all obs.HDR
+		all.Merge(&m.cold)
+		all.Merge(&m.warm)
+		return all.TailSeconds()
+	}
 	fmtTail := func(t [4]float64) string {
 		return fmt.Sprintf("%.1f / %.1f / %.1f ms", 1e3*t[0], 1e3*t[1], 1e3*t[2])
 	}
-	classicTail := classic.hdr.TailSeconds()
-	lookTail := look.hdr.TailSeconds()
+	classicTail := tail(classic)
+	lookTail := tail(look)
 	rows = append(rows,
 		row("classic p50/p99/p999", "the p999 carries the root RTT the mean hides", "%s",
 			fmtTail(classicTail))(classicTail[2] > classicTail[0] && classicTail[2] > 0),

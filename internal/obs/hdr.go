@@ -10,8 +10,8 @@ import (
 // int64 values (by convention nanoseconds). The value axis is split into
 // octaves of hdrSubCount linearly-spaced buckets each, so the relative
 // quantile-estimation error is bounded by 2^-hdrSubBits (~0.8%) at any
-// magnitude — unlike the fixed-bucket Histogram, whose error explodes
-// between its hand-picked bounds. Memory is fixed (~57 KB), Record is a
+// magnitude, where a fixed-bucket histogram's error explodes between its
+// hand-picked bounds. Memory is fixed (~57 KB), Record is a
 // bucket-index computation plus three uncontended atomic adds (no locks,
 // no allocations — cheap enough for the per-resolution hot path), and
 // histograms merge losslessly bucket-by-bucket, so per-worker instances
@@ -25,7 +25,7 @@ type HDR struct {
 const (
 	// hdrSubBits sets the precision: each octave has 2^hdrSubBits
 	// linear buckets, bounding relative error at 2^-hdrSubBits ≈ 0.8%.
-	hdrSubBits = 7
+	hdrSubBits  = 7
 	hdrSubCount = 1 << hdrSubBits
 	// hdrBuckets covers the full non-negative int64 range: a linear
 	// region [0, hdrSubCount) plus (63-hdrSubBits) octaves.

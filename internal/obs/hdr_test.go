@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 )
@@ -110,6 +111,29 @@ func TestHDRMerge(t *testing.T) {
 		t.Errorf("merged sum %d", a.Sum())
 	}
 	a.Merge(nil) // nil-safe
+}
+
+// TestHDRConcurrent: concurrent writers lose no observation, and the sum
+// stays exact, so Mean is the arithmetic mean experiments report.
+func TestHDRConcurrent(t *testing.T) {
+	h := NewHDR()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 1000; j++ {
+				h.RecordDuration(2500 * time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
+	if h.Count() != 8000 {
+		t.Errorf("count = %d", h.Count())
+	}
+	if h.Sum() != 8000*int64(2500*time.Microsecond) || h.Mean() != float64(2500*time.Microsecond) {
+		t.Errorf("sum = %d, mean = %v", h.Sum(), h.Mean())
+	}
 }
 
 func TestHDREmptyAndNil(t *testing.T) {

@@ -16,21 +16,22 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Labels attaches dimension values to a metric series ({mode="lookaside"}).
 type Labels map[string]string
 
-// Kind distinguishes exposition semantics.
+// Kind distinguishes exposition semantics: the family's TYPE line, and
+// whether a flattened Sample is cumulative (KindCounter) or a level.
 type Kind int
 
 // Metric kinds.
 const (
 	KindCounter Kind = iota
 	KindGauge
-	KindHistogram
-	KindSummary // HDR-backed quantile summary (see Registry.HDRTimer)
+	// KindSummary is an HDR-backed quantile summary (Registry.HDRTimer).
+	// Snapshot marks its _count and _sum samples KindCounter.
+	KindSummary
 )
 
 func (k Kind) String() string {
@@ -39,8 +40,6 @@ func (k Kind) String() string {
 		return "counter"
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "histogram"
 	case KindSummary:
 		return "summary"
 	}
@@ -82,65 +81,6 @@ func (g *Gauge) Add(d float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram is a fixed-bucket, lock-free histogram: an atomic count per
-// bucket plus sum and count. Unlike metrics.Histogram it never stores raw
-// samples, so it is safe on hot paths under unbounded traffic.
-type Histogram struct {
-	bounds []float64 // ascending upper bounds; +Inf bucket is implicit
-	counts []atomic.Int64
-	sum    atomic.Uint64 // float64 bits
-	count  atomic.Int64
-}
-
-// DefBuckets is a latency-oriented default (seconds), covering cache hits
-// through multi-second retry storms.
-var DefBuckets = []float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
-
-func newHistogram(bounds []float64) *Histogram {
-	bs := append([]float64(nil), bounds...)
-	sort.Float64s(bs)
-	return &Histogram{bounds: bs, counts: make([]atomic.Int64, len(bs)+1)}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// exposition returns a self-consistent snapshot for the writers: the
-// per-bucket counts, the emitted sample count, and the sum. The emitted
-// count is the sum of the bucket counts — the exposition self-check —
-// rather than h.count read separately: Observe increments the bucket
-// before the count, so under concurrent writers a bucket scan followed
-// by a later h.Count() read could report _count > the +Inf bucket, an
-// exposition Prometheus rejects. Deriving _count from the buckets keeps
-// sum(buckets) == count true in every scrape by construction.
-func (h *Histogram) exposition() (buckets []int64, count int64, sum float64) {
-	buckets = make([]int64, len(h.counts))
-	for i := range h.counts {
-		buckets[i] = h.counts[i].Load()
-		count += buckets[i]
-	}
-	return buckets, count, h.Sum()
-}
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
 // Collector contributes scrape-time samples to a registry. Implementations
 // republish their internal Stats snapshot by calling the registry's
 // Counter/Gauge getters and Set — idempotent because the registry returns
@@ -157,13 +97,12 @@ func (f CollectorFunc) Collect(r *Registry) { f(r) }
 
 // series is one labeled instance of a metric family.
 type series struct {
-	labels    Labels
-	labelSig  string
-	counter   *Counter
-	gauge     *Gauge
-	gaugeFn   func() float64
-	histogram *Histogram
-	hdr       *HDR
+	labels   Labels
+	labelSig string
+	counter  *Counter
+	gauge    *Gauge
+	gaugeFn  func() float64
+	hdr      *HDR
 }
 
 // family groups the series sharing one metric name.
@@ -267,27 +206,13 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 	s.gaugeFn = fn
 }
 
-// Histogram returns (creating on first use) the fixed-bucket histogram
-// series for (name, labels). Bounds are only consulted on first creation.
-func (r *Registry) Histogram(name, help string, labels Labels, bounds []float64) *Histogram {
-	s := r.getSeries(name, help, KindHistogram, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.histogram == nil {
-		if len(bounds) == 0 {
-			bounds = DefBuckets
-		}
-		s.histogram = newHistogram(bounds)
-	}
-	return s.histogram
-}
-
 // HDRTimer returns (creating on first use) a nanosecond-valued HDR
 // histogram series for (name, labels), exposed as a Prometheus summary:
 // name{quantile="0.5|0.99|0.999|0.9999"} in seconds plus name_sum and
-// name_count. The HDR's fixed memory and ≤20 ns atomic Record make it
-// the instrument for hot-path latency series where the fixed-bucket
-// Histogram's resolution is too coarse for tail percentiles.
+// name_count. It is the registry's one distribution instrument: fixed
+// memory, an atomic Record with no locks or allocations, and ~1% relative
+// error at any magnitude, so the same series serves a hot-path latency
+// and a tail percentile.
 func (r *Registry) HDRTimer(name, help string, labels Labels) *HDR {
 	s := r.getSeries(name, help, KindSummary, labels)
 	r.mu.Lock()
@@ -342,12 +267,20 @@ func (s *series) value() float64 {
 }
 
 // Sample is one flattened (name, labels, value) for tests and JSON.
-// Histogram series flatten to two samples: name_count and name_sum.
+// A summary flattens to one sample per TailQuantiles entry (Kind
+// KindSummary, a level with a "quantile" label) plus name_count and
+// name_sum, which are cumulative and so carry KindCounter.
 type Sample struct {
 	Name   string
 	Labels Labels
 	Kind   Kind
 	Value  float64
+}
+
+// summary reads one summary series for the writers: its tail quantiles in
+// seconds, its count and its sum in seconds.
+func (s *series) summary() (tails [4]float64, count int64, sum float64) {
+	return s.hdr.TailSeconds(), s.hdr.Count(), float64(s.hdr.Sum()) / 1e9
 }
 
 // Snapshot runs collectors and returns every series flattened.
@@ -356,30 +289,22 @@ func (r *Registry) Snapshot() []Sample {
 	var out []Sample
 	for _, f := range r.sortedFamilies() {
 		for _, s := range f.series {
-			if f.kind == KindHistogram && s.histogram != nil {
-				_, count, sum := s.histogram.exposition()
-				out = append(out,
-					Sample{Name: f.name + "_count", Labels: s.labels, Kind: f.kind, Value: float64(count)},
-					Sample{Name: f.name + "_sum", Labels: s.labels, Kind: f.kind, Value: sum})
+			if s.hdr == nil {
+				out = append(out, Sample{Name: f.name, Labels: s.labels, Kind: f.kind, Value: s.value()})
 				continue
 			}
-			if f.kind == KindSummary && s.hdr != nil {
-				tails := s.hdr.TailSeconds()
-				for i, q := range TailQuantiles {
-					ql := make(Labels, len(s.labels)+1)
-					for k, v := range s.labels {
-						ql[k] = v
-					}
-					ql["quantile"] = formatValue(q)
-					out = append(out, Sample{Name: f.name, Labels: ql, Kind: f.kind,
-						Value: tails[i]})
+			tails, count, sum := s.summary()
+			for i, q := range TailQuantiles {
+				ql := make(Labels, len(s.labels)+1)
+				for k, v := range s.labels {
+					ql[k] = v
 				}
-				out = append(out,
-					Sample{Name: f.name + "_count", Labels: s.labels, Kind: f.kind, Value: float64(s.hdr.Count())},
-					Sample{Name: f.name + "_sum", Labels: s.labels, Kind: f.kind, Value: float64(s.hdr.Sum()) / 1e9})
-				continue
+				ql["quantile"] = formatValue(q)
+				out = append(out, Sample{Name: f.name, Labels: ql, Kind: KindSummary, Value: tails[i]})
 			}
-			out = append(out, Sample{Name: f.name, Labels: s.labels, Kind: f.kind, Value: s.value()})
+			out = append(out,
+				Sample{Name: f.name + "_count", Labels: s.labels, Kind: KindCounter, Value: float64(count)},
+				Sample{Name: f.name + "_sum", Labels: s.labels, Kind: KindCounter, Value: sum})
 		}
 	}
 	return out
@@ -436,34 +361,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			return err
 		}
 		for _, s := range f.series {
-			if f.kind == KindHistogram && s.histogram != nil {
-				h := s.histogram
-				buckets, count, sum := h.exposition()
-				cum := int64(0)
-				for i, bound := range h.bounds {
-					cum += buckets[i]
-					if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name,
-						formatLabels(s.labels, "le", formatValue(bound)), cum); err != nil {
-						return err
-					}
-				}
-				cum += buckets[len(h.bounds)]
-				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name,
-					formatLabels(s.labels, "le", "+Inf"), cum); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name,
-					formatLabels(s.labels), formatValue(sum)); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name,
-					formatLabels(s.labels), count); err != nil {
-					return err
-				}
-				continue
-			}
-			if f.kind == KindSummary && s.hdr != nil {
-				tails := s.hdr.TailSeconds()
+			if s.hdr != nil {
+				tails, count, sum := s.summary()
 				for i, q := range TailQuantiles {
 					if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name,
 						formatLabels(s.labels, "quantile", formatValue(q)),
@@ -471,12 +370,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 						return err
 					}
 				}
-				if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name,
-					formatLabels(s.labels), formatValue(float64(s.hdr.Sum())/1e9)); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name,
-					formatLabels(s.labels), s.hdr.Count()); err != nil {
+				if _, err := fmt.Fprintf(w, "%s_sum%s %s\n%s_count%s %d\n",
+					f.name, formatLabels(s.labels), formatValue(sum),
+					f.name, formatLabels(s.labels), count); err != nil {
 					return err
 				}
 				continue
@@ -529,11 +425,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 				fmt.Fprintf(&sb, "%q:%q", k, s.labels[k])
 			}
 			sb.WriteString("},")
-			if f.kind == KindHistogram && s.histogram != nil {
-				_, count, sum := s.histogram.exposition()
-				fmt.Fprintf(&sb, "\"count\":%d,\"sum\":%s}", count, formatValue(sum))
-			} else if f.kind == KindSummary && s.hdr != nil {
-				tails := s.hdr.TailSeconds()
+			if s.hdr != nil {
+				tails, count, sum := s.summary()
 				sb.WriteString("\"quantiles\":{")
 				for i, q := range TailQuantiles {
 					if i > 0 {
@@ -541,8 +434,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 					}
 					fmt.Fprintf(&sb, "%q:%s", formatValue(q), formatValue(tails[i]))
 				}
-				fmt.Fprintf(&sb, "},\"count\":%d,\"sum\":%s}",
-					s.hdr.Count(), formatValue(float64(s.hdr.Sum())/1e9))
+				fmt.Fprintf(&sb, "},\"count\":%d,\"sum\":%s}", count, formatValue(sum))
 			} else {
 				fmt.Fprintf(&sb, "\"value\":%s}", formatValue(s.value()))
 			}

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"math"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 )
@@ -51,57 +49,6 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Gauge("x", "", nil)
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat_seconds", "latency", nil, []float64{0.01, 0.1, 1})
-	for _, v := range []float64{0.005, 0.005, 0.05, 0.5, 5} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Errorf("count = %d", h.Count())
-	}
-	if got := h.Sum(); math.Abs(got-5.56) > 1e-9 {
-		t.Errorf("sum = %f", got)
-	}
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		`lat_seconds_bucket{le="0.01"} 2`,
-		`lat_seconds_bucket{le="0.1"} 3`,
-		`lat_seconds_bucket{le="1"} 4`,
-		`lat_seconds_bucket{le="+Inf"} 5`,
-		`lat_seconds_count 5`,
-	} {
-		if !bytes.Contains(buf.Bytes(), []byte(want)) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
-	}
-}
-
-func TestHistogramConcurrent(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 3})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				h.Observe(2.5)
-			}
-		}()
-	}
-	wg.Wait()
-	if h.Count() != 8000 {
-		t.Errorf("count = %d", h.Count())
-	}
-	if h.Sum() != 8000*2.5 {
-		t.Errorf("sum = %f", h.Sum())
-	}
-}
-
 func TestCollectorRunsAtScrape(t *testing.T) {
 	r := NewRegistry()
 	calls := 0
@@ -134,11 +81,11 @@ func TestPrometheusGolden(t *testing.T) {
 	r.Gauge("rootless_cache_rrsets", "cached RRsets", nil).Set(4321)
 	r.GaugeFunc("rootless_zone_age_seconds", "staleness age", Labels{"serial": "2019060700"},
 		func() float64 { return 151.5 })
-	h := r.Histogram("rootless_resolver_resolution_seconds", "resolution latency", nil,
-		[]float64{0.001, 0.01, 0.1, 1})
-	h.Observe(0.0005)
-	h.Observe(0.03)
-	h.ObserveDuration(250 * time.Millisecond)
+	// The resolution latency family as resolverd registers it.
+	h := r.HDRTimer("rootless_resolver_resolution_seconds", "resolution latency", nil)
+	h.RecordDuration(500 * time.Microsecond)
+	h.RecordDuration(30 * time.Millisecond)
+	h.RecordDuration(250 * time.Millisecond)
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -166,7 +113,7 @@ func TestWriteJSONIsValid(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "", Labels{"x": "1"}).Set(7)
 	r.Gauge("b", "", nil).Set(1.5)
-	r.Histogram("c", "", nil, []float64{1}).Observe(0.5)
+	r.HDRTimer("c", "", nil).Record(5e8)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ var phaseNames = [numPhases]string{
 	"other", "cache", "net", "auth", "backoff", "overload_wait", "validate",
 }
 
-// String returns the snake_case phase label used in histogram labels and
+// String returns the snake_case phase label used in summary labels and
 // JSON exports.
 func (p Phase) String() string {
 	if int(p) < len(phaseNames) {

@@ -25,16 +25,3 @@ func BenchmarkSpan(b *testing.B) {
 	b.Run("Disabled", func(b *testing.B) { run(b, false) })
 	b.Run("Enabled", func(b *testing.B) { run(b, true) })
 }
-
-// BenchmarkHistogramObserve is the per-sample cost of the registry
-// histograms the attribution pipeline feeds on every finished trace.
-func BenchmarkHistogramObserve(b *testing.B) {
-	reg := NewRegistry()
-	h := reg.Histogram("bench_seconds", "bench", nil, []float64{
-		0.001, 0.005, 0.025, 0.1, 0.5, 2.5})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Observe(0.042)
-	}
-}

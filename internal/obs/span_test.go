@@ -269,25 +269,39 @@ func TestSpanJSONRoundTrip(t *testing.T) {
 }
 
 // TestAttributionHistograms checks InstrumentAttribution: finished
-// traces surface as rootless_trace_phase_seconds histograms, one per
-// phase, and every phase series stays bucket-consistent.
+// traces surface as rootless_trace_phase_seconds summaries, one per
+// phase, whose _count is the trace count and whose _sum is the phase's
+// attributed time, with the tail quantiles beside them.
 func TestAttributionHistograms(t *testing.T) {
 	tc := enabledTracer(4)
 	reg := NewRegistry()
 	tc.InstrumentAttribution(reg)
+	spanFixture(tc)
 	spanFixture(tc)
 	var buf strings.Builder
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	body := buf.String()
+	if !strings.Contains(body, "# TYPE rootless_trace_phase_seconds summary\n") {
+		t.Errorf("phase family is not a summary:\n%s", body)
+	}
+	totals := tc.AttributionTotals()
 	for _, p := range Phases() {
-		want := fmt.Sprintf(`rootless_trace_phase_seconds_count{phase=%q} 1`, p.String())
-		if !strings.Contains(body, want) {
-			t.Errorf("missing %s\n%s", want, body)
+		for _, want := range []string{
+			fmt.Sprintf(`rootless_trace_phase_seconds_count{phase=%q} 2`, p.String()),
+			fmt.Sprintf(`rootless_trace_phase_seconds_sum{phase=%q} %s`, p.String(),
+				formatValue(float64(totals.ByPhase(p))/1e9)),
+		} {
+			if !strings.Contains(body, want+"\n") {
+				t.Errorf("missing %s\n%s", want, body)
+			}
 		}
 	}
-	if !strings.Contains(body, `rootless_trace_phase_seconds_bucket{phase="net",le="+Inf"} 1`) {
-		t.Errorf("net histogram lacks +Inf bucket:\n%s", body)
+	if !strings.Contains(body, `rootless_trace_phase_seconds_sum{phase="net"} 0.02`+"\n") {
+		t.Errorf("net phase _sum is not the two traces' 2 x 10ms:\n%s", body)
+	}
+	if !strings.Contains(body, `rootless_trace_phase_seconds{phase="net",quantile="0.999"} 0.009`) {
+		t.Errorf("net phase p999 is not ~10ms:\n%s", body)
 	}
 }

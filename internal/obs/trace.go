@@ -24,7 +24,7 @@ type Tracer struct {
 	// breakdowns are complete.
 	attrNanos  [numPhases]atomic.Int64
 	attrTraces atomic.Int64
-	attrHist   atomic.Pointer[[numPhases]*Histogram]
+	attrHist   atomic.Pointer[[numPhases]*HDR]
 
 	mu   sync.Mutex
 	ring []*Trace // oldest first
@@ -69,17 +69,17 @@ func (t *Tracer) Begin(qname, qtype string) *Trace {
 }
 
 // InstrumentAttribution registers per-phase latency-attribution
-// histograms (rootless_trace_phase_seconds{phase=...}) and routes every
+// summaries (rootless_trace_phase_seconds{phase=...}) and routes every
 // finished trace's breakdown into them. Nil-safe.
 func (t *Tracer) InstrumentAttribution(r *Registry) {
 	if t == nil || r == nil {
 		return
 	}
-	var hs [numPhases]*Histogram
+	var hs [numPhases]*HDR
 	for _, p := range Phases() {
-		hs[p] = r.Histogram("rootless_trace_phase_seconds",
+		hs[p] = r.HDRTimer("rootless_trace_phase_seconds",
 			"per-trace latency attribution by phase",
-			Labels{"phase": p.String()}, nil)
+			Labels{"phase": p.String()})
 	}
 	t.attrHist.Store(&hs)
 }
@@ -108,7 +108,7 @@ func (t *Tracer) AttributedTraces() int64 {
 }
 
 // recordAttribution folds one trace's breakdown into the totals and, if
-// instrumented, the per-phase histograms.
+// instrumented, the per-phase summaries.
 func (t *Tracer) recordAttribution(a Attribution) {
 	t.attrTraces.Add(1)
 	hs := t.attrHist.Load()
@@ -118,7 +118,7 @@ func (t *Tracer) recordAttribution(a Attribution) {
 			t.attrNanos[p].Add(ns)
 		}
 		if hs != nil {
-			hs[p].Observe(float64(ns) / 1e9)
+			hs[p].Record(ns)
 		}
 	}
 }
@@ -234,7 +234,7 @@ type Trace struct {
 	TraceID uint64 `json:"-"`
 	// ParentSpanID is the remote parent span this trace joined under
 	// (BeginRemote); zero for locally-originated traces.
-	ParentSpanID uint64 `json:"-"`
+	ParentSpanID uint64    `json:"-"`
 	Qname        string    `json:"qname"`
 	Qtype        string    `json:"qtype"`
 	Start        time.Time `json:"start"`
@@ -341,20 +341,20 @@ func (tr *Trace) Finish(rcode string, latency time.Duration, queries int, err er
 // traceJSON is the locked export form of a Trace; MarshalJSON uses it so
 // concurrent span/event writers never race a /tracez scrape.
 type traceJSON struct {
-	TraceID      string       `json:"trace_id"`
-	ParentSpanID string       `json:"parent_span_id,omitempty"`
-	Qname       string        `json:"qname"`
-	Qtype       string        `json:"qtype"`
-	Start       time.Time     `json:"start"`
-	Rcode       string        `json:"rcode"`
-	Err         string        `json:"err,omitempty"`
-	Latency     time.Duration `json:"latency"`
-	Wall        time.Duration `json:"wall"`
-	Queries     int           `json:"queries"`
-	Class       string        `json:"class,omitempty"`
-	Attribution Attribution   `json:"attribution"`
-	Events      []Event       `json:"events"`
-	Spans       []*SpanJSON   `json:"spans"`
+	TraceID      string        `json:"trace_id"`
+	ParentSpanID string        `json:"parent_span_id,omitempty"`
+	Qname        string        `json:"qname"`
+	Qtype        string        `json:"qtype"`
+	Start        time.Time     `json:"start"`
+	Rcode        string        `json:"rcode"`
+	Err          string        `json:"err,omitempty"`
+	Latency      time.Duration `json:"latency"`
+	Wall         time.Duration `json:"wall"`
+	Queries      int           `json:"queries"`
+	Class        string        `json:"class,omitempty"`
+	Attribution  Attribution   `json:"attribution"`
+	Events       []Event       `json:"events"`
+	Spans        []*SpanJSON   `json:"spans"`
 }
 
 // MarshalJSON snapshots the trace under its lock. Without this, a scrape

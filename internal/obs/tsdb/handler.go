@@ -30,8 +30,8 @@ type seriesJSON struct {
 //	?format=json|csv   output format (default json)
 //	?level=N           resolution level, 0 = finest (default 0)
 //	?metric=PREFIX     keep only metrics whose name has this prefix
-//	?rate=1            per-second rates for cumulative kinds (counters,
-//	                   histogram _count/_sum); resets clamp to zero
+//	?rate=1            per-second rates for counters (summary _count and
+//	                   _sum included); resets clamp to zero
 //
 // Bad parameters get a 400, matching the admin endpoint contract.
 func (rec *Recorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -58,7 +58,7 @@ func (rec *Recorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	series := rec.Series(level, q.Get("metric"))
 	if rate {
 		for i := range series {
-			if series[i].Kind == obs.KindCounter || series[i].Kind == obs.KindHistogram {
+			if series[i].Kind == obs.KindCounter {
 				series[i].Points = Rate(series[i].Points)
 			}
 		}

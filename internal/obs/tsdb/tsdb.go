@@ -229,7 +229,7 @@ func hasPrefix(s, prefix string) bool {
 // Levels returns the configured level count.
 func (rec *Recorder) Levels() int { return rec.opt.Levels }
 
-// Rate converts cumulative points (counters, histogram _count/_sum) to
+// Rate converts cumulative points (counters, summary _count/_sum) to
 // per-second rates between adjacent points. A negative delta — a counter
 // reset after a daemon restart — clamps to zero instead of rendering as
 // a negative rate. Returns len(pts)-1 points stamped at the later end of

@@ -3,6 +3,7 @@ package tsdb
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -240,4 +241,55 @@ func TestRunTicks(t *testing.T) {
 	}
 	cancel()
 	<-done
+}
+
+// TestSummaryRates: a summary's _count and _sum are counters, so rate=1
+// turns them into per-second rates; its quantiles are levels and stay.
+func TestSummaryRates(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := reg.HDRTimer("rootless_resolver_resolution_seconds", "t", nil)
+	rec := NewRecorder(reg, Options{Interval: time.Second, PointsPerLevel: 8})
+	now := t0
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 10; j++ {
+			h.RecordDuration(100 * time.Millisecond)
+		}
+		tick(rec, &now, 1)
+	}
+	w := httptest.NewRecorder()
+	rec.ServeHTTP(w, httptest.NewRequest("GET", "/timeseries?rate=1&metric=rootless_resolver_resolution_seconds", nil))
+	var doc timeseriesDoc
+	if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{ // per second, one tick a second
+		"rootless_resolver_resolution_seconds_count": 10,
+		"rootless_resolver_resolution_seconds_sum":   1,
+	}
+	for _, se := range doc.Series {
+		if se.Labels["quantile"] != "" {
+			if len(se.Points) != 4 || math.Abs(se.Points[3][1]-0.1) > 0.001 {
+				t.Errorf("%s%v: want the 4 levels ~0.1 s, got %v", se.Name, se.Labels, se.Points)
+			}
+			continue
+		}
+		r, ok := want[se.Name]
+		if !ok {
+			t.Errorf("unexpected series %s", se.Name)
+			continue
+		}
+		delete(want, se.Name)
+		if se.Kind != "counter" || len(se.Points) != 3 {
+			t.Errorf("%s: kind %s, %d points; want 3 counter rates", se.Name, se.Kind, len(se.Points))
+			continue
+		}
+		for _, p := range se.Points {
+			if math.Abs(p[1]-r) > 1e-9 {
+				t.Errorf("%s: rate %v, want %v", se.Name, p[1], r)
+			}
+		}
+	}
+	if len(want) != 0 {
+		t.Errorf("missing series: %v", want)
+	}
 }

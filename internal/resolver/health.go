@@ -113,6 +113,7 @@ func (r *Resolver) noteFailure(addr netip.Addr, now time.Time) (backoff, hold ti
 	defer r.mu.Unlock()
 	h := r.health[addr]
 	if h == nil {
+		makeRoom(r.health)
 		h = &serverHealth{}
 		r.health[addr] = h
 	}

@@ -2,6 +2,7 @@ package resolver
 
 import (
 	"errors"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -269,3 +270,25 @@ func TestHealthMetricsExposed(t *testing.T) {
 // Guard the netsim import: the fault injector must satisfy the network's
 // policy interface from outside the netsim package.
 var _ netsim.FaultPolicy = (*faults.Injector)(nil)
+
+// Delegations can point at endless unresponsive addresses, and only a
+// success deletes a health entry: the table must stay within the same
+// bound as the SRTT table, and a full table must still admit.
+func TestHealthTableBounded(t *testing.T) {
+	r := newTopo(t).resolver(t, RootModeHints)
+	now := r.cfg.Clock()
+	var last netip.Addr
+	for i := 0; i < maxSRTTEntries+1000; i++ {
+		last = netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
+		r.noteFailure(last, now)
+	}
+	r.mu.Lock()
+	n, newest := len(r.health), r.health[last]
+	r.mu.Unlock()
+	if n > maxSRTTEntries {
+		t.Errorf("health table holds %d entries, want at most %d", n, maxSRTTEntries)
+	}
+	if newest == nil || newest.fails != 1 {
+		t.Errorf("newest failing server's entry = %+v, want one failure", newest)
+	}
+}

@@ -205,19 +205,19 @@ type Stats struct {
 	// Staged staleness outcomes for the local zone copy (PR 8).
 	LocalStaleConsults   int64 // consults answered from a stale-serve copy (TTLs capped)
 	LocalExpiredRefusals int64 // consults refused because the copy expired (fail closed)
-	TLDQueries        int64 // sent to TLD servers
-	OtherQueries      int64
-	Timeouts          int64
-	LameResponses     int64 // SERVFAIL/REFUSED answers from upstreams
-	GlueChases        int64 // sub-resolutions for nameserver addresses
-	StaleAnswers      int64 // resolutions served from expired cache entries
-	ServerSelections  int64 // SRTT-based choices among multiple servers
-	SRTTUpdates       int64
-	CNAMEChases       int64
-	HoldDowns         int64 // circuit-breaker trips (server held down)
-	HeldDownSkips     int64 // candidate servers skipped while held down
-	Probes            int64 // re-admission attempts after a hold-down
-	RetryBudgetStops  int64 // resolutions aborted by the retry budget
+	TLDQueries           int64 // sent to TLD servers
+	OtherQueries         int64
+	Timeouts             int64
+	LameResponses        int64 // SERVFAIL/REFUSED answers from upstreams
+	GlueChases           int64 // sub-resolutions for nameserver addresses
+	StaleAnswers         int64 // resolutions served from expired cache entries
+	ServerSelections     int64 // SRTT-based choices among multiple servers
+	SRTTUpdates          int64
+	CNAMEChases          int64
+	HoldDowns            int64 // circuit-breaker trips (server held down)
+	HeldDownSkips        int64 // candidate servers skipped while held down
+	Probes               int64 // re-admission attempts after a hold-down
+	RetryBudgetStops     int64 // resolutions aborted by the retry budget
 	// Overload-protection outcomes (PR 3).
 	CoalescedResolutions int64 // resolutions that shared another's in-flight result
 	ShedResolutions      int64 // resolutions refused an admission slot
@@ -510,7 +510,7 @@ func (r *Resolver) TailLatencySeconds() ([4]float64, bool) {
 // and an HDR summary observes per-resolution latency on the hot path
 // (≲1% relative error at every quantile, so the exposed p999/p9999 are
 // real tail measurements rather than bucket-edge artifacts). If a
-// tracer is installed, its per-phase attribution histograms are
+// tracer is installed, its per-phase attribution summaries are
 // registered too (SetTracer first).
 func (r *Resolver) Instrument(reg *obs.Registry) {
 	r.latency = reg.HDRTimer("rootless_resolver_resolution_seconds",
@@ -1352,13 +1352,26 @@ func (r *Resolver) orderBySRTT(addrs []netip.Addr) {
 	}
 }
 
-// maxSRTTEntries bounds the per-server timing table. A cold stream of
-// never-repeated names meets a new set of nameservers with every
+// maxSRTTEntries bounds the per-server timing and health tables. A cold
+// stream of never-repeated names meets a new set of nameservers with every
 // delegation, and an unbounded table grew by tens of megabytes a minute
 // (resolver_cold: 41 MB after 800 K lookups). A server evicted here is
-// simply unknown again and gets the optimistic default; Unbound bounds
-// its infra cache the same way (10 000 hosts by default).
+// simply unknown again: it gets the optimistic SRTT default, or is tried
+// as healthy. Unbound bounds its infra cache the same way (10 000 hosts
+// by default).
 const maxSRTTEntries = 1 << 16
+
+// makeRoom deletes an arbitrary entry from a per-server table that is at
+// maxSRTTEntries, so that the caller's insert keeps it within the bound.
+func makeRoom[V any](m map[netip.Addr]V) {
+	if len(m) < maxSRTTEntries {
+		return
+	}
+	for victim := range m {
+		delete(m, victim)
+		return
+	}
+}
 
 // updateSRTT folds a measurement into the per-server estimate (EWMA with
 // BIND-style decay; timeouts penalize multiplicatively).
@@ -1367,11 +1380,8 @@ func (r *Resolver) updateSRTT(addr netip.Addr, rtt time.Duration, timedOut bool)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old, ok := r.srtt[addr]
-	if !ok && len(r.srtt) >= maxSRTTEntries {
-		for victim := range r.srtt { // arbitrary eviction
-			delete(r.srtt, victim)
-			break
-		}
+	if !ok {
+		makeRoom(r.srtt)
 	}
 	switch {
 	case timedOut && ok:

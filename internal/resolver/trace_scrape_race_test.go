@@ -64,7 +64,7 @@ func TestTraceScrapeRace(t *testing.T) {
 		if path == "/metrics" && !strings.Contains(rec.Body.String(), "rootless_trace_phase_seconds") {
 			close(stop)
 			wg.Wait()
-			t.Fatalf("scrape %d: /metrics missing attribution histograms", i)
+			t.Fatalf("scrape %d: /metrics missing attribution summaries", i)
 		}
 	}
 	close(stop)
