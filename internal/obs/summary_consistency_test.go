@@ -115,11 +115,11 @@ func TestSummaryExpositionTornState(t *testing.T) {
 	}
 }
 
-// TestSummaryScrapeWhileRecording hammers the exposition while writers
-// Record: every Prometheus and JSON scrape parses, reports non-decreasing
-// quantiles (p50 <= p99 <= p999 <= p9999), and shows a _count that never
-// falls from one scrape to the next.
-func TestSummaryScrapeWhileRecording(t *testing.T) {
+// TestHistogramScrapeWhileObserving hammers an HDR histogram's summary
+// exposition while writers Record: every Prometheus and JSON scrape
+// parses, reports non-decreasing quantiles (p50 <= p99 <= p999 <= p9999),
+// and shows a _count that never falls from one scrape to the next.
+func TestHistogramScrapeWhileObserving(t *testing.T) {
 	const name = "rootless_live_seconds"
 	reg := NewRegistry()
 	h := reg.HDRTimer(name, "live", nil)
@@ -169,5 +169,53 @@ func TestSummaryScrapeWhileRecording(t *testing.T) {
 	}
 	if got := parsePromSummary(t, buf.String(), name); got.count != h.Count() || got.count < last {
 		t.Errorf("settled: _count %d, raw %d, last scrape %d", got.count, h.Count(), last)
+	}
+}
+
+// TestHistogramBucketsAreCumulative: the summary's quantiles come from a
+// cumulative walk over the HDR buckets, so with a fixed set of
+// observations each bucket's running total must be non-decreasing and end
+// at _count, the exposed quantiles must ascend, and the top quantile must
+// reach the largest observation (the +Inf end of the walk).
+func TestHistogramBucketsAreCumulative(t *testing.T) {
+	const name = "rootless_cum_seconds"
+	reg := NewRegistry()
+	h := reg.HDRTimer(name, "cum", nil)
+	vals := []float64{0.005, 0.005, 0.05, 0.5, 5}
+	for _, v := range vals {
+		h.Record(int64(v * 1e9))
+	}
+	var cum, prev int64
+	occupied := 0
+	for i := range h.counts {
+		c := h.counts[i].Load()
+		if c != 0 {
+			occupied++
+		}
+		cum += c
+		if cum < prev {
+			t.Fatalf("bucket %d: running total %d after %d", i, cum, prev)
+		}
+		prev = cum
+	}
+	if cum != int64(len(vals)) || occupied != 4 {
+		t.Errorf("buckets total %d over %d occupied, want %d over 4", cum, occupied, len(vals))
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got := parsePromSummary(t, buf.String(), name)
+	if got.count != int64(len(vals)) {
+		t.Errorf("_count %d, want %d", got.count, len(vals))
+	}
+	if !got.ascending() {
+		t.Errorf("quantiles regressed: %v", got.quantiles)
+	}
+	if p50 := got.quantiles[0]; p50 < 0.049 || p50 > 0.051 {
+		t.Errorf("p50 %v s, want ~0.05 (the 3rd of 5 observations)", p50)
+	}
+	if top := got.quantiles[len(got.quantiles)-1]; top < 4.95 || top > 5.05 {
+		t.Errorf("p9999 %v s, want ~5 (the largest observation)", top)
 	}
 }
