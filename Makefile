@@ -4,7 +4,7 @@
 # backed by the concurrent-resolve and coalescing hammer tests in
 # internal/resolver and the overload-primitive races in internal/overload.
 
-.PHONY: verify verify-race bench-full bench-smoke bench-check fuzz-short loadgen-smoke loc
+.PHONY: verify verify-race bench-full bench-smoke bench-check fuzz-short socket-smoke loc
 
 verify:
 	go build ./... && go vet ./... && go test ./...
@@ -14,14 +14,13 @@ verify-race:
 
 # The two line counts ROADMAP tracks, so every change reports them the
 # same way: non-test Go outside bench/, and non-test Go in the
-# observability stack (internal/obs with obs/traffic and obs/tsdb, plus
-# internal/metrics where it still exists).
+# observability stack (internal/obs with obs/traffic and obs/tsdb).
 loc:
 	@printf 'non-test Go outside bench/:        '; \
 		find . -path ./bench -prune -o -path './.*' -prune -o \
 		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
-	@printf 'non-test Go in obs (+ metrics):    '; \
-		find internal/obs $(wildcard internal/metrics) -name '*.go' ! -name '*_test.go' \
+	@printf 'non-test Go in obs:                '; \
+		find internal/obs -name '*.go' ! -name '*_test.go' \
 		-print | xargs cat | wc -l
 
 # CI smoke: every benchmark in the tree, one iteration each. The
@@ -39,12 +38,16 @@ bench-smoke:
 bench-check:
 	go vet -C bench ./... && go test -C bench ./...
 
-# Real-socket serving smoke: 2k loadgen queries against an in-process
-# authd on loopback must come back at >= 99% and its figures must
-# round-trip through JSON. Also runs as part of `make verify` (it is an
-# ordinary test in internal/loadgen); this target isolates it for CI.
-loadgen-smoke:
-	go test -run='^TestSmokeAgainstAuthd$$' -count=1 ./internal/loadgen
+# Real-socket smoke: the tests that serve over loopback sockets, uncached
+# (-count=1) so a kernel or socket-option change shows here. authd through
+# the socket engine and its buffer-retention hammer, resolverd's recursive
+# server, and the engine's worker x batch parity matrix. They also run in
+# `make verify`; this target isolates them for CI. Serving capacity over
+# real sockets is measured by rootbench (bash bench/run.sh).
+socket-smoke:
+	go test -count=1 -run='^(TestServeUDPRealSocket|TestEngineHandlerRetentionRace)$$' ./internal/authserver
+	go test -count=1 -run='^TestRecursiveServerOverRealSockets$$' ./internal/resolver
+	go test -count=1 -run='^TestParityAcrossConfigs$$' ./internal/udpengine
 
 # The unfiltered sweep: every benchmark in the tree, time-based.
 bench-full:

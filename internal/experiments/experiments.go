@@ -176,6 +176,5 @@ func All() []Result {
 		TTLSweep(),
 		AdditionsChannel(),
 		Infrastructure(),
-		Serve(12000),
 	}
 }

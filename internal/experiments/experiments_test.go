@@ -119,14 +119,6 @@ func TestInfrastructure(t *testing.T) {
 	checkResult(t, Infrastructure())
 }
 
-func TestServe(t *testing.T) {
-	r := Serve(4000)
-	checkResult(t, r)
-	if !strings.Contains(r.Notes, "host-bound") && !strings.Contains(r.Notes, "failed") {
-		t.Errorf("t_serve notes missing host caveat: %q", r.Notes)
-	}
-}
-
 func TestResultHelpers(t *testing.T) {
 	r := Result{ID: "x", Title: "t", Rows: []Row{
 		{Metric: "a", Paper: "1", Measured: "1", Match: true},

@@ -97,12 +97,11 @@ func (f CollectorFunc) Collect(r *Registry) { f(r) }
 
 // series is one labeled instance of a metric family.
 type series struct {
-	labels   Labels
-	labelSig string
-	counter  *Counter
-	gauge    *Gauge
-	gaugeFn  func() float64
-	hdr      *HDR
+	labels  Labels
+	counter *Counter
+	gauge   *Gauge
+	gaugeFn func() float64
+	hdr     *HDR
 }
 
 // family groups the series sharing one metric name.
@@ -110,8 +109,8 @@ type family struct {
 	name   string
 	help   string
 	kind   Kind
-	series []*series
-	bySig  map[string]*series
+	series []series
+	bySig  map[string]int // labelSig -> index in series
 }
 
 // Registry holds metric families and scrape-time collectors. All methods
@@ -148,12 +147,16 @@ func labelSig(l Labels) string {
 	return sb.String()
 }
 
-func (r *Registry) getSeries(name, help string, kind Kind, labels Labels) *series {
+// getSeries returns the series for (name, labels), creating it on first
+// use. A new series is published with its instrument in the same critical
+// section, so a scrape never sees one without it. A non-nil fn (GaugeFunc)
+// becomes the series' scrape-time value.
+func (r *Registry) getSeries(name, help string, kind Kind, labels Labels, fn func() float64) series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
-		f = &family{name: name, help: help, kind: kind, bySig: make(map[string]*series)}
+		f = &family{name: name, help: help, kind: kind, bySig: make(map[string]int)}
 		r.families[name] = f
 		r.order = append(r.order, name)
 	}
@@ -161,49 +164,46 @@ func (r *Registry) getSeries(name, help string, kind Kind, labels Labels) *serie
 		panic(fmt.Sprintf("obs: metric %q registered as %v, requested as %v", name, f.kind, kind))
 	}
 	sig := labelSig(labels)
-	s, ok := f.bySig[sig]
+	i, ok := f.bySig[sig]
 	if !ok {
 		copied := make(Labels, len(labels))
 		for k, v := range labels {
 			copied[k] = v
 		}
-		s = &series{labels: copied, labelSig: sig}
-		f.bySig[sig] = s
+		s := series{labels: copied}
+		switch kind {
+		case KindCounter:
+			s.counter = &Counter{}
+		case KindGauge:
+			s.gauge = &Gauge{}
+		case KindSummary:
+			s.hdr = NewHDR()
+		}
+		i = len(f.series)
+		f.bySig[sig] = i
 		f.series = append(f.series, s)
 	}
-	return s
+	if fn != nil {
+		f.series[i].gaugeFn = fn
+	}
+	return f.series[i]
 }
 
 // Counter returns (creating on first use) the counter series for
 // (name, labels).
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	s := r.getSeries(name, help, KindCounter, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	return r.getSeries(name, help, KindCounter, labels, nil).counter
 }
 
 // Gauge returns (creating on first use) the gauge series for (name, labels).
 func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	s := r.getSeries(name, help, KindGauge, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.getSeries(name, help, KindGauge, labels, nil).gauge
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape time
 // (e.g. runtime.NumGoroutine).
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	s := r.getSeries(name, help, KindGauge, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s.gaugeFn = fn
+	r.getSeries(name, help, KindGauge, labels, fn)
 }
 
 // HDRTimer returns (creating on first use) a nanosecond-valued HDR
@@ -214,13 +214,7 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 // error at any magnitude, so the same series serves a hot-path latency
 // and a tail percentile.
 func (r *Registry) HDRTimer(name, help string, labels Labels) *HDR {
-	s := r.getSeries(name, help, KindSummary, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.hdr == nil {
-		s.hdr = NewHDR()
-	}
-	return s.hdr
+	return r.getSeries(name, help, KindSummary, labels, nil).hdr
 }
 
 // AddCollector registers scrape-time collectors.
@@ -241,20 +235,25 @@ func (r *Registry) runCollectors() {
 	}
 }
 
-// sortedFamilies snapshots families in name order (deterministic output).
-func (r *Registry) sortedFamilies() []*family {
+// sortedFamilies copies the families in name order (deterministic
+// output), each with a copy of its series taken under r.mu: a scrape walks
+// only these copies, so registration and GaugeFunc while it runs write
+// nothing it reads.
+func (r *Registry) sortedFamilies() []family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	names := append([]string(nil), r.order...)
 	sort.Strings(names)
-	out := make([]*family, 0, len(names))
+	out := make([]family, 0, len(names))
 	for _, n := range names {
-		out = append(out, r.families[n])
+		f := *r.families[n]
+		f.series = append([]series(nil), f.series...)
+		out = append(out, f)
 	}
 	return out
 }
 
-func (s *series) value() float64 {
+func (s series) value() float64 {
 	switch {
 	case s.counter != nil:
 		return float64(s.counter.Value())
@@ -279,7 +278,7 @@ type Sample struct {
 
 // summary reads one summary series for the writers: its tail quantiles in
 // seconds, its count and its sum in seconds.
-func (s *series) summary() (tails [4]float64, count int64, sum float64) {
+func (s series) summary() (tails [4]float64, count int64, sum float64) {
 	return s.hdr.TailSeconds(), s.hdr.Count(), float64(s.hdr.Sum()) / 1e9
 }
 

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -126,6 +127,60 @@ func TestWriteJSONIsValid(t *testing.T) {
 		if _, ok := doc[name]; !ok {
 			t.Errorf("JSON missing %q", name)
 		}
+	}
+}
+
+// TestRegisterWhileScraping registers labelled series on one family from
+// a goroutine while all three writers scrape, as a collector that meets a
+// new label during a scrape does. Under -race it fails if a writer reads a
+// family's series list, or a series' instrument, that registration writes.
+// The goroutine also scrapes now and then, so a collector's GaugeFunc runs
+// beside another scrape's read of it.
+func TestRegisterWhileScraping(t *testing.T) {
+	const n = 2000
+	r := NewRegistry()
+	r.Counter("reg_total", "labelled counters", Labels{"i": "seed"}).Inc()
+	r.AddCollector(CollectorFunc(func(r *Registry) {
+		r.GaugeFunc("reg_fn", "read at scrape time", nil, func() float64 { return 1 })
+	}))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range n {
+			r.Counter("reg_total", "labelled counters", Labels{"i": strconv.Itoa(i)}).Inc()
+			if i%100 == 0 {
+				r.HDRTimer("reg_seconds", "labelled timers", Labels{"i": strconv.Itoa(i)}).Record(1e6)
+				r.Snapshot()
+			}
+		}
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		buf.Reset()
+		if err := r.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid(buf.Bytes()) {
+			t.Fatalf("invalid JSON mid-registration:\n%s", buf.String())
+		}
+		r.Snapshot()
+	}
+	var count int
+	for _, s := range r.Snapshot() {
+		if s.Name == "reg_total" {
+			count++
+		}
+	}
+	if count != n+1 {
+		t.Errorf("%d reg_total series after registration, want %d", count, n+1)
 	}
 }
 

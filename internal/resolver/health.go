@@ -15,9 +15,11 @@ const (
 	defaultHoldDownAfter = 3
 	defaultHoldDown      = 30 * time.Second
 	maxHoldDownFactor    = 16
-	defaultBackoffBase   = 500 * time.Millisecond
-	defaultBackoffCap    = 30 * time.Second
-	defaultRetryBudget   = 16
+	// backoffBase and backoffCap bound the per-server decorrelated-jitter
+	// backoff applied after each failure.
+	backoffBase        = 500 * time.Millisecond
+	backoffCap         = 30 * time.Second
+	defaultRetryBudget = 16
 )
 
 // serverHealth is the per-server failure state, guarded by Resolver.mu.
@@ -98,13 +100,6 @@ func (r *Resolver) noteFailure(addr netip.Addr, now time.Time) (backoff, hold ti
 	if !r.healthEnabled() {
 		return 0, 0
 	}
-	base, ceil := r.cfg.BackoffBase, r.cfg.BackoffCap
-	if base <= 0 {
-		base = defaultBackoffBase
-	}
-	if ceil <= 0 {
-		ceil = defaultBackoffCap
-	}
 	holdBase := r.cfg.HoldDown
 	if holdBase <= 0 {
 		holdBase = defaultHoldDown
@@ -119,15 +114,15 @@ func (r *Resolver) noteFailure(addr netip.Addr, now time.Time) (backoff, hold ti
 	}
 	h.fails++
 	prev := h.backoffDelay
-	if prev < base {
-		prev = base
+	if prev < backoffBase {
+		prev = backoffBase
 	}
-	d := base
-	if span := 3*prev - base; span > 0 {
-		d = base + time.Duration(r.rng.Int63n(int64(span)+1))
+	d := backoffBase
+	if span := 3*prev - backoffBase; span > 0 {
+		d = backoffBase + time.Duration(r.rng.Int63n(int64(span)+1))
 	}
-	if d > ceil {
-		d = ceil
+	if d > backoffCap {
+		d = backoffCap
 	}
 	h.backoffDelay = d
 	h.backoffUntil = now.Add(d)

@@ -160,6 +160,11 @@ func (lk *localLookup) referral() bool {
 		len(lk.ans.Answer) == 0 && !lk.ans.Authoritative && len(lk.ans.Authority) > 0
 }
 
+// staleTTLCap caps TTLs on answers consulted from a stale-serve copy, so
+// downstream caches re-ask soon after the copy heals (the RFC 8767
+// recommendation).
+const staleTTLCap = 30 * time.Second
+
 // lookupLocalRoot performs the lookaside step: read the referral (or
 // terminal answer) straight from the local root zone. With staleness
 // staging enabled, the copy's freshness stage gates the consult: a
@@ -185,10 +190,7 @@ func (r *Resolver) lookupLocalRoot(qname dnswire.Name, qtype dnswire.Type) local
 	}
 	lk.ans = lr.zone.Query(qname, qtype)
 	if lk.stale {
-		ttlCap := uint32(r.cfg.ZoneStaleTTLCap / time.Second)
-		if ttlCap == 0 {
-			ttlCap = 1
-		}
+		const ttlCap = uint32(staleTTLCap / time.Second)
 		lk.ans.Answer = capTTLs(lk.ans.Answer, ttlCap)
 		lk.ans.Authority = capTTLs(lk.ans.Authority, ttlCap)
 		lk.ans.Additional = capTTLs(lk.ans.Additional, ttlCap)

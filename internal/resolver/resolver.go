@@ -118,10 +118,6 @@ type Config struct {
 	// (default 30 s), doubling on each failed re-admission probe.
 	HoldDownAfter int
 	HoldDown      time.Duration
-	// BackoffBase and BackoffCap bound the per-server decorrelated-jitter
-	// backoff applied after each failure (defaults 500 ms / 30 s).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// Coalesce merges concurrent identical (qname, qtype) resolutions:
 	// one leader does the upstream work, everyone else shares its result
 	// — the singleflight defence against thundering herds of cache
@@ -165,7 +161,7 @@ type Config struct {
 	// ZoneExpiry enables staged staleness degradation for the local root
 	// zone copy: its age is placed on the distribution freshness state
 	// machine (fresh → aging → stale-serve → expired). While stale-serve,
-	// local consults still answer but with TTLs capped at ZoneStaleTTLCap;
+	// local consults still answer but with TTLs capped at 30 s (staleTTLCap);
 	// once expired, consults fail closed (SERVFAIL) — an expired copy must
 	// not steer resolution. Zero (the default) disables staging and the
 	// copy never expires, the pre-refresher behavior.
@@ -176,10 +172,6 @@ type Config struct {
 	// ZoneStaleFor is the stale-serve window past ZoneExpiry before the
 	// copy is fully expired (default 0: expiry is final).
 	ZoneStaleFor time.Duration
-	// ZoneStaleTTLCap caps TTLs on answers consulted from a stale-serve
-	// copy, so downstream caches re-ask soon after the copy heals
-	// (default 30 s, the RFC 8767 recommendation).
-	ZoneStaleTTLCap time.Duration
 	// TracePropagate stamps an EDNS0 trace option (trace ID, parent span,
 	// sampled flag) on upstream queries and grafts the span payload a
 	// cooperating authoritative server returns, stitching a cross-process
@@ -356,13 +348,8 @@ func New(cfg Config) *Resolver {
 	if cfg.CacheShards == 0 {
 		cfg.CacheShards = cache.DefaultShards
 	}
-	if cfg.ZoneExpiry > 0 {
-		if cfg.ZoneRefresh == 0 {
-			cfg.ZoneRefresh = cfg.ZoneExpiry * 7 / 8
-		}
-		if cfg.ZoneStaleTTLCap == 0 {
-			cfg.ZoneStaleTTLCap = 30 * time.Second
-		}
+	if cfg.ZoneExpiry > 0 && cfg.ZoneRefresh == 0 {
+		cfg.ZoneRefresh = cfg.ZoneExpiry * 7 / 8
 	}
 	r := &Resolver{
 		cfg:       cfg,

@@ -289,10 +289,6 @@ func (e *Engine) Workers() int { return len(e.workers) }
 // Batch returns the configured messages-per-syscall vector size.
 func (e *Engine) Batch() int { return e.cfg.Batch }
 
-// BatchSupported reports whether this platform has kernel vector I/O
-// (Linux recvmmsg/sendmmsg); elsewhere Batch degrades to 1.
-func BatchSupported() bool { return batchIOSupported }
-
 // Serve runs the workers until ctx is cancelled or a listener fails.
 // It closes the listeners on the way out, including pre-opened ones
 // from Config.Conns (matching the classic ServeUDP contract).

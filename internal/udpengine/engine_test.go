@@ -135,7 +135,7 @@ func TestParityAcrossConfigs(t *testing.T) {
 			if st.Total.Reads > st.Total.Packets {
 				t.Errorf("stats: reads %d > packets %d", st.Total.Reads, st.Total.Packets)
 			}
-			if tc.workers > 1 && BatchSupported() && !eng.ReusePort() {
+			if tc.workers > 1 && batchIOSupported && !eng.ReusePort() {
 				t.Errorf("expected SO_REUSEPORT listeners on this platform")
 			}
 		})
@@ -148,7 +148,7 @@ func TestParityAcrossConfigs(t *testing.T) {
 // per twenty packets in the whole process. A closure handed to
 // RawConn.Read or Write per batch is several.
 func TestServeAllocs(t *testing.T) {
-	if !BatchSupported() {
+	if !batchIOSupported {
 		t.Skip("no kernel vector I/O on this platform")
 	}
 	if raceEnabled {
@@ -204,7 +204,7 @@ func TestServeAllocs(t *testing.T) {
 // queued before the worker wakes must drain in fewer read syscalls
 // than packets (the whole point of recvmmsg).
 func TestBatchAmortization(t *testing.T) {
-	if !BatchSupported() {
+	if !batchIOSupported {
 		t.Skip("no kernel vector I/O on this platform")
 	}
 	block := make(chan struct{})
